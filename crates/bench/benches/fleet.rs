@@ -9,7 +9,6 @@
 //! restored from one calibrated snapshot, then drains via `shutdown()`.
 
 use seqdrift_bench::harness::{bench_batched, section};
-use seqdrift_bench::json::{merge_into_file, IngestEntry};
 use seqdrift_core::{DetectorConfig, DriftPipeline};
 use seqdrift_fleet::{FleetConfig, FleetEngine, SessionId};
 use seqdrift_linalg::{Real, Rng};
@@ -55,9 +54,8 @@ fn main() {
     let samples = stream(SAMPLES_PER_SESSION);
     let total = SESSIONS * SAMPLES_PER_SESSION as u64;
 
-    let mut json_entries = Vec::new();
     for &workers in &[1usize, 2, 4, 8] {
-        let stats = bench_batched(
+        bench_batched(
             &format!("fleet/{SESSIONS}_sessions_x{SAMPLES_PER_SESSION}/workers_{workers}"),
             Some(total),
             || {
@@ -81,30 +79,6 @@ fn main() {
                 black_box(report.metrics.samples_processed);
             },
         );
-        // Machine-readable trajectory entry: throughput from the median
-        // run; the latency columns are amortised per-sample figures (the
-        // harness times whole replays, not individual round-trips — true
-        // round-trip percentiles come from `seqdrift load`).
-        json_entries.push((
-            format!("fleet_ingest_workers_{workers}"),
-            IngestEntry {
-                samples_per_sec: total as f64 / (stats.median_ns * 1e-9),
-                p50_us: stats.median_ns / total as f64 / 1e3,
-                p99_us: stats.max_ns / total as f64 / 1e3,
-                samples: total,
-                unit: None,
-                scenario: None,
-            },
-        ));
-    }
-    // Anchor to the workspace root: cargo runs benches with the package
-    // directory as CWD, which would otherwise scatter the artefact.
-    let json_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_ingest.json");
-    match merge_into_file(&json_path, &json_entries) {
-        Ok(_) => println!("wrote {}", json_path.display()),
-        Err(e) => println!("warning: could not write {}: {e}", json_path.display()),
     }
     println!(
         "fleet: {SESSIONS} sessions multiplexed over 1..8 workers \

@@ -25,10 +25,17 @@ fn fail(context: &str, e: impl std::fmt::Display) -> String {
     format!("{context}: {e}")
 }
 
-/// One-line durability health summary for `fleet`/`serve` shutdown output.
-/// Degrade/recover transitions strictly alternate, so a surplus of
-/// degrades means the run ended still degraded.
-fn durability_health_line(m: &MetricsSnapshot, out: Out<'_>) {
+/// Durability summary for `fleet`/`serve` shutdown output: checkpoint
+/// flushes, then health. Degrade/recover transitions strictly alternate,
+/// so a surplus of degrades means the run ended still degraded.
+fn durability_lines(m: &MetricsSnapshot, out: Out<'_>) {
+    writeln!(
+        out,
+        "durability: {} checkpoint flush(es) ({} superseded before reaching disk), \
+         {} flush failure(s)",
+        m.durable_flushes, m.checkpoints_superseded, m.durable_flush_failures
+    )
+    .ok();
     let health = if m.durability_degraded > m.durability_recovered {
         "DEGRADED"
     } else {
@@ -693,13 +700,7 @@ fn report_fleet_shutdown(
         .ok();
     }
     if durable {
-        writeln!(
-            out,
-            "durability: {} checkpoint flush(es), {} flush failure(s)",
-            m.durable_flushes, m.durable_flush_failures
-        )
-        .ok();
-        durability_health_line(m, out);
+        durability_lines(m, out);
     }
     if !report.quarantined.is_empty() {
         for (id, reason) in &report.quarantined {
@@ -1082,13 +1083,7 @@ pub fn serve_with_stop(
         .ok();
     }
     if a.state_dir.is_some() {
-        writeln!(
-            out,
-            "durability: {} checkpoint flush(es), {} flush failure(s)",
-            m.durable_flushes, m.durable_flush_failures
-        )
-        .ok();
-        durability_health_line(m, out);
+        durability_lines(m, out);
     }
     for (id, reason) in &report.fleet.quarantined {
         writeln!(out, "quarantined: device {} ({reason})", id.0).ok();

@@ -1,34 +1,49 @@
-//! The durability health machine: `Durable → DegradedDurability(reason)
-//! → Durable`.
+//! The write-behind checkpoint flusher and the durability health
+//! machine: `Durable → DegradedDurability(reason) → Durable`.
 //!
-//! PR 4 made checkpoint flushes crash-safe; this module makes them
-//! *disk-failure*-safe. Before it, a failed durable write bumped a
-//! counter and was forgotten: a fleet whose disk failed for ten minutes
-//! silently lost durability forever. Now the first failure flips the
-//! fleet into **degraded durability**; while degraded, workers stop
-//! touching the disk and instead buffer the *newest* pending checkpoint
-//! per session (plus quarantine-ledger writes and the federated model)
-//! in memory, and a background retry thread — decorrelated-jitter
-//! backoff, the same shape as the server's reconnect `Backoff` —
-//! re-attempts the buffered work until the disk heals. When everything
-//! buffered has drained, the fleet transitions back to `Durable` and
-//! says so: both transitions are [`FleetEvent`]s, counted in the fleet
-//! metrics, and surfaced in `seqdrift fleet`/`serve` output.
+//! **One writer.** Shard workers never touch the disk for checkpoints.
+//! A rolling checkpoint is handed to the [`DurabilityMonitor`] as an
+//! `Arc<[u8]>` shared with the in-memory checkpoint table (the bytes are
+//! never copied), where it replaces any older blob of the same session
+//! that has not reached disk yet. One background thread — the flusher —
+//! writes the pending blobs through `Store::put`, one at a time, in the
+//! order their sessions started waiting. Under disk pressure the
+//! intermediate generations a newer blob supersedes are skipped instead
+//! of queued (OS-ELM's sequential state only needs its *newest* state
+//! durable), so pending state stays bounded: one blob per live session,
+//! plus the one the flusher is writing.
 //!
-//! **Ordering invariant.** While degraded, the retry thread is the only
-//! durable-store writer; workers buffer instead of writing. The
-//! transition back to `Durable` happens only after the pending set is
-//! empty, and each session's checkpoints are produced by its single
-//! shard worker in stream order — so a stale blob can never be flushed
-//! *after* a newer one and shadow it under a higher generation.
-//! Buffered state is bounded: one blob per session (newer supersedes
-//! older), the ledger ops, and one federated blob.
+//! **Degraded durability.** The first failed durable write (checkpoint,
+//! quarantine ledger, federated model or reputation book) flips the
+//! fleet into degraded durability. Ledger, federated and reputation
+//! writes are then buffered in memory instead of hitting the failing
+//! disk, and the flusher switches from draining continuously to
+//! retrying everything buffered with decorrelated-jitter [`Backoff`].
+//! When a retry pass lands cleanly, the fleet transitions back to
+//! `Durable` and says so: both transitions are [`FleetEvent`]s, counted
+//! in the fleet metrics, and surfaced in `seqdrift fleet`/`serve` output.
+//!
+//! **Ordering invariant.** Only the flusher writes session checkpoint
+//! generations, and each session's blobs arrive in stream order from its
+//! single shard worker, so an older blob can never land after a newer
+//! one. Removing a session's lineage (evict, or re-creating a
+//! quarantined id) first discards its pending blob and waits out a write
+//! already in flight ([`DurabilityMonitor::remove_session`]); otherwise
+//! that write could resurrect the old lineage after the removal. While
+//! degraded, buffered ledger operations replay before checkpoints, so a
+//! buffered removal never deletes a re-created session's newer
+//! generations.
+//!
+//! **Crash bound.** A crash loses at most one checkpoint interval plus
+//! whatever a session processed while its newest blob waited for the
+//! flusher. Dropping or shutting down the engine drains every pending
+//! blob first.
 
 use crate::metrics::FleetMetrics;
 use crate::supervisor::{mutex_lock, FleetEvent};
 use seqdrift_linalg::Rng;
-use seqdrift_store::{LedgerEntry, ReputationEntry, Store};
-use std::collections::{BTreeMap, HashMap};
+use seqdrift_store::{LedgerEntry, ReputationEntry, Store, StoreError};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -64,8 +79,8 @@ impl std::fmt::Display for DegradedReason {
 pub enum DurabilityHealth {
     /// Durable writes are landing on disk.
     Durable,
-    /// The disk is failing; checkpoints are buffered in memory and
-    /// retried in the background until it heals.
+    /// The disk is failing; writes are buffered in memory and retried in
+    /// the background until it heals.
     DegradedDurability(DegradedReason),
 }
 
@@ -78,30 +93,46 @@ impl std::fmt::Display for DurabilityHealth {
     }
 }
 
-/// A buffered quarantine-ledger mutation, replayed in order on recovery.
+/// A quarantine-ledger mutation, replayed in order on recovery.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LedgerOp {
     /// `Store::set_quarantined(session, entry)`.
     Set(u64, LedgerEntry),
-    /// `Store::remove_session(session)` (evict under a failing disk).
+    /// `Store::remove_session(session)` (evict, or a quarantined id
+    /// re-created).
     Remove(u64),
+}
+
+impl LedgerOp {
+    fn apply(self, store: &Store) -> Result<(), StoreError> {
+        match self {
+            LedgerOp::Set(id, entry) => store.set_quarantined(id, entry),
+            LedgerOp::Remove(id) => store.remove_session(id),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct MonitorState {
     degraded: Option<DegradedReason>,
-    /// Newest pending checkpoint per session: `(sequence, blob)`. The
-    /// sequence guards the snapshot/drain race — a drain only retires
-    /// the exact blob it flushed.
-    pending: HashMap<u64, (u64, Vec<u8>)>,
-    /// Ledger mutations in arrival order (order matters: a `Set` then
-    /// `Remove` of the same session must not replay reversed).
+    /// Newest unflushed checkpoint per session, shared with the
+    /// in-memory checkpoint table.
+    pending: HashMap<u64, Arc<[u8]>>,
+    /// The sessions of `pending`, in the order they started waiting; a
+    /// superseding blob keeps its session's place, so no session starves.
+    order: VecDeque<u64>,
+    /// The session whose blob the flusher is writing right now.
+    in_flight: Option<u64>,
+    /// Ledger mutations buffered while degraded, in arrival order (a
+    /// `Set` then `Remove` of the same session must not replay reversed).
     pending_ledger: Vec<LedgerOp>,
-    /// Newest pending federated merged model.
+    /// Newest federated merged model buffered while degraded.
     pending_federated: Option<(u64, Vec<u8>)>,
-    /// Newest pending federation reputation book (full-book snapshot;
-    /// newer supersedes like the federated model).
+    /// Newest reputation book buffered while degraded (full-book
+    /// snapshot; newer supersedes like the federated model).
     pending_reputation: Option<(u64, BTreeMap<u64, ReputationEntry>)>,
+    /// Sequence of buffered federated/reputation writes: a drain only
+    /// retires the exact item it wrote.
     seq: u64,
     /// Work flushed during the current degraded episode, reported in the
     /// `DurabilityRestored` event.
@@ -109,12 +140,15 @@ struct MonitorState {
     episode_ledger: u32,
 }
 
-/// Shared between the workers (who report failures and buffer while
-/// degraded), the engine (who reads health), and the background retry
-/// thread (who drains).
+/// Shared between the workers (who submit checkpoints and write the
+/// ledger), the engine (who reads health and removes sessions), and the
+/// flusher thread (who writes checkpoints and drains while degraded).
 #[derive(Debug)]
 pub(crate) struct DurabilityMonitor {
+    store: Arc<Store>,
     state: Mutex<MonitorState>,
+    /// Wakes the flusher (new work, degradation, stop) and the fences
+    /// waiting for an in-flight write to finish.
     wake: Condvar,
     stopped: AtomicBool,
     metrics: Arc<FleetMetrics>,
@@ -122,8 +156,13 @@ pub(crate) struct DurabilityMonitor {
 }
 
 impl DurabilityMonitor {
-    pub fn new(metrics: Arc<FleetMetrics>, events: Arc<Mutex<Vec<FleetEvent>>>) -> Self {
+    pub fn new(
+        store: Arc<Store>,
+        metrics: Arc<FleetMetrics>,
+        events: Arc<Mutex<Vec<FleetEvent>>>,
+    ) -> Self {
         DurabilityMonitor {
+            store,
             state: Mutex::new(MonitorState::default()),
             wake: Condvar::new(),
             stopped: AtomicBool::new(false),
@@ -136,6 +175,14 @@ impl DurabilityMonitor {
     /// a panic window.
     fn lock(&self) -> MutexGuard<'_, MonitorState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, MonitorState>) -> MutexGuard<'a, MonitorState> {
+        self.wake.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn count(&self, counter: impl Fn(&FleetMetrics) -> &std::sync::atomic::AtomicU64) {
+        counter(&self.metrics).fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn health(&self) -> DurabilityHealth {
@@ -155,181 +202,172 @@ impl DurabilityMonitor {
         st.degraded = Some(reason);
         st.episode_checkpoints = 0;
         st.episode_ledger = 0;
-        self.metrics
-            .durability_degraded
-            .fetch_add(1, Ordering::Relaxed);
+        self.count(|m| &m.durability_degraded);
         mutex_lock(&self.events).push(FleetEvent::DurabilityDegraded { reason });
         self.wake.notify_all();
     }
 
-    /// Worker path, before a checkpoint flush: while degraded, buffers
-    /// the blob (superseding any older pending one for the session) and
-    /// returns `true` — the retry thread owns the disk until recovery.
-    pub fn buffer_checkpoint_if_degraded(&self, id: u64, blob: &[u8]) -> bool {
+    /// Worker path: queues `blob` as `id`'s newest checkpoint for the
+    /// flusher, superseding an older blob that has not reached disk yet.
+    /// Never touches the disk.
+    pub fn submit(&self, id: u64, blob: Arc<[u8]>) {
         let mut st = self.lock();
-        if st.degraded.is_none() {
-            return false;
+        if st.degraded.is_some() {
+            self.count(|m| &m.durable_flushes_buffered);
         }
-        st.seq += 1;
-        let seq = st.seq;
-        st.pending.insert(id, (seq, blob.to_vec()));
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Worker path, after a checkpoint flush failed: buffer the blob and
-    /// enter degraded mode.
-    pub fn checkpoint_failed(&self, id: u64, blob: Vec<u8>) {
-        let mut st = self.lock();
-        st.seq += 1;
-        let seq = st.seq;
-        st.pending.insert(id, (seq, blob));
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        self.degrade_locked(&mut st, DegradedReason::CheckpointFlush);
-    }
-
-    /// Worker path, before a ledger write: while degraded, buffers the
-    /// op and returns `true`.
-    pub fn buffer_ledger_if_degraded(&self, op: LedgerOp) -> bool {
-        let mut st = self.lock();
-        if st.degraded.is_none() {
-            return false;
+        if st.pending.insert(id, blob).is_some() {
+            self.count(|m| &m.checkpoints_superseded);
+            return;
         }
-        st.pending_ledger.push(op);
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Worker path, after a ledger write failed: buffer and degrade.
-    pub fn ledger_failed(&self, op: LedgerOp) {
-        let mut st = self.lock();
-        st.pending_ledger.push(op);
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        self.degrade_locked(&mut st, DegradedReason::LedgerWrite);
-    }
-
-    /// Engine path, before a federated-model write: while degraded,
-    /// buffers the blob (newest supersedes) and returns `true`.
-    pub fn buffer_federated_if_degraded(&self, blob: &[u8]) -> bool {
-        let mut st = self.lock();
-        if st.degraded.is_none() {
-            return false;
+        st.order.push_back(id);
+        // A non-empty queue means the flusher is busy (or backing off
+        // while degraded): only the first blob needs to wake it.
+        if st.order.len() == 1 && st.degraded.is_none() {
+            self.wake.notify_all();
         }
-        st.seq += 1;
-        let seq = st.seq;
-        st.pending_federated = Some((seq, blob.to_vec()));
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        true
     }
 
-    /// Engine path, after a federated write failed: buffer and degrade.
-    pub fn federated_failed(&self, blob: Vec<u8>) {
+    /// Writes the blob of the session that has waited longest. `None`
+    /// when nothing is pending, else whether the put landed. A failed
+    /// blob goes back to the head of the line (unless a newer one was
+    /// submitted meanwhile) and the fleet degrades.
+    fn flush_next(&self) -> Option<bool> {
+        let (id, blob) = {
+            let mut st = self.lock();
+            let id = st.order.pop_front()?;
+            let blob = st.pending.remove(&id)?;
+            st.in_flight = Some(id);
+            (id, blob)
+        };
+        let ok = self.store.put(id, &blob).is_ok();
         let mut st = self.lock();
-        st.seq += 1;
-        let seq = st.seq;
-        st.pending_federated = Some((seq, blob));
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        self.degrade_locked(&mut st, DegradedReason::FederatedWrite);
-    }
-
-    /// Engine path, before a reputation-book write: while degraded,
-    /// buffers the full book (newest supersedes) and returns `true`.
-    pub fn buffer_reputation_if_degraded(&self, book: &BTreeMap<u64, ReputationEntry>) -> bool {
-        let mut st = self.lock();
-        if st.degraded.is_none() {
-            return false;
+        st.in_flight = None;
+        if ok {
+            self.count(|m| &m.durable_flushes);
+            st.episode_checkpoints += 1;
+        } else {
+            if st.degraded.is_none() {
+                self.count(|m| &m.durable_flush_failures);
+            }
+            if let std::collections::hash_map::Entry::Vacant(e) = st.pending.entry(id) {
+                e.insert(blob);
+                st.order.push_front(id);
+            }
+            self.degrade_locked(&mut st, DegradedReason::CheckpointFlush);
         }
-        st.seq += 1;
-        let seq = st.seq;
-        st.pending_reputation = Some((seq, book.clone()));
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        true
+        drop(st);
+        // Release any `remove_session` fenced on this write.
+        self.wake.notify_all();
+        Some(ok)
     }
 
-    /// Engine path, after a reputation-book write failed: buffer and
-    /// degrade.
-    pub fn reputation_failed(&self, book: BTreeMap<u64, ReputationEntry>) {
+    /// Runs `write` against the store unless the fleet is degraded. A
+    /// degraded fleet, or a failed write (which degrades it with
+    /// `reason`), keeps the item for the flusher through `buffer`.
+    fn write_or_buffer<T>(
+        &self,
+        reason: DegradedReason,
+        write: impl FnOnce(&Store) -> Result<T, StoreError>,
+        buffer: impl FnOnce(&mut MonitorState),
+    ) -> Option<T> {
+        let degraded = self.lock().degraded.is_some();
+        if !degraded {
+            match write(&self.store) {
+                Ok(v) => return Some(v),
+                Err(_) => self.count(|m| &m.durable_flush_failures),
+            }
+        }
         let mut st = self.lock();
-        st.seq += 1;
-        let seq = st.seq;
-        st.pending_reputation = Some((seq, book));
-        self.metrics
-            .durable_flushes_buffered
-            .fetch_add(1, Ordering::Relaxed);
-        self.degrade_locked(&mut st, DegradedReason::ReputationWrite);
+        buffer(&mut st);
+        self.count(|m| &m.durable_flushes_buffered);
+        self.degrade_locked(&mut st, reason);
+        None
     }
 
-    /// One drain attempt: re-flush every buffered checkpoint, replay
-    /// ledger ops in order, and re-write the federated model. Retires
-    /// only what it actually flushed (by sequence, so a blob buffered
-    /// mid-drain survives for the next pass). When the buffers empty,
-    /// transitions back to `Durable` and emits `DurabilityRestored`.
-    /// Returns whether the fleet is durable again.
-    pub fn try_drain(&self, store: &Store) -> bool {
-        let (checkpoints, ledger_ops, federated, reputation) = {
+    /// Applies a quarantine-ledger mutation, or buffers it while degraded.
+    pub fn write_ledger(&self, op: LedgerOp) {
+        self.write_or_buffer(
+            DegradedReason::LedgerWrite,
+            |store| op.apply(store),
+            |st| st.pending_ledger.push(op),
+        );
+    }
+
+    /// Writes a federated merged-model blob as a new durable generation;
+    /// `None` when it was buffered instead (degraded, or the write failed).
+    pub fn put_federated(&self, blob: &[u8]) -> Option<u64> {
+        self.write_or_buffer(
+            DegradedReason::FederatedWrite,
+            |store| store.put_federated(blob),
+            |st| {
+                st.seq += 1;
+                st.pending_federated = Some((st.seq, blob.to_vec()));
+            },
+        )
+    }
+
+    /// Writes the full federation reputation book; `None` when it was
+    /// buffered instead.
+    pub fn put_reputations(&self, book: &BTreeMap<u64, ReputationEntry>) -> Option<u64> {
+        self.write_or_buffer(
+            DegradedReason::ReputationWrite,
+            |store| store.put_reputations(book),
+            |st| {
+                st.seq += 1;
+                st.pending_reputation = Some((st.seq, book.clone()));
+            },
+        )
+    }
+
+    /// Engine path: forgets `id`'s durable lineage. Its pending blob is
+    /// discarded and a write already in flight is waited out *before* the
+    /// session's generations and ledger entry are removed, so no blob of
+    /// the old lineage can land afterwards. The caller guarantees no new
+    /// blob of `id` is submitted concurrently (the session's worker slot
+    /// is gone or quarantined).
+    pub fn remove_session(&self, id: u64) {
+        let mut st = self.lock();
+        loop {
+            if st.pending.remove(&id).is_some() {
+                st.order.retain(|&s| s != id);
+            }
+            if st.in_flight != Some(id) {
+                break;
+            }
+            st = self.wait(st);
+        }
+        drop(st);
+        self.write_ledger(LedgerOp::Remove(id));
+    }
+
+    /// One retry pass while degraded: replay buffered ledger ops in
+    /// order, then write every checkpoint pending at the start of the
+    /// pass, then the federated model and the reputation book. Retires
+    /// only what it actually wrote. A clean pass transitions back to
+    /// `Durable` and emits `DurabilityRestored`; checkpoints submitted
+    /// during the pass are left to the flusher. Returns whether the fleet
+    /// is durable again.
+    pub fn try_drain(&self) -> bool {
+        let (ledger_ops, federated, reputation) = {
             let st = self.lock();
             if st.degraded.is_none() {
                 return true;
             }
-            let ckpts: Vec<(u64, u64, Vec<u8>)> = st
-                .pending
-                .iter()
-                .map(|(&id, (seq, blob))| (id, *seq, blob.clone()))
-                .collect();
             (
-                ckpts,
                 st.pending_ledger.clone(),
                 st.pending_federated.clone(),
                 st.pending_reputation.clone(),
             )
         };
-        let mut clean = true;
-        for (id, seq, blob) in checkpoints {
-            self.metrics
-                .durable_flush_retries
-                .fetch_add(1, Ordering::Relaxed);
-            if store.put(id, &blob).is_ok() {
-                self.metrics.durable_flushes.fetch_add(1, Ordering::Relaxed);
-                let mut st = self.lock();
-                st.episode_checkpoints += 1;
-                if st.pending.get(&id).is_some_and(|(s, _)| *s == seq) {
-                    st.pending.remove(&id);
-                }
-            } else {
-                clean = false;
-            }
-        }
         // Ledger ops replay strictly in order; stop at the first failure
         // so a later op can never leapfrog an earlier one.
         let mut applied = 0usize;
         for op in &ledger_ops {
-            self.metrics
-                .durable_flush_retries
-                .fetch_add(1, Ordering::Relaxed);
-            let ok = match op {
-                LedgerOp::Set(id, entry) => store.set_quarantined(*id, *entry).is_ok(),
-                LedgerOp::Remove(id) => store.remove_session(*id).is_ok(),
-            };
-            if ok {
-                applied += 1;
-            } else {
-                clean = false;
+            self.count(|m| &m.durable_flush_retries);
+            if op.apply(&self.store).is_err() {
                 break;
             }
+            applied += 1;
         }
         if applied > 0 {
             let mut st = self.lock();
@@ -339,11 +377,23 @@ impl DurabilityMonitor {
             st.pending_ledger.drain(..n);
             st.episode_ledger += applied as u32;
         }
+        // Checkpoints only after the ledger: a buffered `Remove` must not
+        // delete a re-created session's newer generations.
+        let mut clean = applied == ledger_ops.len();
+        if clean {
+            let mut budget = self.lock().order.len();
+            while budget > 0 {
+                budget -= 1;
+                self.count(|m| &m.durable_flush_retries);
+                if self.flush_next() == Some(false) {
+                    clean = false;
+                    break;
+                }
+            }
+        }
         if let Some((seq, blob)) = federated {
-            self.metrics
-                .durable_flush_retries
-                .fetch_add(1, Ordering::Relaxed);
-            if store.put_federated(&blob).is_ok() {
+            self.count(|m| &m.durable_flush_retries);
+            if self.store.put_federated(&blob).is_ok() {
                 let mut st = self.lock();
                 if st
                     .pending_federated
@@ -357,10 +407,8 @@ impl DurabilityMonitor {
             }
         }
         if let Some((seq, book)) = reputation {
-            self.metrics
-                .durable_flush_retries
-                .fetch_add(1, Ordering::Relaxed);
-            if store.put_reputations(&book).is_ok() {
+            self.count(|m| &m.durable_flush_retries);
+            if self.store.put_reputations(&book).is_ok() {
                 let mut st = self.lock();
                 if st
                     .pending_reputation
@@ -375,16 +423,13 @@ impl DurabilityMonitor {
         }
         let mut st = self.lock();
         if clean
-            && st.pending.is_empty()
             && st.pending_ledger.is_empty()
             && st.pending_federated.is_none()
             && st.pending_reputation.is_none()
             && st.degraded.is_some()
         {
             st.degraded = None;
-            self.metrics
-                .durability_recovered
-                .fetch_add(1, Ordering::Relaxed);
+            self.count(|m| &m.durability_recovered);
             mutex_lock(&self.events).push(FleetEvent::DurabilityRestored {
                 flushed_checkpoints: st.episode_checkpoints,
                 drained_ledger_writes: st.episode_ledger,
@@ -393,7 +438,7 @@ impl DurabilityMonitor {
         st.degraded.is_none()
     }
 
-    /// Signals the retry thread to make one final drain attempt and exit.
+    /// Signals the flusher to drain what is pending and exit.
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         self.wake.notify_all();
@@ -404,11 +449,14 @@ impl DurabilityMonitor {
     }
 }
 
-/// Decorrelated-jitter backoff (same shape as the server crate's
-/// reconnect `Backoff`): each delay is uniform in `[base, prev * 3]`,
-/// clamped to `cap`. Spreads many degraded fleets' retry attempts so a
-/// shared storage backend that just healed is not thundering-herded.
-struct Backoff {
+/// Decorrelated-jitter backoff: each delay is drawn uniformly from
+/// `[base, prev * 3]` and clamped to `cap`, so consecutive delays
+/// decorrelate instead of marching through the same exponential rungs as
+/// every other retrier. Shared by the flusher's degraded-durability
+/// retries and the server crate's reconnecting client; the sequence is a
+/// pure function of the seed, so a documented seed replays.
+#[derive(Debug)]
+pub struct Backoff {
     rng: Rng,
     base: Duration,
     cap: Duration,
@@ -416,16 +464,19 @@ struct Backoff {
 }
 
 impl Backoff {
-    fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
+    /// A fresh sequence between `base` (at least 1 µs) and `cap` (at
+    /// least `base`).
+    pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
         Backoff {
             rng: Rng::seed_from(seed),
-            base,
-            cap,
+            base: base.max(Duration::from_micros(1)),
+            cap: cap.max(base),
             prev: base,
         }
     }
 
-    fn next_delay(&mut self) -> Duration {
+    /// The next delay in the sequence.
+    pub fn next_delay(&mut self) -> Duration {
         let lo = self.base.as_micros() as u64;
         let hi = (self.prev.as_micros() as u64).saturating_mul(3).max(lo + 1);
         let span = hi - lo;
@@ -435,39 +486,39 @@ impl Backoff {
         delay
     }
 
-    fn reset(&mut self) {
+    /// Back to the floor (call after a success).
+    pub fn reset(&mut self) {
         self.prev = self.base;
     }
 }
 
-/// The background retry loop. Sleeps while the fleet is durable; once
-/// degraded, drains with decorrelated-jitter backoff until the disk
-/// heals, then goes back to sleep. On `stop()`, makes one final
-/// best-effort drain and exits.
-pub(crate) fn retry_loop(
-    monitor: Arc<DurabilityMonitor>,
-    store: Arc<Store>,
-    base: Duration,
-    cap: Duration,
-) {
-    let mut backoff = Backoff::new(base, cap, 0xD15C_FA11);
+/// Seed of the flusher's retry backoff.
+const FLUSH_BACKOFF_SEED: u64 = 0xD15C_FA11;
+
+/// The flusher thread. While durable it writes pending checkpoints as
+/// soon as there are any and sleeps otherwise; once degraded it retries
+/// everything buffered with decorrelated-jitter backoff until the disk
+/// heals. On `stop()` it drains what is pending (one retry pass when
+/// degraded) and exits.
+pub(crate) fn flush_loop(monitor: Arc<DurabilityMonitor>, base: Duration, cap: Duration) {
+    let mut backoff = Backoff::new(base, cap, FLUSH_BACKOFF_SEED);
     loop {
-        // Park until degraded or stopped.
-        {
+        let degraded = {
             let mut st = monitor.lock();
-            while st.degraded.is_none() && !monitor.is_stopped() {
-                st = monitor
-                    .wake
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
+            while st.degraded.is_none() && st.order.is_empty() && !monitor.is_stopped() {
+                st = monitor.wait(st);
             }
-        }
+            st.degraded.is_some()
+        };
         if monitor.is_stopped() {
-            monitor.try_drain(&store);
-            return;
+            break;
+        }
+        if !degraded {
+            monitor.flush_next();
+            continue;
         }
         // Degraded: wait out the backoff (waking early on stop), then
-        // attempt a drain.
+        // attempt a retry pass.
         let delay = backoff.next_delay();
         {
             let st = monitor.lock();
@@ -477,67 +528,114 @@ pub(crate) fn retry_loop(
                 .unwrap_or_else(PoisonError::into_inner);
         }
         if monitor.is_stopped() {
-            monitor.try_drain(&store);
-            return;
+            break;
         }
-        if monitor.try_drain(&store) {
+        if monitor.try_drain() {
             backoff.reset();
         }
+    }
+    if monitor.try_drain() {
+        while monitor.flush_next() == Some(true) {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqdrift_store::{FaultPlan, FaultVfs, StoreConfig, Vfs};
+    use std::path::PathBuf;
 
-    fn monitor() -> DurabilityMonitor {
-        DurabilityMonitor::new(
+    /// A monitor over a fresh store at a per-test temp dir whose every
+    /// file write fails (ENOSPC) until the returned `FaultVfs` is
+    /// deactivated.
+    fn failing(name: &str) -> (DurabilityMonitor, Arc<FaultVfs>, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("seqdrift-durmon-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let vfs = Arc::new(FaultVfs::new(FaultPlan::new(7).with_enospc(1024)).with_base(&dir));
+        vfs.set_active(false);
+        let store = Store::open_with_vfs(
+            &dir,
+            StoreConfig::default(),
+            Arc::clone(&vfs) as Arc<dyn Vfs>,
+        )
+        .unwrap();
+        vfs.set_active(true);
+        let m = DurabilityMonitor::new(
+            Arc::new(store),
             Arc::new(FleetMetrics::default()),
             Arc::new(Mutex::new(Vec::new())),
-        )
+        );
+        (m, vfs, dir)
+    }
+
+    fn blob(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
+    #[test]
+    fn newer_blobs_supersede_and_keep_their_place_in_line() {
+        let (m, vfs, dir) = failing("order");
+        vfs.set_active(false);
+        m.submit(1, blob(b"a1"));
+        m.submit(2, blob(b"b1"));
+        m.submit(1, blob(b"a2"));
+        assert_eq!(m.metrics.checkpoints_superseded.load(Ordering::Relaxed), 1);
+        assert_eq!(m.lock().order, VecDeque::from([1, 2]));
+        assert_eq!(m.flush_next(), Some(true));
+        assert_eq!(m.flush_next(), Some(true));
+        assert_eq!(m.flush_next(), None);
+        assert_eq!(m.store.load(1).unwrap().unwrap(), (1, b"a2".to_vec()));
+        assert_eq!(m.metrics.durable_flushes.load(Ordering::Relaxed), 2);
+        // Removal discards what is pending: the old blob never lands.
+        m.submit(2, blob(b"b2"));
+        m.remove_session(2);
+        assert_eq!(m.flush_next(), None);
+        assert!(m.store.load(2).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn starts_durable_and_degrades_once_per_episode() {
-        let m = monitor();
+        let (m, _vfs, dir) = failing("episode");
         assert_eq!(m.health(), DurabilityHealth::Durable);
-        assert!(!m.buffer_checkpoint_if_degraded(1, b"x"));
-        m.checkpoint_failed(1, b"x".to_vec());
+        m.submit(1, blob(b"x"));
+        assert_eq!(m.flush_next(), Some(false));
         assert_eq!(
             m.health(),
             DurabilityHealth::DegradedDurability(DegradedReason::CheckpointFlush)
         );
         // A second failure does not re-enter (or re-label) the episode.
-        m.federated_failed(b"y".to_vec());
+        assert_eq!(m.put_federated(b"y"), None);
         assert_eq!(
             m.health(),
             DurabilityHealth::DegradedDurability(DegradedReason::CheckpointFlush)
         );
         assert_eq!(m.metrics.durability_degraded.load(Ordering::Relaxed), 1);
-        // While degraded, workers buffer instead of writing.
-        assert!(m.buffer_checkpoint_if_degraded(1, b"newer"));
-        let st = m.lock();
-        assert_eq!(st.pending[&1].1, b"newer");
+        // The failed blob waits for the retry; a newer one supersedes it.
+        m.submit(1, blob(b"newer"));
+        assert_eq!(&*m.lock().pending[&1], b"newer");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn drain_recovers_and_emits_restored() {
-        let dir = std::env::temp_dir().join(format!("seqdrift-durmon-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Store::open(&dir).unwrap();
-        let m = monitor();
-        m.checkpoint_failed(3, b"blob".to_vec());
-        m.ledger_failed(LedgerOp::Set(
+        let (m, vfs, dir) = failing("drain");
+        m.submit(3, blob(b"blob"));
+        assert_eq!(m.flush_next(), Some(false));
+        m.write_ledger(LedgerOp::Set(
             9,
             LedgerEntry {
                 reason_code: 1,
                 restarts_spent: 2,
             },
         ));
-        assert!(m.try_drain(&store));
+        assert!(!m.try_drain());
+        vfs.set_active(false);
+        assert!(m.try_drain());
         assert_eq!(m.health(), DurabilityHealth::Durable);
-        assert_eq!(store.load(3).unwrap().unwrap().1, b"blob");
-        assert_eq!(store.ledger().len(), 1);
+        assert_eq!(m.store.load(3).unwrap().unwrap().1, b"blob");
+        assert_eq!(m.store.ledger().len(), 1);
         let events = m.events.lock().unwrap();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -551,16 +649,11 @@ mod tests {
 
     #[test]
     fn reputation_buffers_while_degraded_and_drains() {
-        let dir = std::env::temp_dir().join(format!("seqdrift-durmon-rep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Store::open(&dir).unwrap();
-        let m = monitor();
-        // Durable: nothing buffers.
+        let (m, vfs, dir) = failing("rep");
         let mut book = BTreeMap::new();
         book.insert(1, ReputationEntry::default());
-        assert!(!m.buffer_reputation_if_degraded(&book));
         // A failed write degrades with the reputation reason.
-        m.reputation_failed(book.clone());
+        assert_eq!(m.put_reputations(&book), None);
         assert_eq!(
             m.health(),
             DurabilityHealth::DegradedDurability(DegradedReason::ReputationWrite)
@@ -574,10 +667,13 @@ mod tests {
                 clean_rounds: 0,
             },
         );
-        assert!(m.buffer_reputation_if_degraded(&book));
-        assert!(m.try_drain(&store));
+        vfs.set_active(false);
+        assert_eq!(m.put_reputations(&book), None);
+        assert!(m.try_drain());
         assert_eq!(m.health(), DurabilityHealth::Durable);
-        assert_eq!(store.reputations(), book);
+        assert_eq!(m.store.reputations(), book);
+        // Durable again: writes go straight to disk.
+        assert!(m.put_reputations(&book).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -598,5 +694,25 @@ mod tests {
         assert!(grew);
         b.reset();
         assert!(b.next_delay() <= Duration::from_millis(30));
+    }
+
+    #[test]
+    fn backoff_golden_sequences_replay() {
+        // The flusher's seed under the default `FleetConfig` retry bounds,
+        // and the server's reconnect seed under its default policy.
+        let first8 = |base_ms: u64, seed: u64| {
+            let mut b = Backoff::new(Duration::from_millis(base_ms), Duration::from_secs(2), seed);
+            (0..8)
+                .map(|_| b.next_delay().as_micros())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            first8(50, FLUSH_BACKOFF_SEED),
+            [139_405, 133_776, 198_312, 241_384, 428_338, 1_079_129, 2_000_000, 954_041]
+        );
+        assert_eq!(
+            first8(10, 0x5EED),
+            [21_148, 62_990, 26_270, 40_096, 57_676, 73_713, 68_177, 153_799]
+        );
     }
 }

@@ -13,7 +13,7 @@
 //! budget, or permanently quarantined; a dead worker thread is respawned
 //! and its shard re-homed; `shutdown` never panics.
 
-use crate::durability::{retry_loop, DurabilityHealth, DurabilityMonitor, LedgerOp};
+use crate::durability::{flush_loop, DurabilityHealth, DurabilityMonitor};
 use crate::fault::FaultInjector;
 use crate::metrics::{FleetMetrics, MetricsSnapshot, QueueDepth, RejectReasons};
 use crate::supervisor::{
@@ -292,11 +292,13 @@ pub struct FleetConfig {
     /// Deterministic fault plan applied by the workers (tests and the
     /// CLI's `--inject-faults`); `None` in production.
     pub fault_injector: Option<Arc<FaultInjector>>,
-    /// Root of the crash-safe durable state store. When set, every
-    /// rolling checkpoint is also flushed to disk (atomic temp + fsync +
-    /// rename), quarantine decisions persist across restarts, and
-    /// [`FleetEngine::resume`] can re-home every surviving session after
-    /// a crash or power loss. `None` runs memory-only.
+    /// Root of the crash-safe durable state store. When set, a flusher
+    /// thread writes each session's newest rolling checkpoint to disk
+    /// behind the workers (atomic temp + fsync + rename; a newer
+    /// checkpoint supersedes one still waiting), quarantine decisions
+    /// persist across restarts, and [`FleetEngine::resume`] can re-home
+    /// every surviving session after a crash or power loss. `None` runs
+    /// memory-only.
     pub state_dir: Option<PathBuf>,
     /// Checkpoint generations kept on disk per session (minimum 2, so a
     /// torn newest write always leaves a fallback). Ignored without
@@ -306,8 +308,8 @@ pub struct FleetConfig {
     /// filesystem; storage-chaos tests inject a
     /// `seqdrift_store::FaultVfs` here. Ignored without `state_dir`.
     pub state_vfs: Option<Arc<dyn Vfs>>,
-    /// Base delay of the degraded-durability retry loop's decorrelated-
-    /// jitter backoff.
+    /// Base delay of the flusher's decorrelated-jitter backoff while
+    /// durability is degraded.
     pub flush_retry_base: Duration,
     /// Delay ceiling of the degraded-durability retry backoff.
     pub flush_retry_cap: Duration,
@@ -480,11 +482,11 @@ pub struct FleetEngine {
     /// Crash-safe on-disk store (survives process death); `None` when the
     /// engine runs memory-only.
     durable: Option<Arc<Store>>,
-    /// Durability health machine paired with `durable`; `None` when the
-    /// engine runs memory-only.
+    /// Checkpoint flusher and durability health machine over `durable`;
+    /// `None` when the engine runs memory-only.
     durability: Option<Arc<DurabilityMonitor>>,
-    /// The background flush-retry thread, joined on drop.
-    retry_thread: Mutex<Option<JoinHandle<()>>>,
+    /// The flusher thread: the only writer of session checkpoints.
+    flusher: Mutex<Option<JoinHandle<()>>>,
     metrics: Arc<FleetMetrics>,
     events: Arc<Mutex<Vec<FleetEvent>>>,
     cfg: FleetConfig,
@@ -539,25 +541,23 @@ impl FleetEngine {
             store: Arc::new(CheckpointStore::default()),
             durable,
             durability: None,
-            retry_thread: Mutex::new(None),
+            flusher: Mutex::new(None),
             metrics: Arc::new(FleetMetrics::default()),
             events: Arc::new(Mutex::new(Vec::new())),
             cfg,
         };
-        // A durable fleet gets the health machine and its background
-        // flush-retry thread.
+        // A durable fleet gets the health machine and its flusher thread.
         if let Some(durable) = &engine.durable {
             let monitor = Arc::new(DurabilityMonitor::new(
+                Arc::clone(durable),
                 Arc::clone(&engine.metrics),
                 Arc::clone(&engine.events),
             ));
             let thread_monitor = Arc::clone(&monitor);
-            let thread_store = Arc::clone(durable);
             let (base, cap) = (engine.cfg.flush_retry_base, engine.cfg.flush_retry_cap);
-            let handle =
-                std::thread::spawn(move || retry_loop(thread_monitor, thread_store, base, cap));
+            let handle = std::thread::spawn(move || flush_loop(thread_monitor, base, cap));
             engine.durability = Some(monitor);
-            *mutex_lock(&engine.retry_thread) = Some(handle);
+            *mutex_lock(&engine.flusher) = Some(handle);
         }
         // Quarantine is a durability fact: sessions the previous process
         // quarantined stay quarantined in this one.
@@ -571,7 +571,7 @@ impl FleetEngine {
             }
         }
         for _ in 0..engine.cfg.workers {
-            let depth = Arc::new(QueueDepth::default());
+            let depth = Arc::new(QueueDepth::new(engine.cfg.queue_capacity));
             let (tx, handle) = engine.spawn_worker(Arc::clone(&depth), Vec::new());
             engine.shards.push(Shard {
                 link: RwLock::new(ShardLink {
@@ -593,7 +593,6 @@ impl FleetEngine {
             events: Arc::clone(&self.events),
             registry: Arc::clone(&self.registry),
             store: Arc::clone(&self.store),
-            durable: self.durable.clone(),
             monitor: self.durability.clone(),
             injector: self.cfg.fault_injector.clone(),
             policy: SupervisionPolicy {
@@ -815,12 +814,9 @@ impl FleetEngine {
                 Some(SessionStatus::Active) => return Err(FleetError::DuplicateSession(id)),
                 Some(SessionStatus::Quarantined(_)) => {
                     registry.remove(&id.0);
-                    self.store.remove(id.0);
                     // The replacement starts a fresh checkpoint lineage
                     // and clears the persisted quarantine verdict.
-                    if let Some(durable) = &self.durable {
-                        durable.remove_session(id.0)?;
-                    }
+                    self.forget_lineage(id.0);
                 }
                 None => {}
             }
@@ -1121,33 +1117,13 @@ impl FleetEngine {
 
     /// Persists a merged-model pipeline blob as a durable federated
     /// generation (`SQCK`-framed, atomic, generational). Returns the
-    /// generation written, or `None` when the engine runs memory-only.
-    /// Disk failure is absorbed into `durable_flush_failures` — exactly
-    /// like session checkpoint flushes, federation never takes the fleet
-    /// down with the disk.
+    /// generation written, or `None` when the engine runs memory-only or
+    /// the blob was buffered under degraded durability (the flusher
+    /// writes the newest buffered model once the disk heals). Disk
+    /// failure is absorbed into `durable_flush_failures` — federation
+    /// never takes the fleet down with the disk.
     pub fn persist_federated(&self, blob: &[u8]) -> Option<u64> {
-        let durable = self.durable.as_ref()?;
-        if self
-            .durability
-            .as_ref()
-            .is_some_and(|m| m.buffer_federated_if_degraded(blob))
-        {
-            // Degraded: the retry loop writes the newest buffered model
-            // once the disk heals.
-            return None;
-        }
-        match durable.put_federated(blob) {
-            Ok(generation) => Some(generation),
-            Err(_) => {
-                self.metrics
-                    .durable_flush_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(monitor) = &self.durability {
-                    monitor.federated_failed(blob.to_vec());
-                }
-                None
-            }
-        }
+        self.durability.as_ref()?.put_federated(blob)
     }
 
     /// Loads the newest durable federated merged-model blob, when the
@@ -1164,29 +1140,10 @@ impl FleetEngine {
     /// store manifest (atomic, generational — the quarantine-ledger
     /// path). Returns the generation written, or `None` when the engine
     /// runs memory-only or the book was buffered under degraded
-    /// durability (the retry loop writes the newest buffered book once
-    /// the disk heals).
+    /// durability (the flusher writes the newest buffered book once the
+    /// disk heals).
     pub fn persist_reputations(&self, book: &BTreeMap<u64, ReputationEntry>) -> Option<u64> {
-        let durable = self.durable.as_ref()?;
-        if self
-            .durability
-            .as_ref()
-            .is_some_and(|m| m.buffer_reputation_if_degraded(book))
-        {
-            return None;
-        }
-        match durable.put_reputations(book) {
-            Ok(generation) => Some(generation),
-            Err(_) => {
-                self.metrics
-                    .durable_flush_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(monitor) = &self.durability {
-                    monitor.reputation_failed(book.clone());
-                }
-                None
-            }
-        }
+        self.durability.as_ref()?.put_reputations(book)
     }
 
     /// The durable federation reputation book restored by the store's
@@ -1214,28 +1171,21 @@ impl FleetEngine {
             other => other?,
         };
         write_lock(&self.registry).remove(&id.0);
-        self.store.remove(id.0);
-        // Best-effort: the caller already holds the live pipeline; a disk
-        // hiccup here must not eat it. Leftover generations are harmless
-        // (resume skips ids the caller doesn't re-create) and visible in
-        // the failure counter.
-        if let Some(durable) = &self.durable {
-            if self
-                .durability
-                .as_ref()
-                .is_some_and(|m| m.buffer_ledger_if_degraded(LedgerOp::Remove(id.0)))
-            {
-                // Degraded: the removal replays from the buffer in order.
-            } else if durable.remove_session(id.0).is_err() {
-                self.metrics
-                    .durable_flush_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(monitor) = &self.durability {
-                    monitor.ledger_failed(LedgerOp::Remove(id.0));
-                }
-            }
-        }
+        self.forget_lineage(id.0);
         Ok(*pipeline)
+    }
+
+    /// Drops a session's checkpoint lineage from memory and disk: its
+    /// pending blob never reaches disk, and its generations and ledger
+    /// entry are removed (buffered while degraded). Never fails: the
+    /// caller already holds the live pipeline (evict) or is replacing it
+    /// (create), and a disk hiccup must not eat either; it degrades the
+    /// fleet and retries in the background instead.
+    fn forget_lineage(&self, id: u64) {
+        self.store.remove(id);
+        if let Some(monitor) = &self.durability {
+            monitor.remove_session(id);
+        }
     }
 
     /// Re-homes every session that survived in the durable state store:
@@ -1279,7 +1229,7 @@ impl FleetEngine {
     /// The fleet's current durability health. Memory-only fleets are
     /// always `Durable`; a durable fleet reports
     /// [`DurabilityHealth::DegradedDurability`] from the first failed
-    /// flush until the background retry loop drains every buffered write.
+    /// write until a retry pass of the flusher drains every buffered write.
     pub fn durability_health(&self) -> DurabilityHealth {
         self.durability
             .as_ref()
@@ -1303,6 +1253,17 @@ impl FleetEngine {
     /// order; each session's own subsequence is in stream order.
     pub fn drain_events(&self) -> Vec<FleetEvent> {
         std::mem::take(&mut *mutex_lock(&self.events))
+    }
+
+    /// Stops the flusher, which writes everything pending on its way out
+    /// (one retry pass when degraded), and joins it. Idempotent.
+    fn stop_flusher(&self) {
+        if let Some(monitor) = &self.durability {
+            monitor.stop();
+        }
+        if let Some(handle) = mutex_lock(&self.flusher).take() {
+            let _ = handle.join();
+        }
     }
 
     /// Drains every queue, joins the workers, and returns each surviving
@@ -1348,32 +1309,21 @@ impl FleetEngine {
         sessions.sort_by_key(|(id, _)| *id);
         lost.sort_by_key(|s| s.id);
         // Graceful shutdown is the one moment every survivor's full state
-        // is in hand: flush it durably so a drain leaves zero tail loss.
-        // Crash paths (plain drop, power cut) still lose at most one
-        // checkpoint interval. Mid-reconstruction pipelines refuse
-        // to_bytes by contract — their last rolling checkpoint is already
-        // on disk, so skip them without counting a flush failure.
-        if let Some(durable) = &self.durable {
-            // Give anything buffered during a degraded episode one final
-            // drain before the survivor flush (whose newer generations
-            // would shadow it anyway — this matters for sessions that are
-            // NOT survivors, e.g. quarantine verdicts).
-            if let Some(monitor) = &self.durability {
-                monitor.try_drain(durable);
-            }
+        // is in hand: hand it to the flusher so a drain leaves zero tail
+        // loss. It supersedes the survivor's rolling checkpoint, which is
+        // dropped from memory so the pending queue still holds one blob
+        // per session. Mid-reconstruction pipelines refuse to_bytes by
+        // contract; their last rolling checkpoint is pending or already
+        // on disk. Stopping the flusher then writes everything pending.
+        if let Some(monitor) = &self.durability {
             for (id, pipeline) in &sessions {
-                let Ok(blob) = pipeline.to_bytes() else {
-                    continue;
-                };
-                if durable.put(id.0, &blob).is_ok() {
-                    self.metrics.durable_flushes.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.metrics
-                        .durable_flush_failures
-                        .fetch_add(1, Ordering::Relaxed);
+                if let Ok(blob) = pipeline.to_bytes() {
+                    self.store.remove(id.0);
+                    monitor.submit(id.0, blob.into());
                 }
             }
         }
+        self.stop_flusher();
         let quarantined = self.quarantined_sessions();
         let events = std::mem::take(&mut *mutex_lock(&self.events));
         let metrics = self
@@ -1391,7 +1341,8 @@ impl FleetEngine {
 
 impl Drop for FleetEngine {
     /// Dropping without [`FleetEngine::shutdown`] still drains and joins the
-    /// workers (final states are discarded; join errors are swallowed).
+    /// workers, then the flusher (every pending checkpoint is written;
+    /// final states are discarded; join errors are swallowed).
     fn drop(&mut self) {
         for shard in &self.shards {
             write_lock(&shard.link).tx = None;
@@ -1402,14 +1353,7 @@ impl Drop for FleetEngine {
                 let _ = handle.join();
             }
         }
-        // Stop the flush-retry thread (it makes one final best-effort
-        // drain on the way out) and join it.
-        if let Some(monitor) = &self.durability {
-            monitor.stop();
-        }
-        if let Some(handle) = mutex_lock(&self.retry_thread).take() {
-            let _ = handle.join();
-        }
+        self.stop_flusher();
     }
 }
 

@@ -37,14 +37,16 @@
 //!   never notice. Dead worker threads are detected, respawned and their
 //!   shards re-homed. Every recovery path is reproducibly exercisable via
 //!   the seeded [`FaultInjector`]. [`FleetEngine::shutdown`] never panics.
-//! * **Durability** — with [`FleetConfig::state_dir`] set, every rolling
-//!   checkpoint is also flushed to a crash-safe on-disk store
-//!   (`seqdrift_store`: CRC-framed generations, atomic fsync'd writes)
-//!   and quarantine verdicts persist in a store manifest. After a crash
+//! * **Durability** — with [`FleetConfig::state_dir`] set, a single
+//!   flusher thread writes each session's newest rolling checkpoint to a
+//!   crash-safe on-disk store (`seqdrift_store`: CRC-framed generations,
+//!   atomic fsync'd writes) behind the workers, which never wait on the
+//!   disk; quarantine verdicts persist in a store manifest. After a crash
 //!   or power loss, [`FleetEngine::resume`] re-homes every surviving
 //!   session from its newest valid generation; the worst case is losing
-//!   one checkpoint interval of samples — never a model, and never a
-//!   quarantine decision.
+//!   one checkpoint interval plus what the session processed while its
+//!   newest checkpoint waited for the flusher — never a model, and never
+//!   a quarantine decision.
 //! * **Observability** — [`FleetEngine::metrics`] reads lock-free aggregate
 //!   counters; [`FleetEngine::drain_events`] returns the [`FleetEvent`] log
 //!   so callers can see *which* device drifted, panicked, or recovered.
@@ -92,7 +94,7 @@ mod fault;
 mod metrics;
 mod supervisor;
 
-pub use durability::{DegradedReason, DurabilityHealth};
+pub use durability::{Backoff, DegradedReason, DurabilityHealth};
 pub use engine::{
     FederationConfig, FeedReply, FleetConfig, FleetEngine, FleetError, SessionId, ShutdownReport,
 };

@@ -46,6 +46,9 @@ pub(crate) struct FleetMetrics {
     pub samples_sanitized: AtomicU64,
     /// Checkpoints flushed to the durable state store.
     pub durable_flushes: AtomicU64,
+    /// Checkpoints a newer one of the same session replaced before the
+    /// flusher wrote them to disk (write-behind coalescing).
+    pub checkpoints_superseded: AtomicU64,
     /// Durable-store writes (checkpoint or quarantine ledger) that failed;
     /// the fleet keeps running memory-only when the disk misbehaves.
     pub durable_flush_failures: AtomicU64,
@@ -115,28 +118,41 @@ impl RejectReasons {
     }
 }
 
-/// Per-shard ingress-queue depth, incremented on enqueue and decremented
-/// when the worker pops a message.
-#[derive(Debug, Default)]
-pub(crate) struct QueueDepth(AtomicUsize);
+/// Per-shard ingress-queue depth, incremented just before a send and
+/// decremented just after the worker pops a message.
+#[derive(Debug)]
+pub(crate) struct QueueDepth {
+    count: AtomicUsize,
+    /// The channel's bound. Between an increment and its `try_send`, or
+    /// a pop and its decrement, the raw count can run one past what the
+    /// channel holds; readers never see more than the bound.
+    capacity: usize,
+}
 
 impl QueueDepth {
+    pub fn new(capacity: usize) -> Self {
+        QueueDepth {
+            count: AtomicUsize::new(0),
+            capacity,
+        }
+    }
+
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.count.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
+        self.count.load(Ordering::Relaxed).min(self.capacity)
     }
 
     /// Zeroes the depth (the queue's messages died with its worker) and
     /// returns how many messages were stranded.
     pub fn reset(&self) -> usize {
-        self.0.swap(0, Ordering::Relaxed)
+        self.count.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -176,6 +192,8 @@ pub struct MetricsSnapshot {
     pub samples_sanitized: u64,
     /// Checkpoints flushed to the durable state store.
     pub durable_flushes: u64,
+    /// Checkpoints superseded by a newer one before reaching disk.
+    pub checkpoints_superseded: u64,
     /// Durable-store writes that failed (fleet degraded to memory-only).
     pub durable_flush_failures: u64,
     /// Transitions into degraded durability.
@@ -229,6 +247,7 @@ impl FleetMetrics {
             sessions_recovered: self.sessions_recovered.load(Ordering::Relaxed),
             samples_sanitized: self.samples_sanitized.load(Ordering::Relaxed),
             durable_flushes: self.durable_flushes.load(Ordering::Relaxed),
+            checkpoints_superseded: self.checkpoints_superseded.load(Ordering::Relaxed),
             durable_flush_failures: self.durable_flush_failures.load(Ordering::Relaxed),
             durability_degraded: self.durability_degraded.load(Ordering::Relaxed),
             durability_recovered: self.durability_recovered.load(Ordering::Relaxed),

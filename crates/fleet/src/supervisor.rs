@@ -28,7 +28,7 @@ use crate::fault::FaultInjector;
 use crate::metrics::{FleetMetrics, QueueDepth};
 use seqdrift_core::pipeline::PipelineEvent;
 use seqdrift_core::DriftPipeline;
-use seqdrift_store::{LedgerEntry, Store};
+use seqdrift_store::LedgerEntry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
@@ -136,14 +136,14 @@ pub enum FleetEvent {
         lost: u32,
     },
     /// A durable write failed and the fleet entered degraded durability:
-    /// checkpoints buffer in memory while a background retry loop
-    /// re-attempts the disk.
+    /// writes buffer in memory while the flusher retries the disk with
+    /// backoff.
     DurabilityDegraded {
         /// The write that first failed.
         reason: crate::durability::DegradedReason,
     },
-    /// The disk healed: every buffered write drained and the fleet is
-    /// durable again.
+    /// The disk healed: a retry pass drained every buffered write and the
+    /// fleet is durable again.
     DurabilityRestored {
         /// Buffered checkpoints flushed during the degraded episode.
         flushed_checkpoints: u32,
@@ -206,8 +206,9 @@ pub struct LostSession {
 /// Lives engine-side so it survives worker-thread death.
 #[derive(Debug)]
 pub(crate) struct CheckpointEntry {
-    /// Last good serialised state.
-    pub blob: Vec<u8>,
+    /// Last good serialised state, shared with the flusher's pending
+    /// queue until it reaches disk.
+    pub blob: Arc<[u8]>,
     /// Delivery counter at checkpoint time (restores resume counting from
     /// the live counter, not this one; kept for worker re-homing).
     pub delivered: u64,
@@ -235,7 +236,7 @@ impl CheckpointStore {
 
     /// Clones the last checkpoint blob of a session, if any.
     pub fn blob_of(&self, id: u64) -> Option<Vec<u8>> {
-        self.lock().get(&id).map(|e| e.blob.clone())
+        self.lock().get(&id).map(|e| e.blob.to_vec())
     }
 
     pub fn remove(&self, id: u64) {
@@ -277,11 +278,8 @@ pub(crate) struct WorkerCtx {
     pub events: Arc<Mutex<Vec<FleetEvent>>>,
     pub registry: Arc<RwLock<HashMap<u64, SessionStatus>>>,
     pub store: Arc<CheckpointStore>,
-    /// Crash-safe on-disk store behind `FleetConfig::state_dir`; `None`
-    /// runs the fleet memory-only as before.
-    pub durable: Option<Arc<Store>>,
-    /// Durability health machine paired with `durable`: flush failures
-    /// degrade the fleet, buffered writes drain in the background.
+    /// Checkpoint flusher and durability health machine over the store
+    /// behind `FleetConfig::state_dir`; `None` runs the fleet memory-only.
     pub monitor: Option<Arc<DurabilityMonitor>>,
     pub injector: Option<Arc<FaultInjector>>,
     pub policy: SupervisionPolicy,
@@ -305,7 +303,8 @@ pub(crate) struct SessionSlot {
 
 /// Takes (or refreshes) a session's rolling checkpoint. Quiet failures
 /// are fine: mid-reconstruction states refuse to serialise and simply
-/// retry on a later sample.
+/// retry on a later sample. A durable fleet hands the blob to the
+/// flusher; the worker never waits on the disk.
 fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     if slot.pipeline.is_reconstructing() {
         return;
@@ -318,7 +317,7 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     };
     let mut store = ctx.store.lock();
     let entry = store.entry(id).or_insert_with(|| CheckpointEntry {
-        blob: Vec::new(),
+        blob: Arc::default(),
         delivered: 0,
         checkpoint_sample: 0,
         snapshots_taken: 0,
@@ -334,39 +333,12 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     entry.checkpoint_sample = slot.pipeline.samples_processed();
     entry.delivered = slot.delivered;
     entry.snapshots_taken += 1;
-    entry.blob = blob.clone();
+    entry.blob = blob.into();
     slot.since_checkpoint = 0;
-    // Flush to disk OUTSIDE the checkpoint-table lock: fsync latency must
-    // not serialise every other shard's checkpointing.
+    let blob = Arc::clone(&entry.blob);
     drop(store);
-    if let Some(durable) = &ctx.durable {
-        // While degraded, the retry thread owns the disk: buffer the
-        // newest blob and let it drain in the background instead of
-        // hammering a failing device from every shard.
-        if ctx
-            .monitor
-            .as_ref()
-            .is_some_and(|m| m.buffer_checkpoint_if_degraded(id, &blob))
-        {
-            return;
-        }
-        match durable.put(id, &blob) {
-            Ok(_) => {
-                ctx.metrics.durable_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                // A failing disk must never take the session down; the
-                // in-memory checkpoint still protects against panics, the
-                // failure is visible in the metrics, and the health
-                // machine keeps the blob for the background retry loop.
-                ctx.metrics
-                    .durable_flush_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(monitor) = &ctx.monitor {
-                    monitor.checkpoint_failed(id, blob);
-                }
-            }
-        }
+    if let Some(monitor) = &ctx.monitor {
+        monitor.submit(id, blob);
     }
 }
 
@@ -458,8 +430,9 @@ pub(crate) fn quarantine(ctx: &WorkerCtx, id: u64, reason: QuarantineReason) {
     ctx.metrics.sessions.fetch_sub(1, Ordering::Relaxed);
     // Persist the decision so a process restart cannot resurrect a
     // poisoned session: quarantine is a durability fact, not a runtime
-    // mood. Failures degrade to in-memory-only quarantine (and count).
-    if let Some(durable) = &ctx.durable {
+    // mood. A failing disk buffers the verdict for the flusher; until it
+    // lands it holds in memory, exactly like a memory-only fleet.
+    if let Some(monitor) = &ctx.monitor {
         let restarts_spent = ctx
             .store
             .lock()
@@ -469,22 +442,7 @@ pub(crate) fn quarantine(ctx: &WorkerCtx, id: u64, reason: QuarantineReason) {
             reason_code: reason.code(),
             restarts_spent,
         };
-        if ctx
-            .monitor
-            .as_ref()
-            .is_some_and(|m| m.buffer_ledger_if_degraded(LedgerOp::Set(id, entry)))
-        {
-            // Buffered: the retry loop will persist the verdict when the
-            // disk heals. Until then it holds in memory, exactly like
-            // the pre-durable fleet.
-        } else if durable.set_quarantined(id, entry).is_err() {
-            ctx.metrics
-                .durable_flush_failures
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(monitor) = &ctx.monitor {
-                monitor.ledger_failed(LedgerOp::Set(id, entry));
-            }
-        }
+        monitor.write_ledger(LedgerOp::Set(id, entry));
     }
     ctx.log(FleetEvent::SessionQuarantined {
         id: SessionId(id),

@@ -11,7 +11,7 @@ use seqdrift_fleet::{
 };
 use seqdrift_linalg::{Real, Rng};
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
-use seqdrift_store::{FaultPlan, FaultVfs, Vfs};
+use seqdrift_store::{FaultPlan, FaultVfs, Store, Vfs};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -105,11 +105,15 @@ fn killed_engine_resumes_bit_identical_modulo_lost_tail() {
                 victim.feed_blocking(SessionId(s), &x).unwrap();
             }
         }
-        assert!(victim.metrics().durable_flushes > 0, "nothing reached disk");
         // Simulated power loss: the engine dies here. Whatever is on disk
         // is all the next process gets.
         drop(victim);
     }
+    assert_eq!(
+        Store::open(&dir).unwrap().sessions().len(),
+        SESSIONS as usize,
+        "nothing reached disk"
+    );
 
     // --- Resume from the state dir and replay each lost tail. ---
     let revived = FleetEngine::new(durable_config(&dir)).unwrap();
@@ -274,5 +278,170 @@ fn quarantine_survives_process_restart() {
     assert!(third.quarantined_sessions().is_empty());
     assert_eq!(third.resume().unwrap().len(), 1);
     drop(third);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A state dir whose every file fsync stalls `ms` milliseconds, so the
+/// flusher lags the workers and checkpoints wait in its queue.
+fn slow_disk(dir: &PathBuf, ms: u64) -> FleetConfig {
+    let plan = FaultPlan::new(5).with_fsync_delay(1024, Duration::from_millis(ms));
+    let vfs = Arc::new(FaultVfs::new(plan).with_base(dir));
+    durable_config(dir).with_state_vfs(vfs as Arc<dyn Vfs>)
+}
+
+fn wait_processed(fleet: &FleetEngine, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while fleet.metrics().samples_processed < n && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(fleet.metrics().samples_processed, n);
+}
+
+#[test]
+fn removed_lineage_never_resurfaces_from_a_pending_blob() {
+    let dir = tmp_dir("fence");
+    const FILLERS: u64 = 8;
+    let fresh = calibrated_pipeline(99).to_bytes().unwrap();
+    {
+        // Session 1 panics on its 5th sample with no restart budget.
+        let injector = FaultInjector::new(vec![Fault::PanicOnSample { session: 1, nth: 5 }]);
+        let fleet = FleetEngine::new(
+            slow_disk(&dir, 20)
+                .with_restart_budget(0, 1024)
+                .with_fault_injector(injector),
+        )
+        .unwrap();
+        // The fillers' create checkpoints back the flusher up by FILLERS
+        // slow puts, so the blobs of sessions 0 and 1 wait behind them.
+        for s in 2..2 + FILLERS {
+            fleet.create(SessionId(s), calibrated_pipeline(s)).unwrap();
+        }
+        fleet.create(SessionId(0), calibrated_pipeline(0)).unwrap();
+        fleet.create(SessionId(1), calibrated_pipeline(1)).unwrap();
+        for x in stream(0, 70) {
+            fleet.feed_blocking(SessionId(0), &x).unwrap();
+        }
+        for x in stream(1, 10) {
+            match fleet.feed_blocking(SessionId(1), &x) {
+                Ok(()) | Err(FleetError::SessionQuarantined(_)) => {}
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fleet.quarantined_sessions().is_empty() && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        wait_processed(&fleet, 70 + 5);
+        // Both removals land while the old lineages' blobs are pending.
+        assert_eq!(fleet.evict(SessionId(0)).unwrap().samples_processed(), 70);
+        fleet.create_from_bytes(SessionId(1), &fresh).unwrap();
+        // Dropping drains the flusher: every pending blob is written.
+        drop(fleet);
+    }
+    let revived = FleetEngine::new(durable_config(&dir)).unwrap();
+    assert!(revived.quarantined_sessions().is_empty());
+    let resumed = revived.resume().unwrap();
+    let ids: Vec<u64> = resumed.iter().map(|(id, _)| id.0).collect();
+    assert_eq!(ids, (1..2 + FILLERS).collect::<Vec<_>>(), "{resumed:?}");
+    // Session 1 resumes the re-created lineage, not the quarantined one.
+    assert_eq!(revived.snapshot(SessionId(1)).unwrap(), fresh);
+    drop(revived);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn slow_disk_coalesces_and_resumes_bit_identical() {
+    let dir = tmp_dir("slow-disk");
+    const SESSIONS: u64 = 5;
+    const CUT: usize = 300;
+    const TOTAL: usize = 400;
+    let reference =
+        FleetEngine::new(FleetConfig::new(2).with_checkpoint_interval(INTERVAL)).unwrap();
+    let mut expected = Vec::new();
+    for s in 0..SESSIONS {
+        reference
+            .create(SessionId(s), calibrated_pipeline(s))
+            .unwrap();
+        for x in stream(s, TOTAL) {
+            reference.feed_blocking(SessionId(s), &x).unwrap();
+        }
+        expected.push(reference.snapshot(SessionId(s)).unwrap());
+    }
+    drop(reference);
+
+    {
+        let victim = FleetEngine::new(slow_disk(&dir, 10)).unwrap();
+        for s in 0..SESSIONS {
+            victim.create(SessionId(s), calibrated_pipeline(s)).unwrap();
+        }
+        let streams: Vec<_> = (0..SESSIONS).map(|s| stream(s, CUT)).collect();
+        for t in 0..CUT {
+            for (s, rows) in streams.iter().enumerate() {
+                victim.feed_blocking(SessionId(s as u64), &rows[t]).unwrap();
+            }
+        }
+        wait_processed(&victim, SESSIONS * CUT as u64);
+        let m = victim.metrics();
+        assert!(m.checkpoints_superseded > 0, "{m:?}");
+        assert_eq!(m.durable_flush_failures, 0, "{m:?}");
+        drop(victim);
+    }
+    // Generations count up from 1 per session, so the newest one on disk
+    // is the number of puts the flusher made for it: fewer than the
+    // checkpoints the workers took (one at create, one per interval).
+    let store = Store::open(&dir).unwrap();
+    let flushed: u64 = (0..SESSIONS)
+        .map(|s| store.load(s).unwrap().unwrap().0)
+        .sum();
+    let taken = SESSIONS * (1 + CUT as u64 / INTERVAL);
+    assert!(flushed < taken, "{flushed} flushes for {taken} checkpoints");
+    drop(store);
+
+    let revived = FleetEngine::new(durable_config(&dir)).unwrap();
+    let resumed = revived.resume().unwrap();
+    assert_eq!(resumed.len(), SESSIONS as usize, "{resumed:?}");
+    for &(id, samples_processed) in &resumed {
+        assert!(samples_processed <= CUT as u64);
+        assert!(
+            CUT as u64 - samples_processed < INTERVAL,
+            "{id}: {samples_processed}"
+        );
+        for x in &stream(id.0, TOTAL)[samples_processed as usize..] {
+            revived.feed_blocking(id, x).unwrap();
+        }
+    }
+    for s in 0..SESSIONS {
+        assert_eq!(
+            revived.snapshot(SessionId(s)).unwrap(),
+            expected[s as usize],
+            "session {s}: resumed state diverged from the uninterrupted run"
+        );
+    }
+    drop(revived);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_leaves_every_survivor_final_state_on_disk() {
+    let dir = tmp_dir("shutdown-final");
+    const SESSIONS: u64 = 4;
+    let fleet = FleetEngine::new(slow_disk(&dir, 5)).unwrap();
+    for s in 0..SESSIONS {
+        fleet.create(SessionId(s), calibrated_pipeline(s)).unwrap();
+        // Not a checkpoint boundary: the final state is newer than any
+        // rolling checkpoint.
+        for x in stream(s, 100 + s as usize) {
+            fleet.feed_blocking(SessionId(s), &x).unwrap();
+        }
+    }
+    let report = fleet.shutdown();
+    assert_eq!(report.sessions.len(), SESSIONS as usize);
+    let store = Store::open(&dir).unwrap();
+    for (id, pipeline) in &report.sessions {
+        let (_, on_disk) = store.load_pipeline(id.0).unwrap().unwrap();
+        assert_eq!(on_disk.samples_processed(), 100 + id.0);
+        assert_eq!(on_disk.to_bytes().unwrap(), pipeline.to_bytes().unwrap());
+    }
+    drop(store);
     fs::remove_dir_all(&dir).ok();
 }

@@ -24,7 +24,8 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use seqdrift_linalg::{Real, Rng};
+use seqdrift_fleet::Backoff;
+use seqdrift_linalg::Real;
 
 use crate::client::{BatchReply, Client, ClientError};
 use crate::proto::NackCode;
@@ -54,46 +55,6 @@ impl Default for ReconnectPolicy {
             cap: Duration::from_secs(2),
             seed: 0x5EED,
         }
-    }
-}
-
-/// Decorrelated-jitter backoff sequence: each delay is drawn uniformly
-/// from `[base, prev * 3]` and clamped to `cap`, so consecutive delays
-/// decorrelate instead of marching through the same exponential rungs
-/// as every other client.
-#[derive(Debug)]
-pub struct Backoff {
-    rng: Rng,
-    base: Duration,
-    cap: Duration,
-    prev: Duration,
-}
-
-impl Backoff {
-    /// A fresh sequence under `policy`.
-    pub fn new(policy: &ReconnectPolicy) -> Backoff {
-        Backoff {
-            rng: Rng::seed_from(policy.seed),
-            base: policy.base.max(Duration::from_micros(1)),
-            cap: policy.cap.max(policy.base),
-            prev: policy.base,
-        }
-    }
-
-    /// The next delay in the sequence.
-    pub fn next_delay(&mut self) -> Duration {
-        let lo = self.base.as_micros() as u64;
-        let hi = (self.prev.as_micros() as u64).saturating_mul(3).max(lo + 1);
-        let span = hi - lo;
-        let drawn = lo + self.rng.below(span + 1);
-        let delay = Duration::from_micros(drawn).min(self.cap);
-        self.prev = delay;
-        delay
-    }
-
-    /// Back to the floor (call after a healthy exchange).
-    pub fn reset(&mut self) {
-        self.prev = self.base;
     }
 }
 
@@ -162,7 +123,7 @@ impl ResilientClient {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| ClientError::Io(std::io::Error::other("address resolved to nothing")))?;
-        let backoff = Backoff::new(&policy);
+        let backoff = Backoff::new(policy.base, policy.cap, policy.seed);
         Ok(ResilientClient {
             addr,
             session,
@@ -375,7 +336,7 @@ mod tests {
             ..ReconnectPolicy::default()
         };
         let seq = |p: &ReconnectPolicy| {
-            let mut b = Backoff::new(p);
+            let mut b = Backoff::new(p.base, p.cap, p.seed);
             (0..32).map(|_| b.next_delay()).collect::<Vec<_>>()
         };
         let a = seq(&policy);
@@ -394,7 +355,7 @@ mod tests {
     #[test]
     fn backoff_reset_returns_to_the_floor() {
         let policy = ReconnectPolicy::default();
-        let mut b = Backoff::new(&policy);
+        let mut b = Backoff::new(policy.base, policy.cap, policy.seed);
         for _ in 0..16 {
             let _ = b.next_delay();
         }
