@@ -121,7 +121,7 @@ pub struct FleetArgs {
     pub sessions: usize,
     /// Worker threads (shards).
     pub workers: usize,
-    /// Per-shard ingress queue capacity.
+    /// Per-shard ingress queue capacity, in sample rows.
     pub queue: usize,
     /// Stream index at which device 0's injected drift begins (omit for a
     /// clean replay with no injected drift).
@@ -175,7 +175,7 @@ pub struct ServeArgs {
     pub listen: String,
     /// Worker threads (shards).
     pub workers: usize,
-    /// Per-shard ingress queue capacity.
+    /// Per-shard ingress queue capacity, in sample rows.
     pub queue: usize,
     /// Blocking-feed deadline in milliseconds before a BUSY reply.
     pub feed_timeout_ms: u64,

@@ -60,7 +60,8 @@ pub enum FleetError {
     Timeout {
         /// The session whose shard stayed full past the deadline.
         id: SessionId,
-        /// Depth of that shard's ingress queue when the deadline fired.
+        /// Depth of that shard's ingress queue, in rows, when the
+        /// deadline fired.
         queue_depth: usize,
     },
     /// Bad engine configuration.
@@ -274,8 +275,9 @@ pub struct FleetConfig {
     /// Worker threads (= shards). Each session is pinned to
     /// `session_id % workers`.
     pub workers: usize,
-    /// Bound of each shard's ingress queue, in messages. When a shard's
-    /// queue is full, `feed` returns [`FeedReply::Busy`].
+    /// Bound of each shard's ingress queue, in sample rows. When a shard's
+    /// queue is full, `feed` returns [`FeedReply::Busy`]; a frame is
+    /// admitted only as far as the queue has room.
     pub queue_capacity: usize,
     /// Rolling-checkpoint cadence: serialise each session's state every
     /// this many processed samples (plus once at create). A restored
@@ -415,9 +417,12 @@ pub(crate) enum ShardMsg {
         pipeline: Box<DriftPipeline>,
         reply: Sender<Result<(), FleetError>>,
     },
+    /// `rows` (at least one) samples of one session, back to back in
+    /// `data`: a single `feed` row or the admitted prefix of a frame.
     Feed {
         id: u64,
-        sample: Vec<Real>,
+        rows: usize,
+        data: Vec<Real>,
     },
     Snapshot {
         id: u64,
@@ -655,7 +660,8 @@ impl FleetEngine {
         (id.0 % self.shards.len() as u64) as usize
     }
 
-    /// Current depth of the ingress queue of the shard `id` is pinned to.
+    /// Current depth, in sample rows, of the ingress queue of the shard
+    /// `id` is pinned to.
     /// Point-in-time and advisory: the worker drains concurrently.
     pub fn queue_depth(&self, id: SessionId) -> usize {
         self.shards[self.shard_index(id)].depth.get()
@@ -782,13 +788,9 @@ impl FleetEngine {
                 let Some(tx) = link.tx.as_ref() else {
                     return Err(FleetError::Disconnected);
                 };
-                shard.depth.inc();
                 match tx.send(msg) {
                     Ok(()) => return Ok(()),
-                    Err(std::sync::mpsc::SendError(m)) => {
-                        shard.depth.dec();
-                        msg = m;
-                    }
+                    Err(std::sync::mpsc::SendError(m)) => msg = m,
                 }
             }
             if attempt == 0 && !self.respawn_shard(idx) {
@@ -842,79 +844,139 @@ impl FleetEngine {
         self.create(id, pipeline)
     }
 
-    fn try_feed(&self, id: SessionId, sample: &[Real], count_busy: bool) -> FeedReply {
+    /// Queues the longest prefix of the `rows` rows of `dim` values at the
+    /// start of `data` that fits in the shard's free room, as one message.
+    /// Returns how many rows were queued, or why none were.
+    fn try_feed(
+        &self,
+        id: SessionId,
+        dim: usize,
+        rows: usize,
+        data: &[Real],
+        count_busy: bool,
+    ) -> Result<usize, FeedReply> {
         match read_lock(&self.registry).get(&id.0) {
-            None => return FeedReply::UnknownSession,
-            Some(SessionStatus::Quarantined(_)) => return FeedReply::Quarantined,
+            None => return Err(FeedReply::UnknownSession),
+            Some(SessionStatus::Quarantined(_)) => return Err(FeedReply::Quarantined),
             Some(SessionStatus::Active) => {}
         }
+        let busy = || {
+            if count_busy {
+                self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(FeedReply::Busy)
+        };
         let idx = self.shard_index(id);
         let shard = &self.shards[idx];
-        let mut msg = ShardMsg::Feed {
-            id: id.0,
-            sample: sample.to_vec(),
-        };
         for attempt in 0..2 {
             {
                 let link = read_lock(&shard.link);
                 let Some(tx) = link.tx.as_ref() else {
-                    return FeedReply::Busy;
+                    return Err(FeedReply::Busy);
                 };
-                shard.depth.inc();
-                match tx.try_send(msg) {
-                    Ok(()) => return FeedReply::Enqueued,
-                    Err(TrySendError::Full(_)) => {
-                        shard.depth.dec();
-                        if count_busy {
-                            self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                let admitted = shard.depth.reserve(rows);
+                if admitted > 0 {
+                    let msg = ShardMsg::Feed {
+                        id: id.0,
+                        rows: admitted,
+                        data: data[..admitted * dim].to_vec(),
+                    };
+                    match tx.try_send(msg) {
+                        Ok(()) => return Ok(admitted),
+                        Err(e) => {
+                            shard.depth.release(admitted);
+                            if let TrySendError::Full(_) = e {
+                                // Row room, but control messages fill the
+                                // channel.
+                                return busy();
+                            }
                         }
-                        return FeedReply::Busy;
                     }
-                    Err(TrySendError::Disconnected(m)) => {
-                        shard.depth.dec();
-                        msg = m;
-                    }
+                } else if !link.handle.as_ref().is_some_and(JoinHandle::is_finished) {
+                    // Full, but draining. A full queue behind a dead
+                    // worker never drains, so that case falls through.
+                    return busy();
                 }
             }
             // The worker died: respawn it and retry the send once.
             if attempt == 0 && !self.respawn_shard(idx) {
-                return FeedReply::Busy;
+                return Err(FeedReply::Busy);
             }
         }
-        FeedReply::Busy
+        Err(FeedReply::Busy)
     }
 
     /// Queues one sample for a session without blocking. A full shard queue
     /// returns [`FeedReply::Busy`] — the engine never buffers unboundedly;
     /// slow consumers surface as explicit backpressure.
     pub fn feed(&self, id: SessionId, sample: &[Real]) -> FeedReply {
-        self.try_feed(id, sample, true)
+        match self.try_feed(id, sample.len(), 1, sample, true) {
+            Ok(_) => FeedReply::Enqueued,
+            Err(reply) => reply,
+        }
     }
 
-    /// Cooperative blocking feed: retries a `Busy` shard with exponential
-    /// backoff (a few yields, then sleeps doubling up to ~1 ms) until the
-    /// sample is queued or `FleetConfig::feed_timeout` elapses, at which
-    /// point it returns [`FleetError::Timeout`]. Used by replay-style
-    /// callers that prefer throttling over dropping; live ingest paths
-    /// should call [`FleetEngine::feed`] and shed load instead. `Busy`
-    /// spins here are not counted in `busy_rejections`.
+    /// Cooperative blocking feed of one sample: [`FleetEngine::feed_frame`]
+    /// with a single row.
     pub fn feed_blocking(&self, id: SessionId, sample: &[Real]) -> Result<(), FleetError> {
+        self.feed_rows(id, sample.len(), 1, sample).1
+    }
+
+    /// Cooperative blocking feed of a frame: `data` holds whole samples
+    /// (rows) of `dim` values each, queued in order as one shard message
+    /// per admitted prefix (a trailing partial row, or `dim == 0`, queues
+    /// nothing). Rows that do not fit wait, retrying with
+    /// exponential backoff (a few yields, then sleeps doubling up to
+    /// ~1 ms), until the frame is queued or `FleetConfig::feed_timeout`
+    /// passes without progress, at which point the call returns
+    /// [`FleetError::Timeout`]. Returns how many leading rows were queued
+    /// alongside the outcome; on an error, exactly that prefix was
+    /// queued. Used by replay-style callers and the network server,
+    /// which prefer throttling over dropping. `Busy` spins here are not
+    /// counted in `busy_rejections`.
+    pub fn feed_frame(
+        &self,
+        id: SessionId,
+        dim: usize,
+        data: &[Real],
+    ) -> (usize, Result<(), FleetError>) {
+        if dim == 0 {
+            return (0, Ok(()));
+        }
+        self.feed_rows(id, dim, data.len() / dim, data)
+    }
+
+    fn feed_rows(
+        &self,
+        id: SessionId,
+        dim: usize,
+        rows: usize,
+        data: &[Real],
+    ) -> (usize, Result<(), FleetError>) {
+        let mut accepted = 0;
         let mut deadline: Option<Instant> = None;
         let mut spins: u32 = 0;
-        loop {
-            match self.try_feed(id, sample, false) {
-                FeedReply::Enqueued => return Ok(()),
-                FeedReply::UnknownSession => return Err(FleetError::UnknownSession(id)),
-                FeedReply::Quarantined => return Err(FleetError::SessionQuarantined(id)),
-                FeedReply::Busy => {
+        while accepted < rows {
+            let rest = &data[accepted * dim..];
+            match self.try_feed(id, dim, rows - accepted, rest, false) {
+                Ok(n) => {
+                    accepted += n;
+                    deadline = None;
+                    spins = 0;
+                }
+                Err(FeedReply::UnknownSession) => {
+                    return (accepted, Err(FleetError::UnknownSession(id)))
+                }
+                Err(FeedReply::Quarantined) => {
+                    return (accepted, Err(FleetError::SessionQuarantined(id)))
+                }
+                Err(_) => {
                     let now = Instant::now();
                     let at = *deadline.get_or_insert(now + self.cfg.feed_timeout);
                     if now >= at {
                         self.metrics.feed_timeouts.fetch_add(1, Ordering::Relaxed);
-                        return Err(FleetError::Timeout {
-                            id,
-                            queue_depth: self.queue_depth(id),
-                        });
+                        let queue_depth = self.queue_depth(id);
+                        return (accepted, Err(FleetError::Timeout { id, queue_depth }));
                     }
                     if spins < 8 {
                         std::thread::yield_now();
@@ -927,6 +989,7 @@ impl FleetEngine {
                 }
             }
         }
+        (accepted, Ok(()))
     }
 
     /// Re-checks the registry after a worker reported the session missing:
@@ -1489,6 +1552,105 @@ mod tests {
         assert_eq!(m.busy_rejections, busy as u64);
         let report = fleet.shutdown();
         assert_eq!(report.metrics.samples_processed, enqueued as u64);
+    }
+
+    #[test]
+    fn flooded_frames_never_queue_more_rows_than_capacity() {
+        const CAP: usize = 24;
+        const FRAMES: usize = 40;
+        const ROWS: usize = 16;
+        // Session 0 sleeps on every 8th row, so the producers outrun the
+        // worker and the queue sits at its bound.
+        let injector = FaultInjector::new(vec![Fault::SlowSession {
+            session: 0,
+            every: 8,
+            micros: 200,
+        }]);
+        let fleet = FleetEngine::new(
+            FleetConfig::new(1)
+                .with_queue_capacity(CAP)
+                .with_fault_injector(injector),
+        )
+        .unwrap();
+        for s in 0..3u64 {
+            fleet
+                .create(SessionId(s), calibrated_pipeline(20 + s))
+                .unwrap();
+        }
+        let flooding = std::sync::atomic::AtomicBool::new(true);
+        let deepest = std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut deepest = 0;
+                while flooding.load(Ordering::Relaxed) {
+                    deepest = deepest.max(fleet.queue_depth(SessionId(0)));
+                }
+                deepest
+            });
+            let producers: Vec<_> = (0..3u64)
+                .map(|s| {
+                    let fleet = &fleet;
+                    scope.spawn(move || {
+                        let mut rng = Rng::seed_from(40 + s);
+                        for _ in 0..FRAMES {
+                            let frame: Vec<Real> =
+                                (0..ROWS).flat_map(|_| sample(&mut rng, 0.2)).collect();
+                            let (accepted, result) = fleet.feed_frame(SessionId(s), DIM, &frame);
+                            result.unwrap();
+                            assert_eq!(accepted, ROWS);
+                        }
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            flooding.store(false, Ordering::Relaxed);
+            sampler.join().unwrap()
+        });
+        assert!(deepest <= CAP, "{deepest} rows queued on a {CAP}-row shard");
+        assert!(
+            deepest >= CAP / 2,
+            "the flood never filled the queue ({deepest})"
+        );
+        let report = fleet.shutdown();
+        assert_eq!(report.metrics.samples_processed, (3 * FRAMES * ROWS) as u64);
+        assert_eq!(report.metrics.queue_depths, vec![0]);
+    }
+
+    #[test]
+    fn full_queue_behind_a_dead_worker_is_respawned_not_busy() {
+        let injector = FaultInjector::new(vec![Fault::KillWorkerOnSample { session: 0, nth: 0 }]);
+        let fleet = FleetEngine::new(
+            FleetConfig::new(1)
+                .with_queue_capacity(4)
+                .with_fault_injector(injector),
+        )
+        .unwrap();
+        fleet.create(SessionId(0), calibrated_pipeline(8)).unwrap();
+        let mut rng = Rng::seed_from(12);
+        assert_eq!(
+            fleet.feed(SessionId(0), &sample(&mut rng, 0.2)),
+            FeedReply::Enqueued
+        );
+        let dead = || {
+            read_lock(&fleet.shards[0].link)
+                .handle
+                .as_ref()
+                .is_some_and(JoinHandle::is_finished)
+        };
+        while !dead() {
+            std::thread::yield_now();
+        }
+        // Rows that reached the channel before the dying worker dropped
+        // its receiver leave the queue full with nobody to drain it.
+        assert_eq!(fleet.shards[0].depth.reserve(4), 4);
+        assert_eq!(
+            fleet.feed(SessionId(0), &sample(&mut rng, 0.2)),
+            FeedReply::Enqueued
+        );
+        let m = fleet.metrics();
+        assert_eq!(m.workers_respawned, 1);
+        assert_eq!(m.samples_dropped, 4);
     }
 
     #[test]

@@ -28,8 +28,11 @@
 //!   [`FleetEngine::feed`] never blocks: a full queue returns
 //!   [`FeedReply::Busy`] so the caller can degrade gracefully (drop, retry,
 //!   shed load) instead of growing memory without bound.
-//!   [`FleetEngine::feed_blocking`] retries with exponential backoff but
-//!   gives up with [`FleetError::Timeout`] after a configurable deadline.
+//!   [`FleetEngine::feed_blocking`] (one row) and
+//!   [`FleetEngine::feed_frame`] (a batch of rows, one shard hand-off per
+//!   admitted prefix) retry with exponential backoff but give up with
+//!   [`FleetError::Timeout`] after a configurable deadline. The bound is
+//!   in rows: a frame is admitted only as far as the queue has room.
 //! * **Fault tolerance** — a panicking session is caught by the shard's
 //!   supervision wrapper (the `supervisor` module): it is restored from its
 //!   rolling checkpoint within a bounded restart budget, or permanently

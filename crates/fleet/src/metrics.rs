@@ -118,14 +118,14 @@ impl RejectReasons {
     }
 }
 
-/// Per-shard ingress-queue depth, incremented just before a send and
-/// decremented just after the worker pops a message.
+/// Per-shard ingress-queue depth, in sample rows. A producer reserves
+/// room for a frame before it sends it (admitting only the prefix that
+/// fits), and the worker releases one row as it takes each row, so the
+/// rows queued on a shard never exceed its capacity. Control messages
+/// are not counted.
 #[derive(Debug)]
 pub(crate) struct QueueDepth {
     count: AtomicUsize,
-    /// The channel's bound. Between an increment and its `try_send`, or
-    /// a pop and its decrement, the raw count can run one past what the
-    /// channel holds; readers never see more than the bound.
     capacity: usize,
 }
 
@@ -137,20 +137,38 @@ impl QueueDepth {
         }
     }
 
-    pub fn inc(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
+    /// Reserves room for up to `rows` rows and returns how many fit
+    /// (0 when the queue is full).
+    pub fn reserve(&self, rows: usize) -> usize {
+        let mut now = self.count.load(Ordering::Relaxed);
+        loop {
+            let take = rows.min(self.capacity.saturating_sub(now));
+            if take == 0 {
+                return 0;
+            }
+            match self.count.compare_exchange_weak(
+                now,
+                now + take,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return take,
+                Err(seen) => now = seen,
+            }
+        }
     }
 
-    pub fn dec(&self) {
-        self.count.fetch_sub(1, Ordering::Relaxed);
+    /// Gives back `rows` reserved or queued rows.
+    pub fn release(&self, rows: usize) {
+        self.count.fetch_sub(rows, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> usize {
-        self.count.load(Ordering::Relaxed).min(self.capacity)
+        self.count.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the depth (the queue's messages died with its worker) and
-    /// returns how many messages were stranded.
+    /// Zeroes the depth (the queue's rows died with its worker) and
+    /// returns how many rows were stranded.
     pub fn reset(&self) -> usize {
         self.count.swap(0, Ordering::Relaxed)
     }
@@ -224,7 +242,7 @@ pub struct MetricsSnapshot {
     pub merge_rounds_rejected: u64,
     /// Merged-model installs delivered to sessions.
     pub redistributions: u64,
-    /// Ingress-queue depth per shard at snapshot time.
+    /// Ingress-queue depth per shard at snapshot time, in sample rows.
     pub queue_depths: Vec<usize>,
 }
 
@@ -265,5 +283,22 @@ impl FleetMetrics {
             redistributions: self.redistributions.load(Ordering::Relaxed),
             queue_depths,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reserve_admits_only_the_prefix_that_fits() {
+        let depth = QueueDepth::new(10);
+        assert_eq!(depth.reserve(16), 10);
+        assert_eq!(depth.reserve(1), 0);
+        depth.release(3);
+        assert_eq!(depth.reserve(16), 3);
+        assert_eq!(depth.get(), 10);
+        assert_eq!(depth.reset(), 10);
+        assert_eq!(depth.get(), 0);
     }
 }

@@ -28,6 +28,7 @@ use crate::fault::FaultInjector;
 use crate::metrics::{FleetMetrics, QueueDepth};
 use seqdrift_core::pipeline::PipelineEvent;
 use seqdrift_core::DriftPipeline;
+use seqdrift_linalg::Real;
 use seqdrift_store::LedgerEntry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -423,15 +424,14 @@ fn supervise_panic(
 /// Marks a session permanently quarantined in the shared registry and
 /// logs it. The caller removes (or never inserts) the live slot.
 pub(crate) fn quarantine(ctx: &WorkerCtx, id: u64, reason: QuarantineReason) {
-    write_lock(&ctx.registry).insert(id, SessionStatus::Quarantined(reason));
-    ctx.metrics
-        .sessions_quarantined
-        .fetch_add(1, Ordering::Relaxed);
-    ctx.metrics.sessions.fetch_sub(1, Ordering::Relaxed);
     // Persist the decision so a process restart cannot resurrect a
     // poisoned session: quarantine is a durability fact, not a runtime
     // mood. A failing disk buffers the verdict for the flusher; until it
-    // lands it holds in memory, exactly like a memory-only fleet.
+    // lands it holds in memory, exactly like a memory-only fleet. The
+    // verdict is persisted *before* it is published: a `create` that sees
+    // the quarantine and replaces the session clears the ledger entry, so
+    // that entry must already exist or it would land afterwards and
+    // quarantine the replacement on the next restart.
     if let Some(monitor) = &ctx.monitor {
         let restarts_spent = ctx
             .store
@@ -444,15 +444,17 @@ pub(crate) fn quarantine(ctx: &WorkerCtx, id: u64, reason: QuarantineReason) {
         };
         monitor.write_ledger(LedgerOp::Set(id, entry));
     }
+    write_lock(&ctx.registry).insert(id, SessionStatus::Quarantined(reason));
+    ctx.metrics
+        .sessions_quarantined
+        .fetch_add(1, Ordering::Relaxed);
+    ctx.metrics.sessions.fetch_sub(1, Ordering::Relaxed);
     ctx.log(FleetEvent::SessionQuarantined {
         id: SessionId(id),
         reason,
     });
 }
 
-/// One shard's event loop. Starts from `initial` sessions (empty on first
-/// spawn; the re-homed set after a respawn) and exits — after draining the
-/// queue — when the engine drops the sending side.
 /// Tallies freshly drained pipeline events into the fleet metrics and
 /// appends them to the shared event log.
 fn forward_pipeline_events(ctx: &WorkerCtx, id: u64, fresh: Vec<PipelineEvent>) {
@@ -488,6 +490,64 @@ fn forward_pipeline_events(ctx: &WorkerCtx, id: u64, fresh: Vec<PipelineEvent>) 
     }));
 }
 
+/// Delivers one sample row to session `id`: fault injection, the
+/// supervised pipeline step, metrics, events and checkpoint cadence.
+fn feed_row(ctx: &WorkerCtx, slots: &mut HashMap<u64, SessionSlot>, id: u64, sample: &mut [Real]) {
+    let Some(slot) = slots.get_mut(&id) else {
+        ctx.metrics.samples_dropped.fetch_add(1, Ordering::Relaxed);
+        return;
+    };
+    let delivered = slot.delivered;
+    slot.delivered += 1;
+    if let Some(injector) = &ctx.injector {
+        if injector.should_kill_worker(id, delivered) {
+            // Deliberately OUTSIDE the supervision wrapper: models a
+            // worker-fatal bug, exercised by the respawn/re-homing path.
+            panic!("injected fault: killing worker for session {id}");
+        }
+    }
+    let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(injector) = &ctx.injector {
+            injector.before_process(id, delivered, sample);
+        }
+        slot.pipeline.process(sample)
+    }));
+    match stepped {
+        Ok(Ok(out)) => {
+            ctx.metrics
+                .samples_processed
+                .fetch_add(1, Ordering::Relaxed);
+            if out.sanitized {
+                ctx.metrics
+                    .samples_sanitized
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            slot.since_checkpoint += 1;
+            forward_pipeline_events(ctx, id, slot.pipeline.drain_events());
+            if slot.since_checkpoint >= ctx.policy.checkpoint_interval {
+                take_checkpoint(ctx, id, slot);
+            }
+        }
+        Ok(Err(_)) => {
+            // A bad sample (e.g. NaN from a faulty sensor) drops; the
+            // session itself stays healthy. The guard may have pushed a
+            // `Degraded` event — forward it now rather than waiting for
+            // the next clean sample.
+            ctx.metrics.samples_dropped.fetch_add(1, Ordering::Relaxed);
+            forward_pipeline_events(ctx, id, slot.pipeline.drain_events());
+        }
+        Err(_) => {
+            // The pipeline is mid-mutation garbage: discard it and let
+            // supervision restore or quarantine.
+            slots.remove(&id);
+            supervise_panic(ctx, slots, id, delivered);
+        }
+    }
+}
+
+/// One shard's event loop. Starts from `initial` sessions (empty on first
+/// spawn; the re-homed set after a respawn) and exits — after draining the
+/// queue — when the engine drops the sending side.
 pub(crate) fn worker_loop(
     rx: Receiver<ShardMsg>,
     initial: Vec<(u64, SessionSlot)>,
@@ -495,7 +555,6 @@ pub(crate) fn worker_loop(
 ) -> Vec<(SessionId, DriftPipeline)> {
     let mut slots: HashMap<u64, SessionSlot> = initial.into_iter().collect();
     while let Ok(msg) = rx.recv() {
-        ctx.depth.dec();
         match msg {
             ShardMsg::Create {
                 id,
@@ -520,57 +579,18 @@ pub(crate) fn worker_loop(
                 };
                 let _ = reply.send(result);
             }
-            ShardMsg::Feed { id, mut sample } => {
-                let Some(slot) = slots.get_mut(&id) else {
-                    ctx.metrics.samples_dropped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                let delivered = slot.delivered;
-                slot.delivered += 1;
-                if let Some(injector) = &ctx.injector {
-                    if injector.should_kill_worker(id, delivered) {
-                        // Deliberately OUTSIDE the supervision wrapper:
-                        // models a worker-fatal bug, exercised by the
-                        // respawn/re-homing path.
-                        panic!("injected fault: killing worker for session {id}");
-                    }
-                }
-                let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(injector) = &ctx.injector {
-                        injector.before_process(id, delivered, &mut sample);
-                    }
-                    slot.pipeline.process(&sample)
-                }));
-                match stepped {
-                    Ok(Ok(out)) => {
-                        ctx.metrics
-                            .samples_processed
-                            .fetch_add(1, Ordering::Relaxed);
-                        if out.sanitized {
-                            ctx.metrics
-                                .samples_sanitized
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        slot.since_checkpoint += 1;
-                        forward_pipeline_events(&ctx, id, slot.pipeline.drain_events());
-                        if slot.since_checkpoint >= ctx.policy.checkpoint_interval {
-                            take_checkpoint(&ctx, id, slot);
-                        }
-                    }
-                    Ok(Err(_)) => {
-                        // A bad sample (e.g. NaN from a faulty sensor)
-                        // drops; the session itself stays healthy. The guard
-                        // may have pushed a `Degraded` event — forward it now
-                        // rather than waiting for the next clean sample.
-                        ctx.metrics.samples_dropped.fetch_add(1, Ordering::Relaxed);
-                        forward_pipeline_events(&ctx, id, slot.pipeline.drain_events());
-                    }
-                    Err(_) => {
-                        // The pipeline is mid-mutation garbage: discard it
-                        // and let supervision restore or quarantine.
-                        slots.remove(&id);
-                        supervise_panic(&ctx, &mut slots, id, delivered);
-                    }
+            ShardMsg::Feed { id, rows, mut data } => {
+                let row_len = data.len() / rows;
+                for r in 0..rows {
+                    // The row leaves the queue as the worker takes it, so
+                    // rows stranded by a worker-fatal fault stay counted.
+                    ctx.depth.release(1);
+                    feed_row(
+                        &ctx,
+                        &mut slots,
+                        id,
+                        &mut data[r * row_len..(r + 1) * row_len],
+                    );
                 }
             }
             ShardMsg::Snapshot { id, reply } => {

@@ -494,3 +494,80 @@ fn supervise_detects_dead_worker_without_traffic() {
     let report = fleet.shutdown();
     assert_eq!(report.sessions.len(), 1);
 }
+
+/// A worker killed partway through a frame strands the rest of that frame
+/// exactly as it would strand the same rows queued one message each: the
+/// stranded rows count as dropped, the session restores from the same
+/// checkpoint, and the rows fed after the respawn leave the same state.
+#[test]
+fn worker_killed_mid_frame_matches_per_row_sends() {
+    const FIRST: usize = 32;
+    const KILL_AT: u64 = 21;
+    let blob = checkpoint();
+    let mut rng = Rng::seed_from(2024);
+    let rows: Vec<Vec<Real>> = (0..2 * FIRST).map(|_| sample(&mut rng, 0.3)).collect();
+    let run = |framed: bool| {
+        // Session 1 shares the shard and sleeps on its first row, so every
+        // row of session 0 is queued before the worker reaches the kill.
+        let injector = FaultInjector::new(vec![
+            Fault::SlowSession {
+                session: 1,
+                every: u64::MAX,
+                micros: 300_000,
+            },
+            Fault::KillWorkerOnSample {
+                session: 0,
+                nth: KILL_AT,
+            },
+        ]);
+        let fleet = FleetEngine::new(
+            FleetConfig::new(1)
+                .with_queue_capacity(64)
+                .with_checkpoint_interval(8)
+                .with_fault_injector(injector),
+        )
+        .unwrap();
+        fleet.create_from_bytes(SessionId(0), &blob).unwrap();
+        fleet.create_from_bytes(SessionId(1), &blob).unwrap();
+        fleet.feed_blocking(SessionId(1), &rows[0]).unwrap();
+        let feed = |part: &[Vec<Real>]| {
+            if framed {
+                let flat: Vec<Real> = part.concat();
+                let (accepted, result) = fleet.feed_frame(SessionId(0), DIM, &flat);
+                result.unwrap();
+                assert_eq!(accepted, part.len());
+            } else {
+                for row in part {
+                    fleet.feed_blocking(SessionId(0), row).unwrap();
+                }
+            }
+        };
+        feed(&rows[..FIRST]);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while fleet.supervise() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the worker never died"
+            );
+            std::thread::yield_now();
+        }
+        feed(&rows[FIRST..]);
+        let state = fleet.snapshot(SessionId(0)).unwrap();
+        let report = fleet.shutdown();
+        (
+            state,
+            report.metrics.samples_dropped,
+            report.metrics.samples_processed,
+        )
+    };
+    let (framed, framed_dropped, framed_processed) = run(true);
+    let (per_row, per_row_dropped, per_row_processed) = run(false);
+    assert_eq!(framed, per_row, "restored state differs");
+    // The rows behind the fatal one were stranded on the dead queue.
+    assert_eq!(framed_dropped, FIRST as u64 - KILL_AT - 1);
+    assert_eq!(per_row_dropped, framed_dropped);
+    assert_eq!(per_row_processed, framed_processed);
+    let resumed = DriftPipeline::from_bytes(&framed).unwrap();
+    // Checkpoint at 16 processed samples, then the second half.
+    assert_eq!(resumed.samples_processed(), 16 + FIRST as u64);
+}

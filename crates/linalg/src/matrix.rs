@@ -319,8 +319,19 @@ impl Matrix {
                 rhs: (out.len(), 1),
             });
         }
-        for (r, slot) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+        // Four rows per pass share each chunk of `v`; every output is still
+        // exactly `vector::dot(row, v)` (see `vector::dot4`).
+        let cols = self.cols;
+        let blocked = self.rows / 4 * 4;
+        for (r, slots) in (0..blocked).step_by(4).zip(out.chunks_exact_mut(4)) {
+            let block = &self.data[r * cols..(r + 4) * cols];
+            let (r0, rest) = block.split_at(cols);
+            let (r1, rest) = rest.split_at(cols);
+            let (r2, r3) = rest.split_at(cols);
+            slots.copy_from_slice(&crate::vector::dot4([r0, r1, r2, r3], v));
+        }
+        for (r, slot) in out.iter_mut().enumerate().skip(blocked) {
+            let row = &self.data[r * cols..(r + 1) * cols];
             *slot = crate::vector::dot(row, v);
         }
         Ok(())
@@ -350,16 +361,31 @@ impl Matrix {
             });
         }
         out.fill(0.0);
-        for (r, &vr) in v.iter().enumerate() {
-            if vr == 0.0 {
-                continue;
-            }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &a) in out.iter_mut().zip(row.iter()) {
-                *o += vr * a;
+        let cols = self.cols;
+        let row = |r: usize| &self.data[r * cols..(r + 1) * cols];
+        // Rows with an exact-zero weight contribute nothing and are skipped;
+        // the rest are applied four per pass over `out` as
+        // `(((o + v0·a0) + v1·a1) + v2·a2) + v3·a3`, which is the same
+        // per-element sequence of IEEE operations as one row at a time.
+        let mut live = v.iter().enumerate().filter(|&(_, &vr)| vr != 0.0);
+        loop {
+            match [live.next(), live.next(), live.next(), live.next()] {
+                [Some((r0, &v0)), Some((r1, &v1)), Some((r2, &v2)), Some((r3, &v3))] => {
+                    let lanes = out.iter_mut().zip(row(r0)).zip(row(r1));
+                    for (((o, &a0), &a1), (&a2, &a3)) in lanes.zip(row(r2).iter().zip(row(r3))) {
+                        *o = *o + v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3;
+                    }
+                }
+                rest => {
+                    for (r, &vr) in rest.into_iter().flatten() {
+                        for (o, &a) in out.iter_mut().zip(row(r)) {
+                            *o += vr * a;
+                        }
+                    }
+                    return Ok(());
+                }
             }
         }
-        Ok(())
     }
 
     /// In-place element-wise addition: `self += rhs`.
@@ -678,5 +704,174 @@ mod tests {
         assert_eq!(a, b);
         let c = Matrix::zeros(3, 2);
         assert!(a.copy_from(&c).is_err());
+    }
+}
+
+/// The blocked `matvec_into` / `tr_matvec_into` kernels must reproduce the
+/// plain one-row-at-a-time loops bit for bit. The references below are
+/// those loops, kept verbatim as the oracle.
+#[cfg(test)]
+mod same_bits {
+    use super::*;
+    use crate::Rng;
+
+    fn ref_dot(a: &[Real], b: &[Real]) -> Real {
+        let mut acc = [0.0 as Real; 4];
+        let chunks = a.len() / 4;
+        for i in 0..chunks {
+            let j = i * 4;
+            acc[0] += a[j] * b[j];
+            acc[1] += a[j + 1] * b[j + 1];
+            acc[2] += a[j + 2] * b[j + 2];
+            acc[3] += a[j + 3] * b[j + 3];
+        }
+        let mut tail = 0.0;
+        for j in chunks * 4..a.len() {
+            tail += a[j] * b[j];
+        }
+        acc[0] + acc[1] + acc[2] + acc[3] + tail
+    }
+
+    fn ref_matvec(m: &Matrix, v: &[Real]) -> Vec<Real> {
+        (0..m.rows())
+            .map(|r| ref_dot(&m.as_slice()[r * m.cols()..(r + 1) * m.cols()], v))
+            .collect()
+    }
+
+    fn ref_tr_matvec(m: &Matrix, v: &[Real]) -> Vec<Real> {
+        let mut out = vec![0.0; m.cols()];
+        for (r, &vr) in v.iter().enumerate() {
+            if vr == 0.0 {
+                continue;
+            }
+            let row = &m.as_slice()[r * m.cols()..(r + 1) * m.cols()];
+            for (o, &a) in out.iter_mut().zip(row.iter()) {
+                *o += vr * a;
+            }
+        }
+        out
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: Rust leaves the
+    /// payload of a NaN produced by arithmetic unspecified.
+    fn assert_same_bits(got: &[Real], want: &[Real], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g:e} ({:#x}), reference {w:e} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// A vector of `n` draws in which every fifth entry is an exact `0.0`
+    /// and every seventh an exact `-0.0` (zero rows and signed zeros).
+    fn vector_with_zeros(rng: &mut Rng, n: usize) -> Vec<Real> {
+        (0..n)
+            .map(|i| match (i % 5, i % 7) {
+                (3, _) => 0.0,
+                (_, 4) => -0.0,
+                _ => rng.uniform_range(-2.0, 2.0),
+            })
+            .collect()
+    }
+
+    fn check(m: &Matrix, x: &[Real], h: &[Real], what: &str) {
+        let mut out = vec![Real::NAN; m.rows()];
+        m.matvec_into(x, &mut out).unwrap();
+        assert_same_bits(&out, &ref_matvec(m, x), &format!("matvec {what}"));
+        let mut out = vec![Real::NAN; m.cols()];
+        m.tr_matvec_into(h, &mut out).unwrap();
+        assert_same_bits(&out, &ref_tr_matvec(m, h), &format!("tr_matvec {what}"));
+    }
+
+    #[test]
+    fn blocked_kernels_match_the_row_loops_for_every_remainder() {
+        let mut rng = Rng::seed_from(0xB175);
+        // Every remainder mod 4 of rows and columns; past 9 rows
+        // `tr_matvec` also runs a second four-row pass onto a non-zero
+        // accumulator.
+        for rows in 1..=17 {
+            for cols in 1..=67 {
+                let mut m = Matrix::zeros(rows, cols);
+                // Mixed magnitudes make rounding order visible in the bits.
+                for v in m.as_mut_slice() {
+                    *v = rng.uniform_range(-1.0, 1.0) * (rng.uniform_range(-6.0, 6.0)).exp();
+                }
+                let x = vector_with_zeros(&mut rng, cols);
+                let h = vector_with_zeros(&mut rng, rows);
+                check(&m, &x, &h, &format!("{rows}x{cols}"));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_propagate_nan_and_infinities_like_the_row_loops() {
+        let mut rng = Rng::seed_from(0x1F);
+        let specials = [Real::NAN, Real::INFINITY, Real::NEG_INFINITY];
+        for (rows, cols) in [(4, 8), (5, 13), (9, 67), (8, 3)] {
+            for &bad in &specials {
+                for at in [0, rows * cols / 2, rows * cols - 1] {
+                    let mut m = Matrix::zeros(rows, cols);
+                    rng.fill_uniform(m.as_mut_slice(), -1.0, 1.0);
+                    m.as_mut_slice()[at] = bad;
+                    let x = vector_with_zeros(&mut rng, cols);
+                    let h = vector_with_zeros(&mut rng, rows);
+                    check(
+                        &m,
+                        &x,
+                        &h,
+                        &format!("{rows}x{cols}, {bad} in matrix at {at}"),
+                    );
+                }
+                for at in [0, cols / 2, cols - 1] {
+                    let mut m = Matrix::zeros(rows, cols);
+                    rng.fill_uniform(m.as_mut_slice(), -1.0, 1.0);
+                    let mut x = vector_with_zeros(&mut rng, cols);
+                    x[at] = bad;
+                    let mut h = vector_with_zeros(&mut rng, rows);
+                    h[at % rows] = bad;
+                    check(
+                        &m,
+                        &x,
+                        &h,
+                        &format!("{rows}x{cols}, {bad} in vector at {at}"),
+                    );
+                }
+                // ±inf against an exact zero weight must still be skipped,
+                // and inf - inf must cancel to NaN in the same place.
+                let mut m = Matrix::zeros(rows, cols);
+                rng.fill_uniform(m.as_mut_slice(), -1.0, 1.0);
+                m.as_mut_slice()[0] = bad;
+                m.as_mut_slice()[cols] = -bad;
+                let x = vec![1.0; cols];
+                let mut h = vec![1.0; rows];
+                h[0] = 0.0;
+                check(
+                    &m,
+                    &x,
+                    &h,
+                    &format!("{rows}x{cols}, {bad} in a skipped row"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn all_finite_matches_the_short_circuit_scan() {
+        for n in 0..=35 {
+            let clean: Vec<Real> = (0..n).map(|i| i as Real - 17.5).collect();
+            assert!(crate::vector::all_finite(&clean), "n = {n}");
+            for at in 0..n {
+                for bad in [Real::NAN, Real::INFINITY, Real::NEG_INFINITY] {
+                    let mut v = clean.clone();
+                    v[at] = bad;
+                    assert!(!crate::vector::all_finite(&v), "n = {n}, {bad} at {at}");
+                }
+            }
+        }
+        assert!(crate::vector::all_finite(&[Real::MAX, -Real::MAX, -0.0]));
     }
 }

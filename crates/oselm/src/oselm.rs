@@ -427,8 +427,8 @@ impl OsElm {
         let trace: Real = (0..self.cfg.hidden_dim).map(|i| self.p.get(i, i)).sum();
         trace.is_finite()
             && trace <= Self::P_TRACE_BOUND
-            && self.p.as_slice().iter().all(|v| v.is_finite())
-            && self.beta.as_slice().iter().all(|v| v.is_finite())
+            && vector::all_finite(self.p.as_slice())
+            && vector::all_finite(self.beta.as_slice())
     }
 
     /// Rolls `P`/`β`/`samples_seen` back to their pre-update snapshot,
@@ -770,8 +770,8 @@ impl OsElm {
         let trace: Real = (0..hd).map(|i| p.get(i, i)).sum();
         let sane = trace.is_finite()
             && trace <= Self::P_TRACE_BOUND
-            && p.as_slice().iter().all(|v| v.is_finite())
-            && beta.as_slice().iter().all(|v| v.is_finite());
+            && vector::all_finite(p.as_slice())
+            && vector::all_finite(beta.as_slice());
         if !sane {
             return Err(ModelError::RejectedUpdate(
                 "merge produced non-finite or divergent P/beta",
@@ -1119,6 +1119,45 @@ mod tests {
         m.seq_train(&xs[0], &xs[0]).unwrap();
         assert_eq!(m.rejected_updates(), 0);
         assert_eq!(m.samples_seen(), seen_before + 1);
+    }
+
+    #[test]
+    fn sanity_scan_rejects_one_non_finite_entry_anywhere_in_p_or_beta() {
+        let xs = toy_data(40, 5, 62);
+        let mut m = OsElm::new(OsElmConfig::new(5, 7).with_seed(3)).unwrap();
+        m.init_train(&xs, &xs).unwrap();
+        assert!(m.state_is_sane());
+        for bad in [Real::NAN, Real::INFINITY, Real::NEG_INFINITY] {
+            for in_p in [true, false] {
+                let n = if in_p {
+                    m.p.as_slice().len()
+                } else {
+                    m.beta.as_slice().len()
+                };
+                // First, middle, last, plus an off-diagonal entry of P that
+                // the trace check cannot see.
+                for at in [0, n / 2, n - 1, 1] {
+                    let slot = if in_p {
+                        &mut m.p.as_mut_slice()[at]
+                    } else {
+                        &mut m.beta.as_mut_slice()[at]
+                    };
+                    let kept = std::mem::replace(slot, bad);
+                    let sane = m.state_is_sane();
+                    if in_p {
+                        m.p.as_mut_slice()[at] = kept;
+                    } else {
+                        m.beta.as_mut_slice()[at] = kept;
+                    }
+                    assert!(
+                        !sane,
+                        "{bad} at {at} of {}",
+                        if in_p { "P" } else { "beta" }
+                    );
+                    assert!(m.state_is_sane());
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   allocations against the bytes actually present, mirroring the
 //!   checkpoint hardening.
 //! * [`Server`] — accept loop + one reader thread per connection, feeding
-//!   `feed_blocking` so fleet backpressure surfaces to clients as `Busy`
+//!   each frame through `feed_frame` so fleet backpressure surfaces to clients as `Busy`
 //!   replies naming the stalled queue's depth. Idle connections are
 //!   evicted; a graceful drain flushes every session's final state to the
 //!   durable store.

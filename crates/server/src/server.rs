@@ -16,8 +16,8 @@
 //!    each surviving session's final state to the durable store, so a
 //!    graceful drain loses zero samples.
 //!
-//! Backpressure is end-to-end: connection handlers call
-//! [`FleetEngine::feed_blocking`], and a feed deadline exceeded under a
+//! Backpressure is end-to-end: connection handlers hand each SAMPLE
+//! frame to [`FleetEngine::feed_frame`], and a feed deadline exceeded under a
 //! full shard queue becomes a `Busy` reply naming the partial progress
 //! and the stalled queue's depth — the client retries the remainder.
 //! Slow or silent clients are evicted after `idle_timeout` without
@@ -1187,12 +1187,13 @@ fn handle_hello(
     ))
 }
 
-/// Feeds a batch row by row through the blocking path. A timeout under
-/// backpressure becomes a `Busy` reply carrying the partial progress and
-/// the stalled queue's depth; other fleet errors become typed NACKs.
-/// Every exit records its accepted prefix with the ingest recorder (when
-/// one is attached), so a recorded bundle holds exactly the rows the
-/// fleet applied — partial batches included.
+/// Feeds a batch through the blocking path as one frame: one registry
+/// read and one shard hand-off per admitted prefix, not per row. A
+/// timeout under backpressure becomes a `Busy` reply carrying the partial
+/// progress and the stalled queue's depth; other fleet errors become
+/// typed NACKs. Every exit records its accepted prefix with the ingest
+/// recorder (when one is attached), so a recorded bundle holds exactly
+/// the rows the fleet applied — partial batches included.
 fn handle_samples(shared: &Shared, session: u64, dim: usize, data: &[Real]) -> Message {
     if dim == 0 || !data.len().is_multiple_of(dim) {
         return Message::Nack {
@@ -1200,49 +1201,34 @@ fn handle_samples(shared: &Shared, session: u64, dim: usize, data: &[Real]) -> M
             detail: "sample data not a whole number of rows".into(),
         };
     }
-    let record = |accepted: u32| {
-        if let Some(rec) = &shared.recorder {
-            rec.on_rows(session, dim, data, accepted as usize);
-        }
-    };
-    let mut accepted: u32 = 0;
-    for row in data.chunks_exact(dim) {
-        match shared.fleet.feed_blocking(SessionId(session), row) {
-            Ok(()) => accepted += 1,
-            Err(FleetError::Timeout { queue_depth, .. }) => {
-                shared.metrics.busy_replies.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .samples_accepted
-                    .fetch_add(u64::from(accepted), Ordering::Relaxed);
-                record(accepted);
-                return Message::Busy {
-                    accepted,
-                    queue_depth: queue_depth as u32,
-                };
-            }
-            Err(e) => {
-                shared
-                    .metrics
-                    .samples_accepted
-                    .fetch_add(u64::from(accepted), Ordering::Relaxed);
-                record(accepted);
-                return Message::Nack {
-                    code: fleet_nack_code(&e),
-                    detail: e.to_string(),
-                };
-            }
-        }
-    }
+    let (accepted, result) = shared.fleet.feed_frame(SessionId(session), dim, data);
+    let accepted = accepted as u32;
     shared
         .metrics
         .samples_accepted
         .fetch_add(u64::from(accepted), Ordering::Relaxed);
-    record(accepted);
-    shared.pump_events();
-    Message::SampleAck {
-        accepted,
-        events: shared.take_events(session),
+    if let Some(rec) = &shared.recorder {
+        rec.on_rows(session, dim, data, accepted as usize);
+    }
+    match result {
+        Ok(()) => {
+            shared.pump_events();
+            Message::SampleAck {
+                accepted,
+                events: shared.take_events(session),
+            }
+        }
+        Err(FleetError::Timeout { queue_depth, .. }) => {
+            shared.metrics.busy_replies.fetch_add(1, Ordering::Relaxed);
+            Message::Busy {
+                accepted,
+                queue_depth: queue_depth as u32,
+            }
+        }
+        Err(e) => Message::Nack {
+            code: fleet_nack_code(&e),
+            detail: e.to_string(),
+        },
     }
 }
 

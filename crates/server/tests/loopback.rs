@@ -14,7 +14,9 @@ use seqdrift_core::{DetectorConfig, DriftPipeline};
 use seqdrift_fleet::{Fault, FaultInjector, FleetConfig, FleetEngine, SessionId};
 use seqdrift_linalg::{Real, Rng};
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
-use seqdrift_server::{Client, ClientError, NackCode, Server, ServerConfig, ServerReport};
+use seqdrift_server::{
+    BatchReply, Client, ClientError, NackCode, Server, ServerConfig, ServerReport,
+};
 
 const DIM: usize = 4;
 
@@ -194,6 +196,68 @@ fn busy_backpressure_surfaces_and_retries_to_completion() {
     assert_eq!(report.net.samples_accepted, ROWS as u64);
     let pipeline = DriftPipeline::from_bytes(&snap).unwrap();
     assert_eq!(pipeline.samples_processed(), ROWS as u64);
+}
+
+/// A frame bigger than its shard's free room is admitted only as far as
+/// the room goes: the reply is `Busy { accepted: k }`, exactly those k
+/// rows are applied, and resending the rest ends bit-identical to
+/// feeding the same rows one at a time in-process.
+#[test]
+fn oversized_frame_is_admitted_as_a_prefix_and_completes_on_resend() {
+    const CAP: usize = 4;
+    const ROWS: usize = 10;
+    let blob = checkpoint(29);
+    // Session 1 shares the only shard and sleeps on its first row, so the
+    // queue cannot drain while session 0's frame waits for room.
+    let injector = FaultInjector::new(vec![Fault::SlowSession {
+        session: 1,
+        every: u64::MAX,
+        micros: 300_000,
+    }]);
+    let fleet_cfg = FleetConfig::new(1)
+        .with_queue_capacity(CAP)
+        .with_feed_timeout(Duration::from_millis(50))
+        .with_fault_injector(injector);
+    let cfg = ServerConfig::new(fleet_cfg).with_reference(blob.clone());
+    let (addr, stop, handle) = spawn_server(cfg);
+
+    let (mut gate, _) = Client::connect(addr, 1, DIM as u32).unwrap();
+    let (mut client, _) = Client::connect(addr, 0, DIM as u32).unwrap();
+    gate.send_batch(&stream(1, 1, 0.3)).unwrap();
+    // Give the worker time to take the gate row and fall asleep on it.
+    std::thread::sleep(Duration::from_millis(50));
+    let rows = stream(0, ROWS, 0.3);
+    let accepted = match client.send_batch(&rows).unwrap() {
+        BatchReply::Busy {
+            accepted,
+            queue_depth,
+        } => {
+            assert!(queue_depth as usize <= CAP, "{queue_depth}");
+            accepted as usize
+        }
+        other => panic!("expected Busy, got {other:?}"),
+    };
+    assert!(
+        accepted > 0 && accepted <= CAP,
+        "a {CAP}-row queue admitted {accepted} rows"
+    );
+    // The snapshot queues behind the admitted prefix: exactly those rows.
+    let partial = DriftPipeline::from_bytes(&client.snapshot().unwrap()).unwrap();
+    assert_eq!(partial.samples_processed(), accepted as u64);
+    client.send_all(&rows[accepted * DIM..]).unwrap();
+    let snap = client.snapshot().unwrap();
+    client.bye().unwrap();
+    gate.bye().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    let report = handle.join().unwrap();
+    assert_eq!(report.net.samples_accepted, ROWS as u64 + 1);
+
+    let reference = FleetEngine::new(FleetConfig::new(1)).unwrap();
+    reference.create_from_bytes(SessionId(0), &blob).unwrap();
+    for row in rows.chunks_exact(DIM) {
+        reference.feed_blocking(SessionId(0), row).unwrap();
+    }
+    assert_eq!(snap, reference.snapshot(SessionId(0)).unwrap());
 }
 
 /// Silent connections are evicted after the idle timeout; live ones on

@@ -99,6 +99,12 @@ fn run_scenario(merge: bool) -> Vec<f64> {
             fleet.feed_blocking(SessionId(dev), &x).unwrap();
         }
     }
+    // FIFO barrier: `feed_blocking` returns at enqueue, so wait until each
+    // vanguard's worker has processed every sample fed above before
+    // draining the events they produced.
+    for dev in 0..VANGUARDS {
+        fleet.samples_processed(SessionId(dev)).unwrap();
+    }
     let phase1_events = fleet.drain_events();
     let adapted: std::collections::BTreeSet<u64> = phase1_events
         .iter()
