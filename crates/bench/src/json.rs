@@ -1,7 +1,7 @@
 //! Machine-readable benchmark results: a tiny hand-rolled JSON emitter
-//! and a restricted parser, so `seqdrift load` and the fleet throughput
-//! bench can both append to one `BENCH_ingest.json` and CI can track the
-//! perf trajectory across PRs without any external crates.
+//! and a restricted parser, so `seqdrift load` can merge its entries into
+//! `BENCH_ingest.json` and CI can track the perf trajectory across PRs
+//! without any external crates.
 //!
 //! The schema is deliberately flat:
 //!

@@ -11,9 +11,10 @@
 //! * `detectors` — per-sample `push` cost of the proposed detector vs
 //!   Quant Tree vs SPLL vs DDM/ADWIN;
 //! * `kernels` — linalg primitives (matvec, Sherman–Morrison update,
-//!   centroid update, Quant Tree binning);
-//! * `fleet` — multi-session throughput of `seqdrift-fleet` (sessions ×
-//!   samples/sec vs worker count).
+//!   centroid update, Quant Tree binning).
+//!
+//! Fleet and network-ingest throughput are measured end to end by the
+//! separate `seqbench` package (`seqbench/README.md`).
 //!
 //! Run with `cargo bench -p seqdrift-bench`; each bench prints one line per
 //! measurement to stdout. Shared fixtures live here in the library so every

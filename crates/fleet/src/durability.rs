@@ -3,8 +3,8 @@
 //!
 //! **One writer.** Shard workers never touch the disk for checkpoints.
 //! A rolling checkpoint is handed to the [`DurabilityMonitor`] as an
-//! `Arc<[u8]>` shared with the in-memory checkpoint table (the bytes are
-//! never copied), where it replaces any older blob of the same session
+//! `Arc<Vec<u8>>` shared with the in-memory checkpoint table (the hand-off
+//! copies no bytes), where it replaces any older blob of the same session
 //! that has not reached disk yet. One background thread — the flusher —
 //! writes the pending blobs through `Store::put`, one at a time, in the
 //! order their sessions started waiting. Under disk pressure the
@@ -117,7 +117,7 @@ struct MonitorState {
     degraded: Option<DegradedReason>,
     /// Newest unflushed checkpoint per session, shared with the
     /// in-memory checkpoint table.
-    pending: HashMap<u64, Arc<[u8]>>,
+    pending: HashMap<u64, Arc<Vec<u8>>>,
     /// The sessions of `pending`, in the order they started waiting; a
     /// superseding blob keeps its session's place, so no session starves.
     order: VecDeque<u64>,
@@ -210,7 +210,7 @@ impl DurabilityMonitor {
     /// Worker path: queues `blob` as `id`'s newest checkpoint for the
     /// flusher, superseding an older blob that has not reached disk yet.
     /// Never touches the disk.
-    pub fn submit(&self, id: u64, blob: Arc<[u8]>) {
+    pub fn submit(&self, id: u64, blob: Arc<Vec<u8>>) {
         let mut st = self.lock();
         if st.degraded.is_some() {
             self.count(|m| &m.durable_flushes_buffered);
@@ -569,8 +569,8 @@ mod tests {
         (m, vfs, dir)
     }
 
-    fn blob(bytes: &[u8]) -> Arc<[u8]> {
-        Arc::from(bytes)
+    fn blob(bytes: &[u8]) -> Arc<Vec<u8>> {
+        Arc::new(bytes.to_vec())
     }
 
     #[test]

@@ -28,10 +28,19 @@ use seqdrift_store::{RecoveryReport, ReputationEntry, Store, StoreConfig, StoreE
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Retries a blocking feed spends yielding before it sleeps.
+const YIELD_SPINS: u32 = 8;
+
+/// Retries through which a waiting frame that fits in the queue holds out
+/// for room for all of its rows: the yields and the first seven sleeps
+/// (1 to 64 µs, ~0.13 ms in all). After them it takes whatever prefix
+/// fits.
+const WHOLE_FRAME_SPINS: u32 = YIELD_SPINS + 7;
 
 /// Identifies one device stream inside the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -276,8 +285,8 @@ pub struct FleetConfig {
     /// `session_id % workers`.
     pub workers: usize,
     /// Bound of each shard's ingress queue, in sample rows. When a shard's
-    /// queue is full, `feed` returns [`FeedReply::Busy`]; a frame is
-    /// admitted only as far as the queue has room.
+    /// queue is full, `feed` returns [`FeedReply::Busy`]; see
+    /// [`FleetEngine::feed_frame`] for how a waiting frame is admitted.
     pub queue_capacity: usize,
     /// Rolling-checkpoint cadence: serialise each session's state every
     /// this many processed samples (plus once at create). A restored
@@ -418,7 +427,7 @@ pub(crate) enum ShardMsg {
         reply: Sender<Result<(), FleetError>>,
     },
     /// `rows` (at least one) samples of one session, back to back in
-    /// `data`: a single `feed` row or the admitted prefix of a frame.
+    /// `data`: a single `feed` row, a whole frame, or a piece of one.
     Feed {
         id: u64,
         rows: usize,
@@ -448,7 +457,7 @@ pub(crate) enum ShardMsg {
 struct ShardLink {
     /// `None` once shutdown has begun; dropping the sender is what tells
     /// the worker to drain and exit.
-    tx: Option<SyncSender<ShardMsg>>,
+    tx: Option<Sender<ShardMsg>>,
     handle: Option<JoinHandle<Vec<(SessionId, DriftPipeline)>>>,
 }
 
@@ -614,10 +623,13 @@ impl FleetEngine {
         depth: Arc<QueueDepth>,
         initial: Vec<(u64, SessionSlot)>,
     ) -> (
-        SyncSender<ShardMsg>,
+        Sender<ShardMsg>,
         JoinHandle<Vec<(SessionId, DriftPipeline)>>,
     ) {
-        let (tx, rx) = sync_channel(self.cfg.queue_capacity);
+        // No slot bound: every `Feed` carries rows reserved in `depth`
+        // first, and a control sender waits for its reply before it can
+        // send again, so rows bound the channel (DESIGN.md §7).
+        let (tx, rx) = channel();
         let ctx = self.worker_ctx(depth);
         let handle = std::thread::spawn(move || worker_loop(rx, initial, ctx));
         (tx, handle)
@@ -775,9 +787,10 @@ impl FleetEngine {
         true
     }
 
-    /// Sends a control message, blocking if the shard queue is full
-    /// (control operations are rare and must not be droppable). A dead
-    /// worker triggers one respawn-and-retry before giving up.
+    /// Sends a control message. It queues behind the shard's rows but
+    /// never waits for room: rows are the queue's only bound, and control
+    /// operations are rare and must not be droppable. A dead worker
+    /// triggers one respawn-and-retry before giving up.
     fn control_send(&self, id: SessionId, msg: ShardMsg) -> Result<(), FleetError> {
         let idx = self.shard_index(id);
         let shard = &self.shards[idx];
@@ -844,15 +857,17 @@ impl FleetEngine {
         self.create(id, pipeline)
     }
 
-    /// Queues the longest prefix of the `rows` rows of `dim` values at the
-    /// start of `data` that fits in the shard's free room, as one message.
-    /// Returns how many rows were queued, or why none were.
+    /// Queues a prefix of the `rows` rows of `dim` values at the start of
+    /// `data` as one message: as many rows as the shard has room for, or
+    /// with `whole` (for a frame that fits in the queue) all of them or
+    /// none. Returns how many rows were queued, or why none were.
     fn try_feed(
         &self,
         id: SessionId,
         dim: usize,
         rows: usize,
         data: &[Real],
+        whole: bool,
         count_busy: bool,
     ) -> Result<usize, FeedReply> {
         match read_lock(&self.registry).get(&id.0) {
@@ -860,12 +875,6 @@ impl FleetEngine {
             Some(SessionStatus::Quarantined(_)) => return Err(FeedReply::Quarantined),
             Some(SessionStatus::Active) => {}
         }
-        let busy = || {
-            if count_busy {
-                self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(FeedReply::Busy)
-        };
         let idx = self.shard_index(id);
         let shard = &self.shards[idx];
         for attempt in 0..2 {
@@ -874,28 +883,24 @@ impl FleetEngine {
                 let Some(tx) = link.tx.as_ref() else {
                     return Err(FeedReply::Busy);
                 };
-                let admitted = shard.depth.reserve(rows);
+                let admitted = shard.depth.reserve(rows, whole);
                 if admitted > 0 {
                     let msg = ShardMsg::Feed {
                         id: id.0,
                         rows: admitted,
                         data: data[..admitted * dim].to_vec(),
                     };
-                    match tx.try_send(msg) {
-                        Ok(()) => return Ok(admitted),
-                        Err(e) => {
-                            shard.depth.release(admitted);
-                            if let TrySendError::Full(_) = e {
-                                // Row room, but control messages fill the
-                                // channel.
-                                return busy();
-                            }
-                        }
+                    if tx.send(msg).is_ok() {
+                        return Ok(admitted);
                     }
+                    shard.depth.release(admitted);
                 } else if !link.handle.as_ref().is_some_and(JoinHandle::is_finished) {
                     // Full, but draining. A full queue behind a dead
                     // worker never drains, so that case falls through.
-                    return busy();
+                    if count_busy {
+                        self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Err(FeedReply::Busy);
                 }
             }
             // The worker died: respawn it and retry the send once.
@@ -910,7 +915,7 @@ impl FleetEngine {
     /// returns [`FeedReply::Busy`] — the engine never buffers unboundedly;
     /// slow consumers surface as explicit backpressure.
     pub fn feed(&self, id: SessionId, sample: &[Real]) -> FeedReply {
-        match self.try_feed(id, sample.len(), 1, sample, true) {
+        match self.try_feed(id, sample.len(), 1, sample, true, true) {
             Ok(_) => FeedReply::Enqueued,
             Err(reply) => reply,
         }
@@ -923,11 +928,15 @@ impl FleetEngine {
     }
 
     /// Cooperative blocking feed of a frame: `data` holds whole samples
-    /// (rows) of `dim` values each, queued in order as one shard message
-    /// per admitted prefix (a trailing partial row, or `dim == 0`, queues
-    /// nothing). Rows that do not fit wait, retrying with
-    /// exponential backoff (a few yields, then sleeps doubling up to
-    /// ~1 ms), until the frame is queued or `FleetConfig::feed_timeout`
+    /// (rows) of `dim` values each, queued in order (a trailing partial
+    /// row, or `dim == 0`, queues nothing). A frame that does not fit
+    /// retries with exponential backoff (a few yields, then sleeps
+    /// doubling up to ~1 ms). For its first ~0.13 ms of retries it waits
+    /// for room for all of its rows, so under backpressure it still goes
+    /// in as one shard message; after that, and from the start for a
+    /// frame larger than the queue, it queues whatever prefix fits, so it
+    /// makes progress even while other feeders take each freed row. It
+    /// retries until every row is queued or `FleetConfig::feed_timeout`
     /// passes without progress, at which point the call returns
     /// [`FleetError::Timeout`]. Returns how many leading rows were queued
     /// alongside the outcome; on an error, exactly that prefix was
@@ -958,7 +967,8 @@ impl FleetEngine {
         let mut spins: u32 = 0;
         while accepted < rows {
             let rest = &data[accepted * dim..];
-            match self.try_feed(id, dim, rows - accepted, rest, false) {
+            let whole = spins < WHOLE_FRAME_SPINS;
+            match self.try_feed(id, dim, rows - accepted, rest, whole, false) {
                 Ok(n) => {
                     accepted += n;
                     deadline = None;
@@ -978,11 +988,11 @@ impl FleetEngine {
                         let queue_depth = self.queue_depth(id);
                         return (accepted, Err(FleetError::Timeout { id, queue_depth }));
                     }
-                    if spins < 8 {
+                    if spins < YIELD_SPINS {
                         std::thread::yield_now();
                     } else {
                         // 1 µs doubling to a 1.024 ms ceiling.
-                        let exp = (spins - 8).min(10);
+                        let exp = (spins - YIELD_SPINS).min(10);
                         std::thread::sleep(Duration::from_micros(1 << exp));
                     }
                     spins = spins.saturating_add(1);
@@ -1047,8 +1057,12 @@ impl FleetEngine {
     /// whole backlog — a reconnect storm after a network partition would
     /// pin one server thread per re-HELLO. This variant gives up with
     /// [`FleetError::Timeout`] (carrying the stalled queue's depth) once
-    /// `timeout` elapses; the reply channel outlives the call, so a late
-    /// answer is harmlessly dropped with it.
+    /// `timeout` elapses; the query stays queued (one small message) until
+    /// the worker reaches it, and its late answer is harmlessly dropped.
+    /// Each timed-out call leaves one such query behind, so repeated calls
+    /// against a stalled shard queue one per call until it drains. The
+    /// send never waits for queue room, so the whole call is bounded by
+    /// `timeout`.
     pub fn samples_processed_within(
         &self,
         id: SessionId,
@@ -1382,7 +1396,7 @@ impl FleetEngine {
             for (id, pipeline) in &sessions {
                 if let Ok(blob) = pipeline.to_bytes() {
                     self.store.remove(id.0);
-                    monitor.submit(id.0, blob.into());
+                    monitor.submit(id.0, Arc::new(blob));
                 }
             }
         }
@@ -1578,7 +1592,7 @@ mod tests {
                 .unwrap();
         }
         let flooding = std::sync::atomic::AtomicBool::new(true);
-        let deepest = std::thread::scope(|scope| {
+        let (deepest, control_calls) = std::thread::scope(|scope| {
             let sampler = scope.spawn(|| {
                 let mut deepest = 0;
                 while flooding.load(Ordering::Relaxed) {
@@ -1586,6 +1600,29 @@ mod tests {
                 }
                 deepest
             });
+            // Control traffic on the full shard: it queues behind the
+            // rows and is never refused.
+            let controllers: Vec<_> = (0..2u64)
+                .map(|c| {
+                    let (fleet, flooding) = (&fleet, &flooding);
+                    scope.spawn(move || {
+                        let mut calls = 0u64;
+                        let mut last = 0;
+                        while flooding.load(Ordering::Relaxed) {
+                            if c == 0 {
+                                let blob = fleet.snapshot(SessionId(1)).unwrap();
+                                DriftPipeline::from_bytes(&blob).unwrap();
+                            } else {
+                                let n = fleet.samples_processed(SessionId(2)).unwrap();
+                                assert!(n >= last, "processed count went back");
+                                last = n;
+                            }
+                            calls += 1;
+                        }
+                        calls
+                    })
+                })
+                .collect();
             let producers: Vec<_> = (0..3u64)
                 .map(|s| {
                     let fleet = &fleet;
@@ -1605,16 +1642,160 @@ mod tests {
                 p.join().unwrap();
             }
             flooding.store(false, Ordering::Relaxed);
-            sampler.join().unwrap()
+            let calls: Vec<u64> = controllers.into_iter().map(|c| c.join().unwrap()).collect();
+            (sampler.join().unwrap(), calls)
         });
         assert!(deepest <= CAP, "{deepest} rows queued on a {CAP}-row shard");
         assert!(
             deepest >= CAP / 2,
             "the flood never filled the queue ({deepest})"
         );
+        assert!(
+            control_calls.iter().all(|&n| n > 0),
+            "a control caller never completed a call: {control_calls:?}"
+        );
         let report = fleet.shutdown();
         assert_eq!(report.metrics.samples_processed, (3 * FRAMES * ROWS) as u64);
         assert_eq!(report.metrics.queue_depths, vec![0]);
+    }
+
+    #[test]
+    fn big_frame_progresses_beside_a_steady_single_row_feeder() {
+        const CAP: usize = 32;
+        // Ten capacity-sized frames, then one larger than the queue.
+        let sizes: Vec<usize> = [CAP; 10].into_iter().chain([3 * CAP + 5]).collect();
+        // Session 0's rows each take 100 µs, and its feeder refills every
+        // row the worker frees, so the queue never has room for a whole
+        // capacity-sized frame at once.
+        let injector = FaultInjector::new(vec![Fault::SlowSession {
+            session: 0,
+            every: 1,
+            micros: 100,
+        }]);
+        let fleet = FleetEngine::new(
+            FleetConfig::new(1)
+                .with_queue_capacity(CAP)
+                .with_feed_timeout(Duration::from_secs(2))
+                .with_fault_injector(injector),
+        )
+        .unwrap();
+        fleet.create(SessionId(0), calibrated_pipeline(50)).unwrap();
+        fleet.create(SessionId(1), calibrated_pipeline(51)).unwrap();
+        let feeding = std::sync::atomic::AtomicBool::new(true);
+        let outcomes = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut rng = Rng::seed_from(52);
+                while feeding.load(Ordering::Relaxed) {
+                    fleet
+                        .feed_blocking(SessionId(0), &sample(&mut rng, 0.2))
+                        .unwrap();
+                }
+            });
+            while fleet.queue_depth(SessionId(0)) < CAP {
+                std::thread::yield_now();
+            }
+            let mut rng = Rng::seed_from(53);
+            let outcomes: Vec<_> = sizes
+                .iter()
+                .map(|&rows| {
+                    let frame: Vec<Real> = (0..rows).flat_map(|_| sample(&mut rng, 0.8)).collect();
+                    let (accepted, result) = fleet.feed_frame(SessionId(1), DIM, &frame);
+                    (accepted, result.is_ok())
+                })
+                .collect();
+            feeding.store(false, Ordering::Relaxed);
+            outcomes
+        });
+        assert!(
+            outcomes
+                .iter()
+                .zip(&sizes)
+                .all(|(&o, &rows)| o == (rows, true)),
+            "a frame timed out: {outcomes:?}"
+        );
+        assert_eq!(
+            fleet.samples_processed(SessionId(1)).unwrap(),
+            sizes.iter().sum::<usize>() as u64
+        );
+        assert_eq!(fleet.metrics().feed_timeouts, 0);
+        fleet.shutdown();
+    }
+
+    #[test]
+    fn control_calls_queue_behind_a_full_gated_shard() {
+        const CAP: usize = 8;
+        // One shard, a checkpoint after every row: holding the checkpoint
+        // store's lock parks the worker at its first row, a gate the test
+        // opens by dropping the guard.
+        let fleet = FleetEngine::new(
+            FleetConfig::new(1)
+                .with_queue_capacity(CAP)
+                .with_checkpoint_interval(1),
+        )
+        .unwrap();
+        fleet.create(SessionId(0), calibrated_pipeline(30)).unwrap();
+        fleet.create(SessionId(1), calibrated_pipeline(31)).unwrap();
+        let mut rng = Rng::seed_from(32);
+        let gate = fleet.store.lock();
+        let mut fed = 0u64;
+        while fed < CAP as u64 + 1 {
+            match fleet.feed(SessionId(0), &sample(&mut rng, 0.2)) {
+                FeedReply::Enqueued => fed += 1,
+                FeedReply::Busy => std::thread::yield_now(),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // The worker holds one row at the gate; the queue is full.
+        assert_eq!(fleet.queue_depth(SessionId(0)), CAP);
+        assert_eq!(
+            fleet.feed(SessionId(0), &sample(&mut rng, 0.2)),
+            FeedReply::Busy
+        );
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let snapshot = scope.spawn(|| {
+                let r = fleet.snapshot(SessionId(0));
+                done.fetch_add(1, Ordering::SeqCst);
+                r
+            });
+            let processed = scope.spawn(|| {
+                let r = fleet.samples_processed(SessionId(0));
+                done.fetch_add(1, Ordering::SeqCst);
+                r
+            });
+            let evict = scope.spawn(|| {
+                let r = fleet.evict(SessionId(1));
+                done.fetch_add(1, Ordering::SeqCst);
+                r
+            });
+            // A control send never waits for room: the deadline variant
+            // queues its query behind the full shard and times out on the
+            // reply, instead of blocking in the send.
+            assert!(matches!(
+                fleet.samples_processed_within(SessionId(0), Duration::from_millis(20)),
+                Err(FleetError::Timeout {
+                    queue_depth: CAP,
+                    ..
+                })
+            ));
+            // Nothing is answered while the gate holds.
+            assert_eq!(done.load(Ordering::SeqCst), 0);
+            assert_eq!(fleet.queue_depth(SessionId(0)), CAP);
+            drop(gate);
+            let blob = snapshot.join().unwrap().unwrap();
+            assert_eq!(
+                DriftPipeline::from_bytes(&blob)
+                    .unwrap()
+                    .samples_processed(),
+                fed
+            );
+            assert_eq!(processed.join().unwrap().unwrap(), fed);
+            assert_eq!(evict.join().unwrap().unwrap().samples_processed(), 0);
+        });
+        assert_eq!(fleet.session_count(), 1);
+        assert_eq!(fleet.queue_depth(SessionId(0)), 0);
+        let report = fleet.shutdown();
+        assert_eq!(report.metrics.samples_processed, fed);
     }
 
     #[test]
@@ -1643,7 +1824,7 @@ mod tests {
         }
         // Rows that reached the channel before the dying worker dropped
         // its receiver leave the queue full with nobody to drain it.
-        assert_eq!(fleet.shards[0].depth.reserve(4), 4);
+        assert_eq!(fleet.shards[0].depth.reserve(4, true), 4);
         assert_eq!(
             fleet.feed(SessionId(0), &sample(&mut rng, 0.2)),
             FeedReply::Enqueued

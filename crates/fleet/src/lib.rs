@@ -30,9 +30,11 @@
 //!   shed load) instead of growing memory without bound.
 //!   [`FleetEngine::feed_blocking`] (one row) and
 //!   [`FleetEngine::feed_frame`] (a batch of rows, one shard hand-off per
-//!   admitted prefix) retry with exponential backoff but give up with
+//!   frame) retry with exponential backoff but give up with
 //!   [`FleetError::Timeout`] after a configurable deadline. The bound is
-//!   in rows: a frame is admitted only as far as the queue has room.
+//!   in rows: a waiting frame is admitted whole once the queue has room
+//!   for it, or, once it has waited ~0.13 ms (and from the start when it
+//!   is larger than the queue), as whatever prefix fits.
 //! * **Fault tolerance** — a panicking session is caught by the shard's
 //!   supervision wrapper (the `supervisor` module): it is restored from its
 //!   rolling checkpoint within a bounded restart budget, or permanently

@@ -119,10 +119,9 @@ impl RejectReasons {
 }
 
 /// Per-shard ingress-queue depth, in sample rows. A producer reserves
-/// room for a frame before it sends it (admitting only the prefix that
-/// fits), and the worker releases one row as it takes each row, so the
-/// rows queued on a shard never exceed its capacity. Control messages
-/// are not counted.
+/// room for a frame before it sends it, and the worker releases one row
+/// as it takes each row, so the rows queued on a shard never exceed its
+/// capacity. Control messages are not counted.
 #[derive(Debug)]
 pub(crate) struct QueueDepth {
     count: AtomicUsize,
@@ -137,13 +136,18 @@ impl QueueDepth {
         }
     }
 
-    /// Reserves room for up to `rows` rows and returns how many fit
-    /// (0 when the queue is full).
-    pub fn reserve(&self, rows: usize) -> usize {
+    /// Reserves room for up to `rows` rows and returns how many it
+    /// reserved (0 when none fit). With `whole`, a frame that fits in the
+    /// queue is reserved all at once or not at all, so it stays one
+    /// message; otherwise, and always for a frame larger than the queue,
+    /// the prefix that fits is reserved, so a waiting frame always makes
+    /// progress as rows free up.
+    pub fn reserve(&self, rows: usize, whole: bool) -> usize {
+        let whole = whole && rows <= self.capacity;
         let mut now = self.count.load(Ordering::Relaxed);
         loop {
             let take = rows.min(self.capacity.saturating_sub(now));
-            if take == 0 {
+            if take == 0 || (whole && take < rows) {
                 return 0;
             }
             match self.count.compare_exchange_weak(
@@ -291,12 +295,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reserve_admits_only_the_prefix_that_fits() {
+    fn reserve_admits_whole_frames_or_the_prefix_that_fits() {
         let depth = QueueDepth::new(10);
-        assert_eq!(depth.reserve(16), 10);
-        assert_eq!(depth.reserve(1), 0);
+        // Larger than the queue: the prefix that fits, even when whole.
+        assert_eq!(depth.reserve(16, true), 10);
+        assert_eq!(depth.reserve(1, true), 0);
         depth.release(3);
-        assert_eq!(depth.reserve(16), 3);
+        // Room for 3: a whole 4-row frame waits, its prefix fits.
+        assert_eq!(depth.reserve(4, true), 0);
+        assert_eq!(depth.reserve(4, false), 3);
+        depth.release(3);
+        assert_eq!(depth.reserve(3, true), 3);
+        depth.release(2);
+        // Room for 2: a larger frame takes its first two rows.
+        assert_eq!(depth.reserve(16, true), 2);
         assert_eq!(depth.get(), 10);
         assert_eq!(depth.reset(), 10);
         assert_eq!(depth.get(), 0);

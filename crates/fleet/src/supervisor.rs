@@ -209,7 +209,7 @@ pub struct LostSession {
 pub(crate) struct CheckpointEntry {
     /// Last good serialised state, shared with the flusher's pending
     /// queue until it reaches disk.
-    pub blob: Arc<[u8]>,
+    pub blob: Arc<Vec<u8>>,
     /// Delivery counter at checkpoint time (restores resume counting from
     /// the live counter, not this one; kept for worker re-homing).
     pub delivered: u64,
@@ -316,6 +316,10 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     let Ok(Ok(mut blob)) = bytes else {
         return;
     };
+    // Trimmed to its length before it is shared: the checkpoint stays
+    // resident until the next one, so spare capacity would stay with it.
+    // The trim may reallocate; it happens outside the store lock.
+    blob.shrink_to_fit();
     let mut store = ctx.store.lock();
     let entry = store.entry(id).or_insert_with(|| CheckpointEntry {
         blob: Arc::default(),
@@ -334,7 +338,7 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     entry.checkpoint_sample = slot.pipeline.samples_processed();
     entry.delivered = slot.delivered;
     entry.snapshots_taken += 1;
-    entry.blob = blob.into();
+    entry.blob = Arc::new(blob);
     slot.since_checkpoint = 0;
     let blob = Arc::clone(&entry.blob);
     drop(store);

@@ -388,36 +388,6 @@ impl Matrix {
         }
     }
 
-    /// In-place element-wise addition: `self += rhs`.
-    pub fn add_assign(&mut self, rhs: &Matrix) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "add_assign",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a += b;
-        }
-        Ok(())
-    }
-
-    /// In-place element-wise subtraction: `self -= rhs`.
-    pub fn sub_assign(&mut self, rhs: &Matrix) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "sub_assign",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
     /// In-place scalar multiplication: `self *= s`.
     pub fn scale(&mut self, s: Real) {
         for a in &mut self.data {
@@ -631,13 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale_roundtrip() {
+    fn scale_multiplies_every_element() {
         let mut a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = a.clone();
-        a.add_assign(&b).unwrap();
         a.scale(0.5);
-        a.sub_assign(&b).unwrap();
-        assert!(a.max_abs() < 1e-6);
+        assert_eq!(a.as_slice(), &[0.5, 1.0, 1.5, 2.0]);
     }
 
     #[test]

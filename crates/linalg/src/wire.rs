@@ -50,6 +50,33 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Bytes per encoded scalar (`Real` in little-endian byte order).
+pub const REAL_BYTES: usize = core::mem::size_of::<Real>();
+
+/// Appends `vs` to `buf` as a bare run of little-endian scalars (no
+/// length prefix): one resize, then one pass over fixed-size chunks.
+/// This is the one scalar-run encoder in the workspace; [`Writer::reals`]
+/// and the SQNP sample frames both use it.
+pub fn put_reals(buf: &mut Vec<u8>, vs: &[Real]) {
+    let start = buf.len();
+    buf.resize(start + vs.len() * REAL_BYTES, 0);
+    for (dst, v) in buf[start..].chunks_exact_mut(REAL_BYTES).zip(vs) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Decodes a bare run of little-endian scalars written by [`put_reals`],
+/// bit for bit (NaN payloads, `-0.0` and subnormals included). The caller
+/// has already bounded `bytes`; a trailing partial scalar is a caller
+/// bug and is ignored.
+pub fn get_reals(bytes: &[u8]) -> Vec<Real> {
+    debug_assert_eq!(bytes.len() % REAL_BYTES, 0, "partial scalar");
+    bytes
+        .chunks_exact(REAL_BYTES)
+        .map(|c| Real::from_le_bytes(c.try_into().expect("REAL_BYTES-wide chunk")))
+        .collect()
+}
+
 /// Append-only blob writer.
 #[derive(Debug)]
 pub struct Writer {
@@ -84,9 +111,7 @@ impl Writer {
     /// Appends a length-prefixed scalar run.
     pub fn reals(&mut self, vs: &[Real]) {
         self.u64(vs.len() as u64);
-        for &v in vs {
-            self.real(v);
-        }
+        put_reals(&mut self.buf, vs);
     }
 
     /// Appends a length-prefixed u64 run.
@@ -169,11 +194,8 @@ impl<'a> Reader<'a> {
 
     /// Reads one scalar.
     pub fn real(&mut self) -> Result<Real, WireError> {
-        let n = core::mem::size_of::<Real>();
-        let b = self.take(n)?;
-        let mut arr = [0u8; core::mem::size_of::<Real>()];
-        arr.copy_from_slice(b);
-        Ok(Real::from_le_bytes(arr))
+        let b = self.take(REAL_BYTES)?;
+        Ok(Real::from_le_bytes(b.try_into().expect("REAL_BYTES bytes")))
     }
 
     /// Reads a length-prefixed scalar run. The length field is checked
@@ -182,15 +204,10 @@ impl<'a> Reader<'a> {
     /// gigabytes.
     pub fn reals(&mut self) -> Result<Vec<Real>, WireError> {
         let n = self.u64()?;
-        if n > (self.remaining() / core::mem::size_of::<Real>()) as u64 {
+        if n > (self.remaining() / REAL_BYTES) as u64 {
             return Err(WireError::Truncated);
         }
-        let n = n as usize;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.real()?);
-        }
-        Ok(out)
+        Ok(get_reals(self.take(n as usize * REAL_BYTES)?))
     }
 
     /// Reads a length-prefixed u64 run (length checked against remaining
@@ -239,6 +256,43 @@ mod tests {
         assert_eq!(r.reals().unwrap(), vec![1.0, -2.0, 3.5]);
         assert_eq!(r.u64s().unwrap(), vec![4, 5]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn scalar_runs_keep_every_bit() {
+        // All-ones with a low-byte payload is a NaN at any scalar width.
+        let mut nan = [0xFFu8; REAL_BYTES];
+        nan[0] = 0x34;
+        let specials = [
+            -0.0,
+            Real::from_le_bytes(nan),
+            Real::MIN_POSITIVE / 4.0,
+            Real::INFINITY,
+            Real::NEG_INFINITY,
+            Real::MAX,
+            1.0 / 3.0,
+        ];
+        for n in 0..=specials.len() {
+            let run = &specials[..n];
+            let mut bytes = vec![0xAA];
+            put_reals(&mut bytes, run);
+            // The per-scalar encoding the run codec replaced.
+            let mut want = vec![0xAA];
+            for v in run {
+                want.extend_from_slice(&v.to_le_bytes());
+            }
+            assert_eq!(bytes, want);
+            let back = get_reals(&bytes[1..]);
+            let bits = |vs: &[Real]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(run));
+
+            let mut w = Writer::new(5);
+            w.reals(run);
+            let blob = w.into_bytes();
+            let mut r = Reader::new(&blob, 5).unwrap();
+            assert_eq!(bits(&r.reals().unwrap()), bits(run));
+            r.finish().unwrap();
+        }
     }
 
     #[test]

@@ -459,94 +459,6 @@ impl OsElm {
         self.rejected_updates
     }
 
-    /// Sequential training on a *chunk* of `k` samples (Liang et al.'s
-    /// general update; the paper's firmware fixes `k = 1` to avoid the
-    /// `k x k` inversion, but host-side calibration benefits from chunks):
-    ///
-    /// ```text
-    /// P <- P - P Hᵀ (I + H P Hᵀ)⁻¹ H P
-    /// β <- β + P Hᵀ (T - H β)
-    /// ```
-    ///
-    /// Equivalent to `k` successive [`OsElm::seq_train`] calls in exact
-    /// arithmetic. Allocates O(k² + k·H) temporaries — host-side use only.
-    pub fn seq_train_chunk(&mut self, xs: &[Vec<Real>], ts: &[Vec<Real>]) -> Result<()> {
-        if !self.initialized {
-            return Err(ModelError::NotInitialized);
-        }
-        if xs.is_empty() || xs.len() != ts.len() {
-            return Err(ModelError::InvalidConfig(
-                "seq_train_chunk: empty chunk or mismatched target count",
-            ));
-        }
-        if self.cfg.forgetting.is_some() {
-            // The forgetting recursion discounts *per sample*; a chunk
-            // update would apply one discount to k samples and silently
-            // change the model. Keep the semantics honest instead.
-            return Err(ModelError::InvalidConfig(
-                "seq_train_chunk does not support forgetting; use seq_train",
-            ));
-        }
-        let k = xs.len();
-        let hdim = self.cfg.hidden_dim;
-        // H: k x hidden.
-        let mut h = Matrix::zeros(k, hdim);
-        for (i, x) in xs.iter().enumerate() {
-            let row = h.row_mut(i);
-            if x.len() != self.cfg.input_dim {
-                return Err(ModelError::DimensionMismatch {
-                    expected: self.cfg.input_dim,
-                    got: x.len(),
-                });
-            }
-            self.w.matvec_into(x, row)?;
-            for (hv, &bi) in row.iter_mut().zip(self.b.iter()) {
-                *hv += bi;
-            }
-            self.cfg.activation.apply_slice(row);
-        }
-        // T - H β  (k x output).
-        let mut resid = Matrix::zeros(k, self.cfg.output_dim);
-        h.matmul_into(&self.beta, &mut resid)?;
-        for (i, t) in ts.iter().enumerate() {
-            if t.len() != self.cfg.output_dim {
-                return Err(ModelError::DimensionMismatch {
-                    expected: self.cfg.output_dim,
-                    got: t.len(),
-                });
-            }
-            for (r, &tv) in resid.row_mut(i).iter_mut().zip(t.iter()) {
-                *r = tv - *r;
-            }
-        }
-        // G = I + H P Hᵀ  (k x k), via PHt = P Hᵀ (hidden x k).
-        let ht = h.transpose();
-        let mut pht = Matrix::zeros(hdim, k);
-        self.p.matmul_into(&ht, &mut pht)?;
-        let mut g = Matrix::zeros(k, k);
-        h.matmul_into(&pht, &mut g)?;
-        for i in 0..k {
-            g.set(i, i, g.get(i, i) + 1.0);
-        }
-        let g_inv = seqdrift_linalg::solve::inverse(&g)?;
-        // Gain = P Hᵀ G⁻¹  (hidden x k).
-        let mut gain = Matrix::zeros(hdim, k);
-        pht.matmul_into(&g_inv, &mut gain)?;
-        // P <- P - Gain (H P). H P = (P Hᵀ)ᵀ because P is symmetric.
-        let mut hp = Matrix::zeros(k, hdim);
-        pht.transpose_into(&mut hp)?;
-        let mut delta_p = Matrix::zeros(hdim, hdim);
-        gain.matmul_into(&hp, &mut delta_p)?;
-        self.p.sub_assign(&delta_p)?;
-        // β <- β + P_new Hᵀ resid. Recompute P Hᵀ with the updated P.
-        self.p.matmul_into(&ht, &mut pht)?;
-        let mut delta_beta = Matrix::zeros(hdim, self.cfg.output_dim);
-        pht.matmul_into(&resid, &mut delta_beta)?;
-        self.beta.add_assign(&delta_beta)?;
-        self.samples_seen += k as u64;
-        Ok(())
-    }
-
     /// Predicts the output for `x` into `out` (allocation-free).
     pub fn predict_into(&mut self, x: &[Real], out: &mut [Real]) -> Result<()> {
         if !self.initialized {
@@ -909,9 +821,11 @@ mod tests {
         batch.init_train(&all, &all).unwrap();
 
         assert!(seq.beta().approx_eq(batch.beta(), 5e-2), "max diff {}", {
-            let mut d = seq.beta().clone();
-            d.sub_assign(batch.beta()).unwrap();
-            d.max_abs()
+            let (s, b) = (seq.beta().as_slice(), batch.beta().as_slice());
+            s.iter()
+                .zip(b)
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0, Real::max)
         });
     }
 
@@ -1034,46 +948,6 @@ mod tests {
             // leaves a small residual; exactness holds only in f64.
             assert!(err < 0.05, "residual {err}");
         }
-    }
-
-    #[test]
-    fn chunk_training_matches_per_sample_training() {
-        let all = toy_data(60, 4, 60);
-        let (init, rest) = all.split_at(30);
-        let cfg = OsElmConfig::new(4, 6).with_seed(3).with_lambda(0.1);
-
-        let mut per_sample = OsElm::new(cfg.clone()).unwrap();
-        per_sample.init_train(init, init).unwrap();
-        for x in rest {
-            per_sample.seq_train(x, x).unwrap();
-        }
-
-        let mut chunked = OsElm::new(cfg).unwrap();
-        chunked.init_train(init, init).unwrap();
-        // Two chunks of 15.
-        chunked.seq_train_chunk(&rest[..15], &rest[..15]).unwrap();
-        chunked.seq_train_chunk(&rest[15..], &rest[15..]).unwrap();
-
-        assert!(
-            per_sample.beta().approx_eq(chunked.beta(), 5e-2),
-            "chunk vs per-sample beta diverged"
-        );
-        assert_eq!(per_sample.samples_seen(), chunked.samples_seen());
-    }
-
-    #[test]
-    fn chunk_training_rejects_forgetting_and_bad_input() {
-        let xs = toy_data(20, 3, 61);
-        let mut forget = OsElm::new(OsElmConfig::new(3, 4).with_forgetting(0.95)).unwrap();
-        forget.init_train(&xs, &xs).unwrap();
-        assert!(forget.seq_train_chunk(&xs, &xs).is_err());
-
-        let mut plain = OsElm::new(OsElmConfig::new(3, 4)).unwrap();
-        plain.init_train(&xs, &xs).unwrap();
-        assert!(plain.seq_train_chunk(&[], &[]).is_err());
-        assert!(plain.seq_train_chunk(&xs[..2], &xs[..1]).is_err());
-        let wrong_dim = vec![vec![0.0; 4]];
-        assert!(plain.seq_train_chunk(&wrong_dim, &wrong_dim).is_err());
     }
 
     #[test]

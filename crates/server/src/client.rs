@@ -251,10 +251,8 @@ impl Client {
                 max_rows,
             });
         }
-        let (reply, flags) = self.exchange(&Message::Sample {
-            dim: self.dim,
-            data: rows.to_vec(),
-        })?;
+        let frame = crate::proto::encode_sample(self.session, self.dim, rows);
+        let (reply, flags) = self.exchange_frame(&frame)?;
         match reply {
             Message::SampleAck { accepted, events } => Ok(BatchReply::Ack {
                 accepted,
@@ -358,7 +356,12 @@ impl Client {
 
     /// One request/response turn. NACK replies become [`ClientError::Nack`].
     fn exchange(&mut self, msg: &Message) -> Result<(Message, u8), ClientError> {
-        self.write(&msg.encode(self.session))?;
+        self.exchange_frame(&msg.encode(self.session))
+    }
+
+    /// [`Client::exchange`] for a request already encoded as a frame.
+    fn exchange_frame(&mut self, request: &[u8]) -> Result<(Message, u8), ClientError> {
+        self.write(request)?;
         let frame = read_frame(&mut self.stream)?;
         let flags = frame.flags;
         self.last_exchange = std::time::Instant::now();

@@ -38,6 +38,7 @@
 
 use std::io::Read;
 
+use seqdrift_linalg::wire::{get_reals, put_reals, REAL_BYTES};
 use seqdrift_linalg::Real;
 use seqdrift_store::crc32::crc32;
 
@@ -313,20 +314,63 @@ pub struct RawFrame {
     pub payload: Vec<u8>,
 }
 
-/// Assembles one frame: header + payload + CRC trailer, as a single
-/// buffer so the transport write is one call.
-pub fn encode_frame(kind: FrameType, flags: u8, session: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + CRC_LEN);
+/// Writes one frame into a single buffer: the header, the payload that
+/// `write` appends, then the CRC trailer over both, with the header's
+/// length field patched in once the payload is written. The buffer starts
+/// with room for `payload_hint` payload bytes (exact for the large frames,
+/// so they are allocated once). The transport write is one call.
+fn frame(
+    kind: FrameType,
+    flags: u8,
+    session: u64,
+    payload_hint: usize,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_hint + CRC_LEN);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.push(kind as u8);
     buf.push(flags);
     buf.extend_from_slice(&session.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&[0; 4]);
+    write(&mut buf);
+    let len = (buf.len() - HEADER_LEN) as u32;
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
+}
+
+/// Assembles one frame: header + payload + CRC trailer, as a single
+/// buffer so the transport write is one call.
+pub fn encode_frame(kind: FrameType, flags: u8, session: u64, payload: &[u8]) -> Vec<u8> {
+    frame(kind, flags, session, payload.len(), |b| {
+        b.extend_from_slice(payload)
+    })
+}
+
+/// Encodes a `Sample` frame straight from borrowed rows: the same bytes
+/// as `Message::Sample { dim, data: rows.to_vec() }.encode(session)`,
+/// without the copy.
+pub(crate) fn encode_sample(session: u64, dim: u32, rows: &[Real]) -> Vec<u8> {
+    frame(FrameType::Sample, 0, session, sample_len(rows), |b| {
+        put_sample(b, dim, rows)
+    })
+}
+
+/// Starting payload room of a frame whose size is not worked out first.
+const SMALL_PAYLOAD: usize = 32;
+
+/// Payload bytes of a `Sample` frame: count, dim, then the scalars.
+fn sample_len(data: &[Real]) -> usize {
+    8 + data.len() * REAL_BYTES
+}
+
+fn put_sample(p: &mut Vec<u8>, dim: u32, data: &[Real]) {
+    let count = (data.len() as u32).checked_div(dim).unwrap_or(0);
+    p.extend_from_slice(&count.to_le_bytes());
+    p.extend_from_slice(&dim.to_le_bytes());
+    put_reals(p, data);
 }
 
 /// Validates a frame whose header and payload+CRC bytes have already been
@@ -335,6 +379,15 @@ pub fn encode_frame(kind: FrameType, flags: u8, session: u64, payload: &[u8]) ->
 /// length bound (done by the caller before reading `rest`), CRC, version,
 /// frame type.
 pub fn decode_frame(header: &[u8; HEADER_LEN], rest: &[u8]) -> Result<RawFrame, ProtoError> {
+    decode_frame_owned(header, rest.to_vec())
+}
+
+/// [`decode_frame`] for a caller that owns the payload+CRC buffer: the
+/// payload stays in it (the trailer is cut off) instead of being copied.
+pub(crate) fn decode_frame_owned(
+    header: &[u8; HEADER_LEN],
+    mut rest: Vec<u8>,
+) -> Result<RawFrame, ProtoError> {
     if &header[0..4] != MAGIC {
         return Err(ProtoError::BadMagic);
     }
@@ -360,11 +413,12 @@ pub fn decode_frame(header: &[u8; HEADER_LEN], rest: &[u8]) -> Result<RawFrame, 
         header[8], header[9], header[10], header[11], header[12], header[13], header[14],
         header[15],
     ]);
+    rest.truncate(declared);
     Ok(RawFrame {
         kind,
         flags: header[7],
         session,
-        payload: payload.to_vec(),
+        payload: rest,
     })
 }
 
@@ -376,7 +430,7 @@ pub fn max_sample_rows(dim: u32) -> usize {
     if dim == 0 {
         return 0;
     }
-    (MAX_PAYLOAD as usize - 8) / (dim as usize * core::mem::size_of::<Real>())
+    (MAX_PAYLOAD as usize - 8) / (dim as usize * REAL_BYTES)
 }
 
 /// Extracts and bounds the payload length from a header. The caller must
@@ -401,7 +455,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, ProtoError> {
     let len = header_payload_len(&header)?;
     let mut rest = vec![0u8; len + CRC_LEN];
     r.read_exact(&mut rest)?;
-    decode_frame(&header, &rest)
+    decode_frame_owned(&header, rest)
 }
 
 /// A typed protocol message, decoupled from the session id in the header.
@@ -503,24 +557,25 @@ impl Message {
 
     /// Encodes the message as a complete frame with explicit flag bits.
     pub fn encode_flagged(&self, session: u64, flags: u8) -> Vec<u8> {
-        let mut p = Vec::new();
+        let hint = match self {
+            Message::Sample { data, .. } => sample_len(data),
+            Message::SnapshotAck { blob } => 4 + blob.len(),
+            // Every fixed-size payload and an event-free ack fit; an
+            // event list or a long detail grows the buffer.
+            _ => SMALL_PAYLOAD,
+        };
+        frame(self.frame_type(), flags, session, hint, |p| {
+            self.put_payload(p)
+        })
+    }
+
+    fn put_payload(&self, p: &mut Vec<u8>) {
         match self {
             Message::Hello { dim, scalar_width } => {
                 p.extend_from_slice(&dim.to_le_bytes());
                 p.push(*scalar_width);
             }
-            Message::Sample { dim, data } => {
-                let count = if *dim == 0 {
-                    0
-                } else {
-                    data.len() as u32 / dim
-                };
-                p.extend_from_slice(&count.to_le_bytes());
-                p.extend_from_slice(&dim.to_le_bytes());
-                for v in data {
-                    p.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            Message::Sample { dim, data } => put_sample(p, *dim, data),
             Message::Ping | Message::Drain | Message::Snapshot | Message::Bye | Message::Pong => {}
             Message::HelloAck {
                 existing,
@@ -531,9 +586,9 @@ impl Message {
             }
             Message::SampleAck { accepted, events } => {
                 p.extend_from_slice(&accepted.to_le_bytes());
-                encode_events(&mut p, events);
+                put_events(p, events);
             }
-            Message::DrainAck { events } => encode_events(&mut p, events),
+            Message::DrainAck { events } => put_events(p, events),
             Message::SnapshotAck { blob } => {
                 p.extend_from_slice(&(blob.len() as u32).to_le_bytes());
                 p.extend_from_slice(blob);
@@ -547,13 +602,9 @@ impl Message {
             }
             Message::Nack { code, detail } => {
                 p.push(*code as u8);
-                let bytes = detail.as_bytes();
-                let n = bytes.len().min(u16::MAX as usize);
-                p.extend_from_slice(&(n as u16).to_le_bytes());
-                p.extend_from_slice(&bytes[..n]);
+                put_str(p, detail);
             }
         }
-        encode_frame(self.frame_type(), flags, session, &p)
     }
 
     /// Interprets a validated frame's payload. Every length prefix is
@@ -573,16 +624,15 @@ impl Message {
                     .checked_mul(dim as usize)
                     .ok_or(ProtoError::BadPayload("sample count*dim overflows"))?;
                 let bytes = scalars
-                    .checked_mul(core::mem::size_of::<Real>())
+                    .checked_mul(REAL_BYTES)
                     .ok_or(ProtoError::BadPayload("sample byte length overflows"))?;
                 if bytes != c.remaining() {
                     return Err(ProtoError::BadPayload("sample data length mismatch"));
                 }
-                let mut data = Vec::with_capacity(scalars);
-                for _ in 0..scalars {
-                    data.push(c.real()?);
+                Message::Sample {
+                    dim,
+                    data: get_reals(c.take(bytes)?),
                 }
-                Message::Sample { dim, data }
             }
             FrameType::Ping => Message::Ping,
             FrameType::Drain => Message::Drain,
@@ -637,13 +687,20 @@ impl Message {
     }
 }
 
-fn encode_events(p: &mut Vec<u8>, events: &[String]) {
+/// Appends a `u16`-length-prefixed string: at most `u16::MAX` bytes of
+/// it (a longer string is cut, possibly mid-character; decoders read it
+/// lossily).
+fn put_str(p: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    let bytes = &bytes[..bytes.len().min(u16::MAX as usize)];
+    p.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    p.extend_from_slice(bytes);
+}
+
+fn put_events(p: &mut Vec<u8>, events: &[String]) {
     p.extend_from_slice(&(events.len() as u32).to_le_bytes());
     for e in events {
-        let bytes = e.as_bytes();
-        let n = bytes.len().min(u16::MAX as usize);
-        p.extend_from_slice(&(n as u16).to_le_bytes());
-        p.extend_from_slice(&bytes[..n]);
+        put_str(p, e);
     }
 }
 
@@ -706,14 +763,6 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
-    }
-
-    fn real(&mut self) -> Result<Real, ProtoError> {
-        const W: usize = core::mem::size_of::<Real>();
-        let b = self.take(W)?;
-        let mut arr = [0u8; W];
-        arr.copy_from_slice(b);
-        Ok(Real::from_le_bytes(arr))
     }
 }
 
@@ -784,6 +833,19 @@ mod tests {
             },
             9,
         );
+    }
+
+    #[test]
+    fn borrowed_sample_encoding_matches_the_message() {
+        let data: Vec<Real> = (0..12).map(|i| i as Real * 0.5 - 2.0).collect();
+        for (dim, n) in [(3, 12), (4, 8), (5, 12), (0, 6), (1, 0)] {
+            let rows = &data[..n];
+            let msg = Message::Sample {
+                dim,
+                data: rows.to_vec(),
+            };
+            assert_eq!(encode_sample(77, dim, rows), msg.encode(77), "dim {dim}");
+        }
     }
 
     #[test]

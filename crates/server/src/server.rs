@@ -60,7 +60,7 @@ use seqdrift_linalg::Real;
 
 use crate::metrics::{ServerMetrics, ServerMetricsSnapshot};
 use crate::proto::{
-    decode_frame, header_payload_len, Message, NackCode, CRC_LEN, HEADER_LEN, MAGIC,
+    decode_frame_owned, header_payload_len, Message, NackCode, CRC_LEN, HEADER_LEN, MAGIC,
 };
 use crate::recorder::ScenarioRecorder;
 
@@ -859,7 +859,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared, helloed: &mut HashMap
             }
             Fill::Eof | Fill::Stopped | Fill::Failed => return,
         }
-        let frame = match decode_frame(&header, &rest) {
+        let frame = match decode_frame_owned(&header, rest) {
             Ok(f) => f,
             Err(e) => {
                 // Framing errors are fatal (the stream cannot resync);
@@ -882,6 +882,9 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared, helloed: &mut HashMap
                 return;
             }
         };
+        // The decoded message owns everything it needs; free the raw
+        // payload before a sample frame blocks on its shard queue.
+        drop(frame);
         match msg {
             Message::Hello { dim, scalar_width } => {
                 match handle_hello(shared, session, dim, scalar_width) {
@@ -1188,7 +1191,7 @@ fn handle_hello(
 }
 
 /// Feeds a batch through the blocking path as one frame: one registry
-/// read and one shard hand-off per admitted prefix, not per row. A
+/// read and one shard hand-off per frame, not per row. A
 /// timeout under backpressure becomes a `Busy` reply carrying the partial
 /// progress and the stalled queue's depth; other fleet errors become
 /// typed NACKs. Every exit records its accepted prefix with the ingest
