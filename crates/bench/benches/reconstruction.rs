@@ -56,7 +56,8 @@ fn main() {
         |(mut model, mut rec)| {
             rec.start(&previous_centroids(), &mut model).unwrap();
             for x in &samples {
-                black_box(rec.step(&mut model, x).unwrap());
+                let p = model.predict(x).unwrap();
+                black_box(rec.step(&mut model, &p, x).unwrap());
             }
         },
     );

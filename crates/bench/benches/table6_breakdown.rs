@@ -49,11 +49,12 @@ fn main() {
         m3.seq_train_label(label, &x).unwrap();
     });
 
-    // Row 4: model retraining with label prediction (Algorithm 2, 11-12).
+    // Row 4: model retraining with label prediction (Algorithm 2, 11-12),
+    // reusing the prediction's forward pass as the pipeline does.
     let mut m4 = trained_model(DIM, 22, 15);
     bench("table6/retraining_with_label_prediction", None, || {
-        let label = m4.predict(black_box(&x)).unwrap().label;
-        m4.seq_train_label(label, &x).unwrap();
+        let p = m4.predict(black_box(&x)).unwrap();
+        m4.seq_train_predicted(&p, p.label, &x).unwrap();
     });
 
     // Row 5: label coordinates initialisation (Algorithm 3).

@@ -241,17 +241,26 @@ impl SampleGuard {
             return Err(CoreError::StuckSensor { run: self.run_len });
         }
         // Feature validation: non-finite dominates oversized for counting
-        // and error reporting (the first offending feature wins).
+        // and error reporting (the first offending feature wins). A
+        // branch-free screen runs first, and only a row it flags pays for
+        // the exact scan. The screen flags exactly the rows the scan does:
+        // NaN fails every `<=`, and capping the limit at `Real::MAX` keeps
+        // a limit of +inf (or NaN, which the scan never exceeds) from
+        // admitting ±inf.
+        let limit = self.cfg.magnitude_limit.min(Real::MAX);
+        let screened_clean = x.iter().fold(true, |ok, &v| ok & (v.abs() <= limit));
         let mut first_bad: Option<usize> = None;
         let mut any_non_finite = false;
-        for (i, &v) in x.iter().enumerate() {
-            let bad = !v.is_finite() || v.abs() > self.cfg.magnitude_limit;
-            if bad {
-                if first_bad.is_none() {
-                    first_bad = Some(i);
-                }
-                if !v.is_finite() {
-                    any_non_finite = true;
+        if !screened_clean {
+            for (i, &v) in x.iter().enumerate() {
+                let bad = !v.is_finite() || v.abs() > self.cfg.magnitude_limit;
+                if bad {
+                    if first_bad.is_none() {
+                        first_bad = Some(i);
+                    }
+                    if !v.is_finite() {
+                        any_non_finite = true;
+                    }
                 }
             }
         }
@@ -366,6 +375,176 @@ impl SampleGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `SampleGuard::admit` as it was before the branch-free screen: the
+    /// exact per-feature scan on every row. Kept verbatim as the oracle.
+    fn reference_admit(
+        g: &mut SampleGuard,
+        x: &[Real],
+        buf: &mut Vec<Real>,
+    ) -> Result<GuardVerdict> {
+        if x.len() != g.dim {
+            g.counters.dim_mismatch += 1;
+            g.counters.rejected += 1;
+            return Err(CoreError::DimensionMismatch {
+                expected: g.dim,
+                got: x.len(),
+            });
+        }
+        // Stuck-run tracking compares raw bits: NaN payloads compare equal
+        // to themselves, so a sensor stuck on NaN still counts as stuck.
+        let same = g.last_raw.len() == x.len()
+            && g.last_raw
+                .iter()
+                .zip(x.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if same {
+            g.run_len += 1;
+        } else {
+            g.run_len = 1;
+            g.last_raw.clear();
+            g.last_raw.extend_from_slice(x);
+        }
+        if g.cfg.stuck_threshold > 0 && g.run_len > g.cfg.stuck_threshold {
+            g.counters.stuck += 1;
+            g.counters.rejected += 1;
+            return Err(CoreError::StuckSensor { run: g.run_len });
+        }
+        // Feature validation: non-finite dominates oversized for counting
+        // and error reporting (the first offending feature wins).
+        let mut first_bad: Option<usize> = None;
+        let mut any_non_finite = false;
+        for (i, &v) in x.iter().enumerate() {
+            let bad = !v.is_finite() || v.abs() > g.cfg.magnitude_limit;
+            if bad {
+                if first_bad.is_none() {
+                    first_bad = Some(i);
+                }
+                if !v.is_finite() {
+                    any_non_finite = true;
+                }
+            }
+        }
+        let Some(first) = first_bad else {
+            g.last_good.clear();
+            g.last_good.extend_from_slice(x);
+            return Ok(GuardVerdict::Clean);
+        };
+        if any_non_finite {
+            g.counters.non_finite += 1;
+        } else {
+            g.counters.oversized += 1;
+        }
+        let refuse = |guard: &mut SampleGuard| {
+            guard.counters.rejected += 1;
+            if any_non_finite {
+                // Report the first *non-finite* feature for parity with the
+                // pre-guard NonFiniteInput contract.
+                let feature = x.iter().position(|v| !v.is_finite()).unwrap_or(first);
+                Err(CoreError::NonFiniteInput { feature })
+            } else {
+                Err(CoreError::OversizedInput { feature: first })
+            }
+        };
+        match g.cfg.policy {
+            GuardPolicy::Reject => refuse(g),
+            GuardPolicy::ImputeLast if g.last_good.is_empty() => refuse(g),
+            GuardPolicy::Clamp => {
+                buf.clear();
+                let limit = g.cfg.magnitude_limit;
+                buf.extend(x.iter().map(|&v| {
+                    if v.is_nan() {
+                        0.0
+                    } else {
+                        v.clamp(-limit, limit)
+                    }
+                }));
+                g.counters.sanitized += 1;
+                g.last_good.clear();
+                g.last_good.extend_from_slice(buf);
+                Ok(GuardVerdict::Sanitized)
+            }
+            GuardPolicy::ImputeLast => {
+                buf.clear();
+                let limit = g.cfg.magnitude_limit;
+                buf.extend(x.iter().enumerate().map(|(i, &v)| {
+                    if !v.is_finite() || v.abs() > limit {
+                        g.last_good[i]
+                    } else {
+                        v
+                    }
+                }));
+                g.counters.sanitized += 1;
+                g.last_good.clear();
+                g.last_good.extend_from_slice(buf);
+                Ok(GuardVerdict::Sanitized)
+            }
+        }
+    }
+
+    /// The screened `admit` against the exact scan on every row: same
+    /// verdicts, counters, reported feature, repaired buffer and guard
+    /// state, for NaN, ±inf and oversized values at the first, middle and
+    /// last feature, under every policy, and with no magnitude limit.
+    #[test]
+    fn screened_admit_matches_the_exact_scan() {
+        let dim = 37;
+        let specials = [
+            Real::NAN,
+            -Real::NAN,
+            Real::INFINITY,
+            Real::NEG_INFINITY,
+            2e12,
+            -2e12,
+            Real::MAX,
+            1e12,
+            -0.0,
+        ];
+        let policies = [
+            GuardPolicy::Reject,
+            GuardPolicy::Clamp,
+            GuardPolicy::ImputeLast,
+        ];
+        for policy in policies {
+            for limit in [1e12, Real::INFINITY] {
+                // An unbounded limit cannot pass `validate`, but the screen
+                // must still agree with the scan there.
+                let mut screened = SampleGuard::new(GuardConfig::new(), dim).unwrap();
+                screened.cfg = GuardConfig::new()
+                    .with_policy(policy)
+                    .with_stuck_threshold(2)
+                    .with_magnitude_limit(limit);
+                let mut exact = screened.clone();
+                let (mut buf_s, mut buf_e) = (Vec::new(), Vec::new());
+                let mut rows: Vec<Vec<Real>> = Vec::new();
+                for (k, &bad) in specials.iter().enumerate() {
+                    for at in [0, dim / 2, dim - 1] {
+                        let mut x: Vec<Real> = (0..dim).map(|i| (i + k) as Real * 0.5).collect();
+                        x[at] = bad;
+                        rows.push(x.clone());
+                        // A second bad feature of the other kind.
+                        x[(at + 5) % dim] = if bad.is_finite() { Real::NAN } else { 3e12 };
+                        rows.push(x);
+                    }
+                    rows.push((0..dim).map(|i| i as Real - 3.0).collect());
+                }
+                // A stuck run of a bad row.
+                rows.extend(std::iter::repeat_n(rows[0].clone(), 3));
+                let bits = |v: &[Real]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                for (n, x) in rows.iter().enumerate() {
+                    let got = screened.admit(x, &mut buf_s);
+                    let want = reference_admit(&mut exact, x, &mut buf_e);
+                    let what = format!("{policy}, limit {limit}, row {n}");
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(screened.counters, exact.counters, "{what}");
+                    assert_eq!(screened.run_len, exact.run_len, "{what}");
+                    assert_eq!(bits(&buf_s), bits(&buf_e), "{what}");
+                    assert_eq!(bits(&screened.last_good), bits(&exact.last_good), "{what}");
+                    assert_eq!(bits(&screened.last_raw), bits(&exact.last_raw), "{what}");
+                }
+            }
+        }
+    }
 
     fn guard(policy: GuardPolicy) -> SampleGuard {
         SampleGuard::new(

@@ -515,12 +515,14 @@ impl DriftPipeline {
         let mut faulted = sanitized;
 
         // Always predict: needed for accuracy reporting and as Algorithm 1
-        // lines 6–7 (see lib.rs interpretation note 1).
+        // lines 6–7 (see lib.rs interpretation note 1). This one prediction
+        // also labels reconstruction's phase 4, and every update of this
+        // sample reuses its forward pass.
         let prediction = self.model.predict(x)?;
 
         if self.reconstructor.is_active() {
             let mut reconstructing = true;
-            match self.reconstructor.step(&mut self.model, x) {
+            match self.reconstructor.step(&mut self.model, &prediction, x) {
                 Ok(ReconOutcome::Done {
                     new_trained,
                     theta_drift,
@@ -567,7 +569,10 @@ impl DriftPipeline {
         } else if self.cfg.train_on_stable && outcome == DetectorOutcome::Idle {
             // Optional §3.1 behaviour: keep refining the winning instance
             // on in-distribution samples.
-            match self.model.seq_train_label(prediction.label, x) {
+            match self
+                .model
+                .seq_train_predicted(&prediction, prediction.label, x)
+            {
                 Ok(()) => {}
                 Err(ModelError::RejectedUpdate(_)) => {
                     self.degrade(DegradeReason::NumericalFault, index);

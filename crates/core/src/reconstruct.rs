@@ -35,6 +35,7 @@ use crate::centroid::CentroidSet;
 use crate::threshold::DriftThresholdCalibrator;
 use crate::{CoreError, Result};
 use seqdrift_linalg::{vector, Real};
+use seqdrift_oselm::multi_instance::Prediction;
 use seqdrift_oselm::MultiInstanceModel;
 
 /// Configuration of the reconstruction schedule.
@@ -217,12 +218,23 @@ impl Reconstructor {
     }
 
     /// Feeds one sample (Algorithm 2 body). Errors if not active.
-    pub fn step(&mut self, model: &mut MultiInstanceModel, x: &[Real]) -> Result<ReconOutcome> {
+    ///
+    /// `prediction` is `model.predict(x)`, taken right before this call:
+    /// phase 4 labels the sample with it, and phases 3 and 4 train through
+    /// [`MultiInstanceModel::seq_train_predicted`], so the sample costs one
+    /// forward pass.
+    pub fn step(
+        &mut self,
+        model: &mut MultiInstanceModel,
+        prediction: &Prediction,
+        x: &[Real],
+    ) -> Result<ReconOutcome> {
         if !self.active {
             return Err(CoreError::InvalidConfig(
                 "reconstructor stepped while inactive",
             ));
         }
+        debug_assert!(model.is_current(prediction), "stale prediction");
         if x.len() != self.cor.dim() {
             return Err(CoreError::DimensionMismatch {
                 expected: self.cor.dim(),
@@ -252,16 +264,16 @@ impl Reconstructor {
             self.calibrator
                 .push(vector::dist_l1(self.cor.centroid(label)?, x));
             self.cor.update(label, x)?;
-            model.seq_train_label(label, x)?;
+            model.seq_train_predicted(prediction, label, x)?;
             phase = ReconPhase::DistanceLabelled;
             trained_label = Some(label);
         } else if count > self.cfg.n_total / 2 {
             // Phase 4: model-predicted label.
-            let label = model.predict(x)?.label;
+            let label = prediction.label;
             self.calibrator
                 .push(vector::dist_l1(self.cor.centroid(label)?, x));
             self.cor.update(label, x)?;
-            model.seq_train_label(label, x)?;
+            model.seq_train_predicted(prediction, label, x)?;
             phase = ReconPhase::PredictionLabelled;
             trained_label = Some(label);
         }
@@ -352,6 +364,12 @@ mod tests {
         m
     }
 
+    /// Predicts `x`, then steps with that prediction (the pipeline's order).
+    fn step(r: &mut Reconstructor, m: &mut MultiInstanceModel, x: &[Real]) -> Result<ReconOutcome> {
+        let p = m.predict(x)?;
+        r.step(m, &p, x)
+    }
+
     fn old_centroids() -> CentroidSet {
         let mut c = CentroidSet::zeros(2, 4);
         c.set_centroid(0, &[0.2; 4]).unwrap();
@@ -384,7 +402,7 @@ mod tests {
     fn step_before_start_is_an_error() {
         let mut r = Reconstructor::new(ReconstructConfig::new(40), 2, 4).unwrap();
         let mut m = trained_model();
-        assert!(r.step(&mut m, &[0.0; 4]).is_err());
+        assert!(step(&mut r, &mut m, &[0.0; 4]).is_err());
     }
 
     #[test]
@@ -395,7 +413,7 @@ mod tests {
         let data = blob(40, 4, 0.5, 3);
         let mut done_at = None;
         for (i, x) in data.iter().enumerate() {
-            match r.step(&mut m, x).unwrap() {
+            match step(&mut r, &mut m, x).unwrap() {
                 ReconOutcome::Done { .. } => {
                     done_at = Some(i);
                     break;
@@ -416,7 +434,7 @@ mod tests {
         let data = blob(40, 4, 0.5, 4);
         let mut phases = Vec::new();
         for x in &data {
-            match r.step(&mut m, x).unwrap() {
+            match step(&mut r, &mut m, x).unwrap() {
                 ReconOutcome::InProgress { phase, .. } => phases.push(phase),
                 ReconOutcome::Done { .. } => {}
             }
@@ -449,7 +467,7 @@ mod tests {
             if let ReconOutcome::Done {
                 new_trained,
                 theta_drift,
-            } = r.step(&mut m, &x).unwrap()
+            } = step(&mut r, &mut m, &x).unwrap()
             {
                 outcome = Some((new_trained, theta_drift));
             }
@@ -485,8 +503,8 @@ mod tests {
         prev.set_centroid(1, &[0.6]).unwrap();
         r.start(&prev, &mut m).unwrap();
         // Extreme points arrive: seeds should spread to cover them.
-        r.step(&mut m, &[-3.0]).unwrap();
-        r.step(&mut m, &[3.0]).unwrap();
+        step(&mut r, &mut m, &[-3.0]).unwrap();
+        step(&mut r, &mut m, &[3.0]).unwrap();
         let spread = r.coordinates().pairwise_distance_sum();
         assert!(spread > 3.0, "seeds not spread: {spread}");
     }
@@ -496,8 +514,9 @@ mod tests {
         let mut r = Reconstructor::new(ReconstructConfig::new(40), 2, 4).unwrap();
         let mut m = trained_model();
         r.start(&old_centroids(), &mut m).unwrap();
+        let p = m.predict(&[0.0; 4]).unwrap();
         assert!(matches!(
-            r.step(&mut m, &[0.0; 3]),
+            r.step(&mut m, &p, &[0.0; 3]),
             Err(CoreError::DimensionMismatch { .. })
         ));
     }
@@ -511,7 +530,7 @@ mod tests {
             let data = blob(20, 4, 0.5, 100 + round);
             let mut finished = false;
             for x in &data {
-                if matches!(r.step(&mut m, x).unwrap(), ReconOutcome::Done { .. }) {
+                if matches!(step(&mut r, &mut m, x).unwrap(), ReconOutcome::Done { .. }) {
                     finished = true;
                 }
             }

@@ -166,10 +166,11 @@ fn reconstructor_always_terminates() {
             }
             let mean = srng.uniform_range(0.0, 1.0);
             let x = blob(&mut srng, mean);
+            let prediction = model.predict(&x).unwrap();
             if let ReconOutcome::Done {
                 theta_drift,
                 new_trained,
-            } = rec.step(&mut model, &x).unwrap()
+            } = rec.step(&mut model, &prediction, &x).unwrap()
             {
                 assert!(theta_drift > 0.0);
                 assert_eq!(new_trained.classes(), classes);

@@ -1,0 +1,249 @@
+//! Golden cross-version digests of `DriftPipeline`.
+//!
+//! Every optimisation of the per-sample path (blocked kernels, reused
+//! predictions, double-buffered `β`, interleaved distance sums, the guard
+//! screen) promises the *same bits* as the straightforward code. The
+//! in-crate tests compare the new code against the old code kept beside
+//! it; this file is the independent oracle: digests recorded once from a
+//! build that predates those optimisations, and checked against every
+//! later build.
+//!
+//! Each case runs a calibrated pipeline over a stream with two sudden
+//! drifts (so detection, both reconstructions and the post-reconstruction
+//! steady state are covered) and folds into one FNV-1a digest:
+//! - every output: label, score bits, drift-distance bits and flags;
+//! - the full `to_bytes` checkpoint after every sample that leaves no
+//!   reconstruction running (a pipeline refuses to checkpoint mid-way).
+//!
+//! A digest mismatch means some sample produced different bits. Bisect
+//! with the per-sample outputs, not by editing the constants; they are
+//! only ever re-recorded for a deliberate change of numerics.
+
+use seqdrift_core::{DetectorConfig, DriftPipeline, PipelineConfig, ReconstructConfig};
+use seqdrift_linalg::{Real, Rng};
+use seqdrift_oselm::autoencoder::ScoreMetric;
+use seqdrift_oselm::{Autoencoder, MultiInstanceModel, OsElmConfig};
+
+/// One golden case.
+struct Case {
+    name: &'static str,
+    dim: usize,
+    hidden: usize,
+    /// Score metric per class instance (its length is the class count).
+    metrics: &'static [ScoreMetric],
+    forgetting: Option<Real>,
+    train_on_stable: bool,
+    digest: u64,
+}
+
+const SQ: ScoreMetric = ScoreMetric::MeanSquared;
+const ABS: ScoreMetric = ScoreMetric::MeanAbsolute;
+
+const CASES: &[Case] = &[
+    Case {
+        name: "511/22 (paper device shape)",
+        dim: 511,
+        hidden: 22,
+        metrics: &[SQ, SQ],
+        forgetting: None,
+        train_on_stable: false,
+        digest: 0xa61c_35b9_9ea4_f114,
+    },
+    Case {
+        name: "38/16 (NSL-KDD shape), training on stable samples",
+        dim: 38,
+        hidden: 16,
+        metrics: &[SQ, SQ],
+        forgetting: None,
+        train_on_stable: true,
+        digest: 0xbaa0_7c46_30c0_fd0f,
+    },
+    Case {
+        name: "H = 21, forgetting, training on stable samples",
+        dim: 45,
+        hidden: 21,
+        metrics: &[SQ, SQ],
+        forgetting: Some(0.99),
+        train_on_stable: true,
+        digest: 0x75d1_5cce_eaf2_cde2,
+    },
+    Case {
+        name: "H = 23",
+        dim: 61,
+        hidden: 23,
+        metrics: &[SQ, SQ],
+        forgetting: None,
+        train_on_stable: false,
+        digest: 0xf72a_b5a9_68eb_1d3c,
+    },
+    Case {
+        name: "C = 3 with MeanAbsolute scoring",
+        dim: 29,
+        hidden: 12,
+        metrics: &[ABS, SQ, ABS],
+        forgetting: None,
+        train_on_stable: true,
+        digest: 0xa9b0_f6bd_7d81_e9ae,
+    },
+];
+
+const TRAIN_PER_CLASS: usize = 80;
+const SAMPLES: usize = 1_400;
+const DRIFTS_AT: [usize; 2] = [300, 850];
+const DRIFT_SHIFT: Real = 0.35;
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn real(&mut self, v: Real) {
+        self.bytes(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Per-class concept means in `[0.15, 0.85]`, drawn from `seed`.
+fn concept(dim: usize, classes: usize, rng: &mut Rng) -> Vec<Vec<Real>> {
+    (0..classes)
+        .map(|_| {
+            let mut m = vec![0.0; dim];
+            rng.fill_uniform(&mut m, 0.15, 0.85);
+            m
+        })
+        .collect()
+}
+
+/// A sample of the concept `mean` after `drifts` drifts: the first moves
+/// the first half of the features up, the second the other half.
+fn sample(mean: &[Real], drifts: usize, rng: &mut Rng) -> Vec<Real> {
+    let mut x = vec![0.0; mean.len()];
+    rng.fill_normal(&mut x, 0.0, 0.04);
+    let half = mean.len() / 2;
+    for (i, (v, &m)) in x.iter_mut().zip(mean).enumerate() {
+        let moved = if i < half { drifts >= 1 } else { drifts >= 2 };
+        *v += m + if moved { DRIFT_SHIFT } else { 0.0 };
+    }
+    x
+}
+
+/// The calibrated pipeline of `case` and its two-drift stream.
+fn prepare(case: &Case) -> (DriftPipeline, Vec<Vec<Real>>) {
+    let classes = case.metrics.len();
+    let mut rng = Rng::seed_from(0x5A3E_B175 ^ case.dim as u64);
+    let means = concept(case.dim, classes, &mut rng);
+    let mut cfg = OsElmConfig::new(case.dim, case.hidden).with_seed(case.dim as u64);
+    if let Some(alpha) = case.forgetting {
+        cfg = cfg.with_forgetting(alpha);
+    }
+    let instances = case
+        .metrics
+        .iter()
+        .enumerate()
+        .map(|(c, &metric)| {
+            let inst_cfg = cfg.clone().with_seed(cfg.seed.wrapping_add(c as u64));
+            Autoencoder::new(inst_cfg).unwrap().with_metric(metric)
+        })
+        .collect();
+    let mut model = MultiInstanceModel::from_instances(instances).unwrap();
+    let train: Vec<(usize, Vec<Real>)> = (0..TRAIN_PER_CLASS * classes)
+        .map(|i| (i % classes, sample(&means[i % classes], 0, &mut rng)))
+        .collect();
+    for c in 0..classes {
+        let xs: Vec<Vec<Real>> = train
+            .iter()
+            .filter(|(l, _)| *l == c)
+            .map(|(_, x)| x.clone())
+            .collect();
+        model.init_train_class(c, &xs).unwrap();
+    }
+    let pairs: Vec<(usize, &[Real])> = train.iter().map(|(l, x)| (*l, x.as_slice())).collect();
+    let det = DetectorConfig::new(classes, case.dim).with_window(50);
+    let pipe_cfg = PipelineConfig::new(det.clone())
+        .with_reconstruct(ReconstructConfig::new(200))
+        .with_train_on_stable(case.train_on_stable);
+    let pipe = DriftPipeline::calibrate_with(model, det, &pairs, Some(pipe_cfg)).unwrap();
+    let stream = (0..SAMPLES)
+        .map(|t| {
+            let drifts_so_far = DRIFTS_AT.iter().filter(|&&at| t >= at).count();
+            sample(&means[t % classes], drifts_so_far, &mut rng)
+        })
+        .collect();
+    (pipe, stream)
+}
+
+fn run(case: &Case) -> (u64, usize, usize) {
+    let (mut pipe, stream) = prepare(case);
+    let mut digest = Fnv::new();
+    let (mut drifts, mut reconstructing) = (0, 0);
+    for x in &stream {
+        let out = pipe.process(x).unwrap();
+        let label = out.predicted_label.map_or(u64::MAX, |l| l as u64);
+        digest.bytes(&label.to_le_bytes());
+        digest.real(out.score);
+        digest.real(out.drift_distance);
+        digest.bytes(&[
+            out.drift_detected as u8,
+            out.reconstructing as u8,
+            out.sanitized as u8,
+        ]);
+        if !pipe.is_reconstructing() {
+            digest.bytes(&pipe.to_bytes().unwrap());
+        }
+        drifts += out.drift_detected as usize;
+        reconstructing += out.reconstructing as usize;
+    }
+    (digest.0, drifts, reconstructing)
+}
+
+#[test]
+fn pipeline_outputs_and_checkpoints_match_the_recorded_digests() {
+    if std::mem::size_of::<Real>() != 4 {
+        // The digests are of f32 bits; the f64 build has its own numerics.
+        return;
+    }
+    let mut mismatches = Vec::new();
+    for case in CASES {
+        let (digest, drifts, reconstructing) = run(case);
+        assert!(
+            drifts >= 2 && reconstructing > 0,
+            "{}: stream must drift twice and reconstruct ({drifts} drifts)",
+            case.name
+        );
+        if digest != case.digest {
+            mismatches.push(format!("{}: got {digest:#018x}", case.name));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "digest mismatch:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Two replays of one stream from one checkpoint end in the same state,
+/// down to their `Debug` text, which prints every field (scratch buffers
+/// included). Replay oracles compare pipelines that way, so nothing
+/// per-instance, such as a model's prediction stamp, may show in it.
+#[test]
+fn replays_of_one_stream_print_the_same_state() {
+    let (pipe, stream) = prepare(&CASES[2]);
+    let blob = pipe.to_bytes().unwrap();
+    let mut a = DriftPipeline::from_bytes(&blob).unwrap();
+    let mut b = DriftPipeline::from_bytes(&blob).unwrap();
+    for (t, x) in stream.iter().enumerate() {
+        assert_eq!(a.process(x).unwrap(), b.process(x).unwrap());
+        if t % 100 == 0 {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "sample {t}");
+        }
+    }
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}

@@ -319,20 +319,26 @@ impl Matrix {
                 rhs: (out.len(), 1),
             });
         }
-        // Four rows per pass share each chunk of `v`; every output is still
-        // exactly `vector::dot(row, v)` (see `vector::dot4`).
+        // Four rows per pass share each chunk of `v`, and the last one to
+        // three rows share one more pass; every output is still exactly
+        // `vector::dot(row, v)` (see `vector::dot_rows`).
         let cols = self.cols;
+        let row = |r: usize| &self.data[r * cols..(r + 1) * cols];
         let blocked = self.rows / 4 * 4;
         for (r, slots) in (0..blocked).step_by(4).zip(out.chunks_exact_mut(4)) {
-            let block = &self.data[r * cols..(r + 4) * cols];
-            let (r0, rest) = block.split_at(cols);
-            let (r1, rest) = rest.split_at(cols);
-            let (r2, r3) = rest.split_at(cols);
-            slots.copy_from_slice(&crate::vector::dot4([r0, r1, r2, r3], v));
+            let rows = [row(r), row(r + 1), row(r + 2), row(r + 3)];
+            slots.copy_from_slice(&crate::vector::dot_rows(rows, v));
         }
-        for (r, slot) in out.iter_mut().enumerate().skip(blocked) {
-            let row = &self.data[r * cols..(r + 1) * cols];
-            *slot = crate::vector::dot(row, v);
+        let r = blocked;
+        let slots = &mut out[blocked..];
+        match slots.len() {
+            0 => {}
+            1 => slots.copy_from_slice(&crate::vector::dot_rows([row(r)], v)),
+            2 => slots.copy_from_slice(&crate::vector::dot_rows([row(r), row(r + 1)], v)),
+            _ => slots.copy_from_slice(&crate::vector::dot_rows(
+                [row(r), row(r + 1), row(r + 2)],
+                v,
+            )),
         }
         Ok(())
     }
@@ -365,8 +371,9 @@ impl Matrix {
         let row = |r: usize| &self.data[r * cols..(r + 1) * cols];
         // Rows with an exact-zero weight contribute nothing and are skipped;
         // the rest are applied four per pass over `out` as
-        // `(((o + v0·a0) + v1·a1) + v2·a2) + v3·a3`, which is the same
-        // per-element sequence of IEEE operations as one row at a time.
+        // `(((o + v0·a0) + v1·a1) + v2·a2) + v3·a3`, and the last one to
+        // three in one more pass the same way. That is the same per-element
+        // sequence of IEEE operations as one row at a time.
         let mut live = v.iter().enumerate().filter(|&(_, &vr)| vr != 0.0);
         loop {
             match [live.next(), live.next(), live.next(), live.next()] {
@@ -376,14 +383,26 @@ impl Matrix {
                         *o = *o + v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3;
                     }
                 }
-                rest => {
-                    for (r, &vr) in rest.into_iter().flatten() {
-                        for (o, &a) in out.iter_mut().zip(row(r)) {
-                            *o += vr * a;
-                        }
+                [Some((r0, &v0)), Some((r1, &v1)), Some((r2, &v2)), None] => {
+                    let lanes = out.iter_mut().zip(row(r0)).zip(row(r1));
+                    for (((o, &a0), &a1), &a2) in lanes.zip(row(r2)) {
+                        *o = *o + v0 * a0 + v1 * a1 + v2 * a2;
                     }
                     return Ok(());
                 }
+                [Some((r0, &v0)), Some((r1, &v1)), None, None] => {
+                    for ((o, &a0), &a1) in out.iter_mut().zip(row(r0)).zip(row(r1)) {
+                        *o = *o + v0 * a0 + v1 * a1;
+                    }
+                    return Ok(());
+                }
+                [Some((r0, &v0)), None, None, None] => {
+                    for (o, &a0) in out.iter_mut().zip(row(r0)) {
+                        *o += v0 * a0;
+                    }
+                    return Ok(());
+                }
+                _ => return Ok(()),
             }
         }
     }
@@ -430,6 +449,47 @@ impl Matrix {
             }
         }
         Ok(())
+    }
+
+    /// Writes `self + u vᵀ` into `out` in one pass and reports whether
+    /// every entry of `out` is finite.
+    ///
+    /// `out` ends bit for bit as a copy of `self` would after
+    /// [`Matrix::add_outer`]`(1.0, u, v)`: rows with an exact-zero `u[r]`
+    /// are copied, the rest get `a + u[r]·v[c]`. The
+    /// finiteness verdict is [`crate::vector::all_finite`]'s, taken over
+    /// each row while it is still in cache.
+    pub fn add_outer_into(&self, u: &[Real], v: &[Real], out: &mut Matrix) -> Result<bool> {
+        if u.len() != self.rows || v.len() != self.cols {
+            return Err(LinalgError::ShapeMismatch {
+                op: "add_outer_into",
+                lhs: self.shape(),
+                rhs: (u.len(), v.len()),
+            });
+        }
+        if out.shape() != self.shape() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "add_outer_into (out)",
+                lhs: self.shape(),
+                rhs: out.shape(),
+            });
+        }
+        if self.cols == 0 {
+            return Ok(true);
+        }
+        let mut lanes = crate::vector::FiniteLanes::default();
+        let rows = self.data.chunks_exact(self.cols);
+        for ((arow, orow), &ur) in rows.zip(out.data.chunks_exact_mut(self.cols)).zip(u) {
+            if ur == 0.0 {
+                orow.copy_from_slice(arow);
+            } else {
+                for ((o, &a), &b) in orow.iter_mut().zip(arow).zip(v) {
+                    *o = a + ur * b;
+                }
+            }
+            lanes.scan(orow);
+        }
+        Ok(lanes.all_finite())
     }
 
     /// Frobenius norm.
@@ -821,6 +881,78 @@ mod same_bits {
                     &x,
                     &h,
                     &format!("{rows}x{cols}, {bad} in a skipped row"),
+                );
+            }
+        }
+    }
+
+    /// `add_outer_into` against the two-step path it replaces: a copy, the
+    /// in-place `add_outer(1.0, ..)`, then the separate finiteness scan.
+    fn check_outer(m: &Matrix, u: &[Real], v: &[Real], what: &str) {
+        let mut want = m.clone();
+        want.add_outer(1.0, u, v).unwrap();
+        let mut got = Matrix::filled(m.rows(), m.cols(), Real::NAN);
+        let finite = m.add_outer_into(u, v, &mut got).unwrap();
+        assert_same_bits(got.as_slice(), want.as_slice(), what);
+        assert_eq!(
+            finite,
+            crate::vector::all_finite(want.as_slice()),
+            "{what}: finiteness"
+        );
+    }
+
+    #[test]
+    fn add_outer_into_matches_copy_then_add_outer() {
+        let mut rng = Rng::seed_from(0x0A7E);
+        for rows in 1..=9 {
+            for cols in 1..=35 {
+                let mut m = Matrix::zeros(rows, cols);
+                for v in m.as_mut_slice() {
+                    *v = rng.uniform_range(-1.0, 1.0) * (rng.uniform_range(-6.0, 6.0)).exp();
+                }
+                // Signed zeros in `m` must survive a skipped row untouched.
+                m.as_mut_slice()[0] = -0.0;
+                let u = vector_with_zeros(&mut rng, rows);
+                let v = vector_with_zeros(&mut rng, cols);
+                check_outer(&m, &u, &v, &format!("{rows}x{cols}"));
+            }
+        }
+        let specials = [Real::NAN, Real::INFINITY, Real::NEG_INFINITY, Real::MAX];
+        for (rows, cols) in [(1, 1), (3, 8), (5, 13), (22, 19)] {
+            for &bad in &specials {
+                let fresh = |rng: &mut Rng| {
+                    let mut m = Matrix::zeros(rows, cols);
+                    rng.fill_uniform(m.as_mut_slice(), -1.0, 1.0);
+                    let u = vector_with_zeros(rng, rows);
+                    let v = vector_with_zeros(rng, cols);
+                    (m, u, v)
+                };
+                for at in [0, rows * cols / 2, rows * cols - 1] {
+                    let (mut m, u, v) = fresh(&mut rng);
+                    m.as_mut_slice()[at] = bad;
+                    check_outer(
+                        &m,
+                        &u,
+                        &v,
+                        &format!("{rows}x{cols}, {bad} in matrix at {at}"),
+                    );
+                }
+                for at in [0, cols / 2, cols - 1] {
+                    let (m, mut u, mut v) = fresh(&mut rng);
+                    v[at] = bad;
+                    check_outer(&m, &u, &v, &format!("{rows}x{cols}, {bad} in v at {at}"));
+                    u[at % rows] = bad;
+                    check_outer(&m, &u, &v, &format!("{rows}x{cols}, {bad} in u and v"));
+                }
+                // A non-finite `v` against an exact-zero weight is skipped.
+                let (m, mut u, mut v) = fresh(&mut rng);
+                u.iter_mut().for_each(|x| *x = 0.0);
+                v[0] = bad;
+                check_outer(
+                    &m,
+                    &u,
+                    &v,
+                    &format!("{rows}x{cols}, {bad} on a skipped row"),
                 );
             }
         }

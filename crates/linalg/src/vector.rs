@@ -31,35 +31,33 @@ pub fn dot(a: &[Real], b: &[Real]) -> Real {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// Four dot products against one shared vector: `[dot(a[0], b), …,
-/// dot(a[3], b)]`, bit for bit.
+/// `N` dot products against one shared vector: `[dot(a[0], b), …,
+/// dot(a[N - 1], b)]`, bit for bit.
 ///
 /// Each row keeps [`dot`]'s exact sequence of IEEE operations (lane k sums
 /// the products at indices ≡ k mod 4 in order, then `acc0 + acc1 + acc2 +
-/// acc3 + tail` left to right); blocking only interleaves the four rows'
+/// acc3 + tail` left to right); blocking only interleaves the rows'
 /// independent chains, so each chunk of `b` is loaded once and the adds
 /// run at throughput instead of latency.
 #[inline]
-pub(crate) fn dot4(a: [&[Real]; 4], b: &[Real]) -> [Real; 4] {
+pub(crate) fn dot_rows<const N: usize>(a: [&[Real]; N], b: &[Real]) -> [Real; N] {
     debug_assert!(a.iter().all(|row| row.len() == b.len()));
-    let [a0, a1, a2, a3] = a;
-    let mut acc = [[0.0 as Real; 4]; 4];
-    let chunks = a0
-        .chunks_exact(4)
-        .zip(a1.chunks_exact(4))
-        .zip(a2.chunks_exact(4))
-        .zip(a3.chunks_exact(4))
-        .zip(b.chunks_exact(4));
-    for ((((r0, r1), r2), r3), x) in chunks {
-        for (acc, r) in acc.iter_mut().zip([r0, r1, r2, r3]) {
+    let body = b.len() / 4 * 4;
+    // Cutting every row to `body` lets the compiler prove the chunk
+    // indexing below in bounds.
+    let rows = a.map(|row| &row[..body]);
+    let mut acc = [[0.0 as Real; 4]; N];
+    for (c, x) in b[..body].chunks_exact(4).enumerate() {
+        let j = c * 4;
+        for (acc, row) in acc.iter_mut().zip(rows) {
+            let r = &row[j..j + 4];
             acc[0] += r[0] * x[0];
             acc[1] += r[1] * x[1];
             acc[2] += r[2] * x[2];
             acc[3] += r[3] * x[3];
         }
     }
-    let body = b.len() / 4 * 4;
-    let mut out = [0.0 as Real; 4];
+    let mut out = [0.0 as Real; N];
     for ((o, acc), row) in out.iter_mut().zip(acc).zip(a) {
         let mut tail = 0.0;
         for j in body..b.len() {
@@ -71,7 +69,7 @@ pub(crate) fn dot4(a: [&[Real]; 4], b: &[Real]) -> [Real; 4] {
 }
 
 /// `acc0 + acc1 + acc2 + acc3 + tail`, left to right. Out of line on
-/// purpose: inlined, the vectoriser folds the four rows of [`dot4`] into
+/// purpose: inlined, the vectoriser folds the rows of [`dot_rows`] into
 /// one reduction and transposes its accumulators on every chunk, which
 /// halves the kernel's speed.
 #[inline(never)]
@@ -83,19 +81,39 @@ fn lane_sum(acc: [Real; 4], tail: Real) -> Real {
 ///
 /// Same answer as `x.iter().all(|v| v.is_finite())`, without the early
 /// exit: `v * 0.0` is ±0 for a finite `v` and NaN otherwise, and summing
-/// those in eight independent lanes vectorises. The sums are only ever
-/// ±0 or NaN, so nothing can overflow into a false alarm.
+/// those in eight independent lanes vectorises.
 #[inline]
 pub fn all_finite(x: &[Real]) -> bool {
-    let mut lanes = [0.0 as Real; 8];
-    let mut chunks = x.chunks_exact(8);
-    for chunk in &mut chunks {
-        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+    let mut lanes = FiniteLanes::default();
+    lanes.scan(x);
+    lanes.all_finite()
+}
+
+/// [`all_finite`]'s branch-free scan, fed in pieces. The lane sums are
+/// only ever ±0 or NaN, so nothing can overflow into a false alarm.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FiniteLanes([Real; 8]);
+
+impl FiniteLanes {
+    /// Folds every element of `x` into the lanes.
+    #[inline]
+    pub(crate) fn scan(&mut self, x: &[Real]) {
+        let mut chunks = x.chunks_exact(8);
+        for chunk in &mut chunks {
+            for (lane, &v) in self.0.iter_mut().zip(chunk) {
+                *lane += v * 0.0;
+            }
+        }
+        for (lane, &v) in self.0.iter_mut().zip(chunks.remainder()) {
             *lane += v * 0.0;
         }
     }
-    let rest: Real = chunks.remainder().iter().map(|&v| v * 0.0).sum();
-    lanes.iter().sum::<Real>() + rest == 0.0
+
+    /// Whether every element scanned so far was finite.
+    #[inline]
+    pub(crate) fn all_finite(&self) -> bool {
+        self.0.iter().sum::<Real>() == 0.0
+    }
 }
 
 /// `y += alpha * x` (the BLAS axpy kernel).

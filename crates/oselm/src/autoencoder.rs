@@ -20,6 +20,17 @@ pub enum ScoreMetric {
     MeanAbsolute,
 }
 
+impl ScoreMetric {
+    /// One feature's term of the score for `d = reconstruction - input`.
+    #[inline(always)]
+    fn term(self, d: Real) -> Real {
+        match self {
+            ScoreMetric::MeanSquared => d * d,
+            ScoreMetric::MeanAbsolute => d.abs(),
+        }
+    }
+}
+
 /// An OS-ELM autoencoder: reconstruction target = input.
 #[derive(Debug, Clone)]
 pub struct Autoencoder {
@@ -111,16 +122,54 @@ impl Autoencoder {
 
     /// Anomaly score of `x`: reconstruction error under the chosen metric.
     pub fn score(&mut self, x: &[Real]) -> Result<Real> {
-        let mut recon = std::mem::take(&mut self.scratch_recon);
-        let result = self.net.predict_into(x, &mut recon).map(|()| {
-            let d = x.len() as Real;
-            match self.metric {
-                ScoreMetric::MeanSquared => vector::dist_l2_sq(&recon, x) / d,
-                ScoreMetric::MeanAbsolute => vector::dist_l1(&recon, x) / d,
-            }
-        });
-        self.scratch_recon = recon;
-        result
+        self.reconstruct_stored(x)?;
+        Ok(self.stored_score(x))
+    }
+
+    /// Reconstructs `x` into the instance's own buffer, which then holds
+    /// `βᵀh` while the network's scratch holds `h` (the state
+    /// [`Autoencoder::seq_train_predicted`] reuses).
+    pub(crate) fn reconstruct_stored(&mut self, x: &[Real]) -> Result<()> {
+        self.net.predict_into(x, &mut self.scratch_recon)
+    }
+
+    /// The score of `x` from the stored reconstruction of `x`.
+    pub(crate) fn stored_score(&self, x: &[Real]) -> Real {
+        let d = x.len() as Real;
+        match self.metric {
+            ScoreMetric::MeanSquared => vector::dist_l2_sq(&self.scratch_recon, x) / d,
+            ScoreMetric::MeanAbsolute => vector::dist_l1(&self.scratch_recon, x) / d,
+        }
+    }
+
+    /// [`Autoencoder::stored_score`] of two instances in one pass. The two
+    /// serial sums are interleaved so their add latencies overlap; each
+    /// still starts from `Iterator::sum`'s `-0.0` and adds the same terms
+    /// in the same order, so both results are bit-identical to separate
+    /// calls.
+    pub(crate) fn stored_scores_pair(a: &Autoencoder, b: &Autoencoder, x: &[Real]) -> [Real; 2] {
+        let (ma, mb) = (a.metric, b.metric);
+        let (mut sa, mut sb): (Real, Real) = (-0.0, -0.0);
+        for ((&ra, &rb), &xi) in a.scratch_recon.iter().zip(&b.scratch_recon).zip(x) {
+            sa += ma.term(ra - xi);
+            sb += mb.term(rb - xi);
+        }
+        let d = x.len() as Real;
+        [sa / d, sb / d]
+    }
+
+    /// [`Autoencoder::seq_train`] on the `x` this instance last
+    /// reconstructed with [`Autoencoder::reconstruct_stored`], with no
+    /// mutation since: reuses that pass's `h` and `βᵀh` (the stored
+    /// reconstruction becomes the update's residual).
+    pub(crate) fn seq_train_predicted(&mut self, x: &[Real]) -> Result<()> {
+        if x.len() != self.net.input_dim() {
+            return Err(ModelError::DimensionMismatch {
+                expected: self.net.input_dim(),
+                got: x.len(),
+            });
+        }
+        self.net.seq_train_predicted(x, x, &mut self.scratch_recon)
     }
 
     /// Reconstructs `x` into `out` (diagnostics and examples).
@@ -143,6 +192,34 @@ mod tests {
                 x
             })
             .collect()
+    }
+
+    /// The paired distance sums start from `Iterator::sum`'s `-0.0` like
+    /// the single ones, so even an exact-zero score keeps its bits.
+    #[test]
+    fn paired_scores_keep_the_bits_of_single_scores_down_to_zero() {
+        let mut rng = Rng::seed_from(12);
+        let metrics = [ScoreMetric::MeanSquared, ScoreMetric::MeanAbsolute];
+        for (ma, mb) in metrics.iter().flat_map(|&a| metrics.map(|b| (a, b))) {
+            let cfg = OsElmConfig::new(9, 3);
+            let mut a = Autoencoder::new(cfg.clone()).unwrap().with_metric(ma);
+            let mut b = Autoencoder::new(cfg).unwrap().with_metric(mb);
+            let x = blob(1, 9, 0.5, 13).remove(0);
+            let mut recons = [x.clone(), x.clone(), x.clone()];
+            // Exact reconstruction (zero terms, signed zeros) and a generic one.
+            recons[1].iter_mut().step_by(2).for_each(|v| *v = -0.0);
+            rng.fill_normal(&mut recons[2], 0.5, 0.2);
+            for (i, ra) in recons.iter().enumerate() {
+                for rb in &recons {
+                    let x = if i == 1 { vec![0.0; 9] } else { x.clone() };
+                    a.scratch_recon.copy_from_slice(ra);
+                    b.scratch_recon.copy_from_slice(rb);
+                    let pair = Autoencoder::stored_scores_pair(&a, &b, &x);
+                    let single = [a.stored_score(&x), b.stored_score(&x)];
+                    assert_eq!(pair.map(Real::to_bits), single.map(Real::to_bits));
+                }
+            }
+        }
     }
 
     #[test]

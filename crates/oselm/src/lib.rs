@@ -51,6 +51,8 @@ pub mod multi_instance;
 pub mod onlad;
 pub mod oselm;
 pub mod persist;
+#[cfg(test)]
+mod same_bits;
 
 pub use activation::Activation;
 pub use autoencoder::Autoencoder;

@@ -5,6 +5,16 @@
 //! anomaly score) is the prediction — lines 6–7 of Algorithm 1. Sequential
 //! training updates only the *closest* instance, so each instance keeps
 //! tracking its own normal pattern.
+//!
+//! A prediction leaves every instance's hidden activation `h` and
+//! reconstruction `βᵀh` in buffers the instance owns, and the returned
+//! [`Prediction`] carries the model's *generation*: a stamp that every
+//! call that writes those buffers or mutates the model replaces. Training
+//! on the predicted sample with [`MultiInstanceModel::seq_train_predicted`]
+//! reuses the buffers while the generation still matches, so predicting
+//! and then training costs one forward pass, as in the paper's firmware
+//! (Table 6: "retraining with label prediction" ≈ prediction + "retraining
+//! without").
 
 use crate::autoencoder::Autoencoder;
 use crate::oselm::OsElmConfig;
@@ -12,20 +22,80 @@ use crate::{ModelError, Result};
 use seqdrift_linalg::{vector, Real};
 
 /// A prediction from the multi-instance model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Equality compares the value (label and score) only; the generation
+/// says nothing about the sample, just whether the model still holds this
+/// prediction's intermediates.
+#[derive(Debug, Clone, Copy)]
 pub struct Prediction {
     /// Predicted class label (index of the best-scoring instance).
     pub label: usize,
     /// Anomaly score of the winning instance (`model[c].predict(data)` in
     /// Algorithm 1 line 7).
     pub score: Real,
+    /// The model generation this prediction was taken at.
+    generation: u64,
+}
+
+impl PartialEq for Prediction {
+    fn eq(&self, other: &Self) -> bool {
+        self.label == other.label && self.score == other.score
+    }
+}
+
+/// A generation stamp no other call in this process has received.
+///
+/// Each thread takes stamps from a block it reserved from one shared
+/// counter, so the hot path touches no shared cache line. The counter only
+/// has to hand out distinct blocks and publishes nothing else, hence
+/// `Relaxed`.
+fn next_generation() -> u64 {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const BLOCK: u64 = 1 << 16;
+    static NEXT_BLOCK: AtomicU64 = AtomicU64::new(0);
+    thread_local!(static RANGE: Cell<(u64, u64)> = const { Cell::new((0, 0)) });
+    RANGE.with(|range| {
+        let (mut next, mut end) = range.get();
+        if next == end {
+            next = NEXT_BLOCK.fetch_add(BLOCK, Ordering::Relaxed);
+            end = next + BLOCK;
+        }
+        range.set((next + 1, end));
+        next
+    })
 }
 
 /// One OS-ELM autoencoder per class label.
-#[derive(Debug, Clone)]
 pub struct MultiInstanceModel {
     instances: Vec<Autoencoder>,
     scratch_scores: Vec<Real>,
+    /// Replaced by every call that writes the instances' prediction
+    /// buffers or mutates the model (see [`Prediction`]).
+    generation: u64,
+}
+
+impl core::fmt::Debug for MultiInstanceModel {
+    /// Leaves out the generation: it stamps the buffers' freshness, not
+    /// the model's state, so two models in the same state print the same.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("MultiInstanceModel")
+            .field("instances", &self.instances)
+            .field("scratch_scores", &self.scratch_scores)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Clone for MultiInstanceModel {
+    /// A copy with its own generation: no prediction taken on `self` is
+    /// reused on the copy.
+    fn clone(&self) -> Self {
+        MultiInstanceModel {
+            instances: self.instances.clone(),
+            scratch_scores: self.scratch_scores.clone(),
+            generation: next_generation(),
+        }
+    }
 }
 
 impl MultiInstanceModel {
@@ -44,6 +114,7 @@ impl MultiInstanceModel {
         Ok(MultiInstanceModel {
             scratch_scores: vec![0.0; classes],
             instances,
+            generation: next_generation(),
         })
     }
 
@@ -62,6 +133,7 @@ impl MultiInstanceModel {
         Ok(MultiInstanceModel {
             scratch_scores: vec![0.0; instances.len()],
             instances,
+            generation: next_generation(),
         })
     }
 
@@ -88,8 +160,10 @@ impl MultiInstanceModel {
         })
     }
 
-    /// Mutable access to an instance.
+    /// Mutable access to an instance. Outstanding predictions are no
+    /// longer reused afterwards.
     pub fn instance_mut(&mut self, label: usize) -> Result<&mut Autoencoder> {
+        self.generation = next_generation();
         let classes = self.instances.len();
         self.instances
             .get_mut(label)
@@ -128,6 +202,10 @@ impl MultiInstanceModel {
 
     /// Scores `x` under every instance, writing into `out` (length =
     /// `classes`).
+    ///
+    /// Every instance reconstructs `x` first; the scores' serial distance
+    /// sums then run two instances at a time (bit-identical to one
+    /// [`Autoencoder::score`] per instance).
     pub fn scores_into(&mut self, x: &[Real], out: &mut [Real]) -> Result<()> {
         if out.len() != self.instances.len() {
             return Err(ModelError::DimensionMismatch {
@@ -135,8 +213,17 @@ impl MultiInstanceModel {
                 got: out.len(),
             });
         }
-        for (inst, slot) in self.instances.iter_mut().zip(out.iter_mut()) {
-            *slot = inst.score(x)?;
+        self.generation = next_generation();
+        for inst in &mut self.instances {
+            inst.reconstruct_stored(x)?;
+        }
+        let mut pairs = self.instances.chunks_exact(2);
+        let mut slots = out.chunks_exact_mut(2);
+        for (pair, slot) in (&mut pairs).zip(&mut slots) {
+            slot.copy_from_slice(&Autoencoder::stored_scores_pair(&pair[0], &pair[1], x));
+        }
+        if let ([inst], [slot]) = (pairs.remainder(), slots.into_remainder()) {
+            *slot = inst.stored_score(x);
         }
         Ok(())
     }
@@ -149,6 +236,7 @@ impl MultiInstanceModel {
             Prediction {
                 label,
                 score: scores[label],
+                generation: self.generation,
             }
         });
         self.scratch_scores = scores;
@@ -160,13 +248,42 @@ impl MultiInstanceModel {
         self.instance_mut(label)?.seq_train(x)
     }
 
+    /// [`MultiInstanceModel::seq_train_label`] after `prediction` was
+    /// taken on `x` — `label` need not be the predicted one.
+    ///
+    /// While nothing has touched the model since the prediction, the
+    /// instance's update reuses the `h` and `βᵀh` the prediction left
+    /// behind instead of computing them again; the result is bit-identical
+    /// either way. A stale prediction (any training, prediction or other
+    /// mutation since, or one taken on another model) falls back to the
+    /// full path. `x` must be the sample that was predicted; debug builds
+    /// check that against a fresh recomputation.
+    pub fn seq_train_predicted(
+        &mut self,
+        prediction: &Prediction,
+        label: usize,
+        x: &[Real],
+    ) -> Result<()> {
+        if !self.is_current(prediction) {
+            return self.seq_train_label(label, x);
+        }
+        self.instance_mut(label)?.seq_train_predicted(x)
+    }
+
+    /// Whether the model still holds `prediction`'s intermediates: it was
+    /// taken on this model, and nothing has predicted, trained or handed
+    /// out an instance since.
+    pub fn is_current(&self, prediction: &Prediction) -> bool {
+        prediction.generation == self.generation
+    }
+
     /// Sequentially trains the *closest* instance (smallest anomaly score)
     /// on `x`, returning which label was trained. This is the paper's
     /// "single model instance that outputs the smallest anomaly score trains
     /// the input data sequentially".
     pub fn seq_train_closest(&mut self, x: &[Real]) -> Result<usize> {
         let p = self.predict(x)?;
-        self.seq_train_label(p.label, x)?;
+        self.seq_train_predicted(&p, p.label, x)?;
         Ok(p.label)
     }
 
@@ -174,6 +291,7 @@ impl MultiInstanceModel {
     /// of model reconstruction; see
     /// [`crate::oselm::OsElm::reset_plasticity`]).
     pub fn reset_plasticity(&mut self) -> Result<()> {
+        self.generation = next_generation();
         for inst in &mut self.instances {
             inst.reset_plasticity()?;
         }

@@ -58,7 +58,7 @@ impl Onlad {
     /// new data arrives").
     pub fn process(&mut self, x: &[Real]) -> Result<Prediction> {
         let p = self.model.predict(x)?;
-        self.model.seq_train_label(p.label, x)?;
+        self.model.seq_train_predicted(&p, p.label, x)?;
         Ok(p)
     }
 }

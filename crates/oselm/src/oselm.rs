@@ -135,13 +135,15 @@ pub struct OsElm {
     scratch_h: Vec<Real>,
     scratch_ph: Vec<Real>,
     scratch_hp: Vec<Real>,
-    scratch_err: Vec<Real>,
+    /// Output buffer of `prediction_error`, and of `seq_train`'s `βᵀh`,
+    /// which the update overwrites with the residual.
     scratch_out: Vec<Real>,
-    // Transactional-update state (runtime only, never persisted): pre-update
-    // copies of P/β for rollback, and the consecutive-rejection counter that
-    // triggers plasticity re-seeding.
+    // Transactional-update state (runtime only, never persisted): the
+    // pre-update copy of P for rollback, the second β buffer an update is
+    // written into (committed by a swap), and the consecutive-rejection
+    // counter that triggers plasticity re-seeding.
     backup_p: Vec<Real>,
-    backup_beta: Vec<Real>,
+    spare_beta: Matrix,
     rejected_updates: u32,
 }
 
@@ -167,10 +169,9 @@ impl OsElm {
             scratch_h: vec![0.0; cfg.hidden_dim],
             scratch_ph: vec![0.0; cfg.hidden_dim],
             scratch_hp: vec![0.0; cfg.hidden_dim],
-            scratch_err: vec![0.0; cfg.output_dim],
             scratch_out: vec![0.0; cfg.output_dim],
             backup_p: vec![0.0; cfg.hidden_dim * cfg.hidden_dim],
-            backup_beta: vec![0.0; cfg.hidden_dim * cfg.output_dim],
+            spare_beta: Matrix::zeros(cfg.hidden_dim, cfg.output_dim),
             rejected_updates: 0,
             cfg,
         })
@@ -322,6 +323,52 @@ impl OsElm {
     /// re-seeded to `I/λ` (β keeps its warm start) so an ill-conditioned
     /// inverse-Gram state cannot freeze the model forever.
     pub fn seq_train(&mut self, x: &[Real], t: &[Real]) -> Result<()> {
+        self.check_trainable(t)?;
+        let mut h = std::mem::take(&mut self.scratch_h);
+        let mut y = std::mem::take(&mut self.scratch_out);
+        let forward = self
+            .hidden_into(x, &mut h)
+            .and_then(|()| self.beta.tr_matvec_into(&h, &mut y).map_err(Into::into));
+        self.scratch_h = h;
+        let result = forward.and_then(|()| self.update(&mut y, t));
+        self.scratch_out = y;
+        result
+    }
+
+    /// [`OsElm::seq_train`] for the `x` that the last
+    /// [`OsElm::predict_into`] on this network scored into `y`, with no
+    /// training or prediction since: it reuses the hidden activation that
+    /// call left in the scratch buffer and `y = βᵀh`, instead of computing
+    /// both again, and leaves the residual `t - y` in `y`. The caller
+    /// guarantees that contract; debug builds check it against a fresh
+    /// recomputation, bit for bit.
+    pub(crate) fn seq_train_predicted(
+        &mut self,
+        x: &[Real],
+        t: &[Real],
+        y: &mut [Real],
+    ) -> Result<()> {
+        self.check_trainable(t)?;
+        if cfg!(debug_assertions) {
+            let mut h = vec![0.0; self.cfg.hidden_dim];
+            let mut fresh = vec![0.0; self.cfg.output_dim];
+            self.hidden_into(x, &mut h)?;
+            self.beta.tr_matvec_into(&h, &mut fresh)?;
+            let same = |a: &[Real], b: &[Real]| {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|(u, v)| u.to_bits() == v.to_bits() || (u.is_nan() && v.is_nan()))
+            };
+            assert!(
+                same(&h, &self.scratch_h) && same(&fresh, y),
+                "seq_train_predicted: the cached prediction is not the one for this x"
+            );
+        }
+        self.update(y, t)
+    }
+
+    fn check_trainable(&self, t: &[Real]) -> Result<()> {
         if !self.initialized {
             return Err(ModelError::NotInitialized);
         }
@@ -331,120 +378,78 @@ impl OsElm {
                 got: t.len(),
             });
         }
-        // Snapshot for rollback (plain copies into pre-sized buffers; no
-        // allocation on the hot path).
-        let mut backup_p = std::mem::take(&mut self.backup_p);
-        let mut backup_beta = std::mem::take(&mut self.backup_beta);
-        backup_p.copy_from_slice(self.p.as_slice());
-        backup_beta.copy_from_slice(self.beta.as_slice());
-        let seen_before = self.samples_seen;
-        // Split scratch out of self so we can borrow immutably alongside.
-        let mut h = std::mem::take(&mut self.scratch_h);
+        Ok(())
+    }
+
+    /// The transactional rank-1 step for the `h` in the scratch buffer and
+    /// `y = βᵀh` computed with the current `β`; `y` is turned into the
+    /// residual `t - y` in place.
+    ///
+    /// `P` is updated in place after a copy into `backup_p`; the new `β` is
+    /// written into `spare_beta` in one pass that also scans it for
+    /// non-finite entries, and a commit swaps the two buffers. A rejected
+    /// update restores `P` and leaves `β` untouched.
+    fn update(&mut self, err: &mut [Real], t: &[Real]) -> Result<()> {
+        let h = std::mem::take(&mut self.scratch_h);
         let mut ph = std::mem::take(&mut self.scratch_ph);
         let mut hp = std::mem::take(&mut self.scratch_hp);
-        let mut err = std::mem::take(&mut self.scratch_err);
+        let mut backup_p = std::mem::take(&mut self.backup_p);
+        backup_p.copy_from_slice(self.p.as_slice());
+        // err = t - h β   (computed with the *old* β).
+        for (e, &ti) in err.iter_mut().zip(t) {
+            *e = ti - *e;
+        }
 
-        let result = (|| -> Result<()> {
-            self.hidden_into(x, &mut h)?;
-            // err = t - h β   (computed with the *old* β).
-            self.beta.tr_matvec_into(&h, &mut err)?;
-            for (e, &ti) in err.iter_mut().zip(t.iter()) {
-                *e = ti - *e;
-            }
-            // P update (plain or forgetting).
+        // Ok(whether every entry of the new β is finite).
+        let step = (|| -> Result<bool> {
+            // P update (plain or forgetting; plain is α = 1 without the
+            // final scaling).
             self.p.matvec_into(&h, &mut ph)?;
             self.p.tr_matvec_into(&h, &mut hp)?;
-            match self.cfg.forgetting {
-                None => {
-                    let denom = 1.0 + vector::dot(&h, &ph);
-                    if denom <= 0.0 || !denom.is_finite() {
-                        return Err(ModelError::Linalg(
-                            seqdrift_linalg::LinalgError::NotPositiveDefinite,
-                        ));
-                    }
-                    self.p.add_outer(-1.0 / denom, &ph, &hp)?;
-                }
-                Some(alpha) => {
-                    let denom = alpha + vector::dot(&h, &ph);
-                    if denom <= 0.0 || !denom.is_finite() {
-                        return Err(ModelError::Linalg(
-                            seqdrift_linalg::LinalgError::NotPositiveDefinite,
-                        ));
-                    }
-                    self.p.add_outer(-1.0 / denom, &ph, &hp)?;
-                    self.p.scale(1.0 / alpha);
-                }
+            let alpha = self.cfg.forgetting.unwrap_or(1.0);
+            let denom = alpha + vector::dot(&h, &ph);
+            if denom <= 0.0 || !denom.is_finite() {
+                return Err(ModelError::Linalg(
+                    seqdrift_linalg::LinalgError::NotPositiveDefinite,
+                ));
             }
-            // β += (P_new hᵀ) ⊗ err.
+            self.p.add_outer(-1.0 / denom, &ph, &hp)?;
+            if let Some(alpha) = self.cfg.forgetting {
+                self.p.scale(1.0 / alpha);
+            }
+            // β_new = β + (P_new hᵀ) ⊗ err, into the spare buffer.
             self.p.matvec_into(&h, &mut ph)?;
-            self.beta.add_outer(1.0, &ph, &err)?;
-            self.samples_seen += 1;
-            Ok(())
+            Ok(self.beta.add_outer_into(&ph, err, &mut self.spare_beta)?)
         })();
 
         self.scratch_h = h;
         self.scratch_ph = ph;
         self.scratch_hp = hp;
-        self.scratch_err = err;
-        let result = match result {
-            Ok(()) => {
-                if self.state_is_sane() {
-                    self.rejected_updates = 0;
-                    Ok(())
-                } else {
-                    self.reject_update(
-                        &backup_p,
-                        &backup_beta,
-                        seen_before,
-                        "update produced non-finite or divergent P/beta",
-                    )
-                }
+        let result = match step {
+            Ok(beta_finite) if is_sane(&self.p, beta_finite) => {
+                std::mem::swap(&mut self.beta, &mut self.spare_beta);
+                self.samples_seen += 1;
+                self.rejected_updates = 0;
+                Ok(())
             }
-            Err(ModelError::Linalg(seqdrift_linalg::LinalgError::NotPositiveDefinite)) => self
-                .reject_update(
-                    &backup_p,
-                    &backup_beta,
-                    seen_before,
-                    "gain denominator not positive-finite",
-                ),
-            Err(ModelError::Linalg(seqdrift_linalg::LinalgError::NonFiniteResult)) => self
-                .reject_update(
-                    &backup_p,
-                    &backup_beta,
-                    seen_before,
-                    "rank-1 kernel produced a non-finite entry",
-                ),
+            Ok(_) => {
+                self.reject_update(&backup_p, "update produced non-finite or divergent P/beta")
+            }
+            Err(ModelError::Linalg(seqdrift_linalg::LinalgError::NotPositiveDefinite)) => {
+                self.reject_update(&backup_p, "gain denominator not positive-finite")
+            }
             Err(e) => Err(e),
         };
         self.backup_p = backup_p;
-        self.backup_beta = backup_beta;
         result
     }
 
-    /// Whether the committed `P`/`β` state is numerically usable: every
-    /// entry finite and `trace(P)` finite within [`OsElm::P_TRACE_BOUND`].
-    fn state_is_sane(&self) -> bool {
-        let trace: Real = (0..self.cfg.hidden_dim).map(|i| self.p.get(i, i)).sum();
-        trace.is_finite()
-            && trace <= Self::P_TRACE_BOUND
-            && vector::all_finite(self.p.as_slice())
-            && vector::all_finite(self.beta.as_slice())
-    }
-
-    /// Rolls `P`/`β`/`samples_seen` back to their pre-update snapshot,
+    /// Restores `P` from its pre-update copy (`β` was never overwritten),
     /// bumps the consecutive-rejection counter (re-seeding `P = I/λ` once
     /// it reaches [`OsElm::MAX_REJECTED_UPDATES`]) and reports the
     /// rejection.
-    fn reject_update(
-        &mut self,
-        backup_p: &[Real],
-        backup_beta: &[Real],
-        seen_before: u64,
-        why: &'static str,
-    ) -> Result<()> {
+    fn reject_update(&mut self, backup_p: &[Real], why: &'static str) -> Result<()> {
         self.p.as_mut_slice().copy_from_slice(backup_p);
-        self.beta.as_mut_slice().copy_from_slice(backup_beta);
-        self.samples_seen = seen_before;
         self.rejected_updates += 1;
         if self.rejected_updates >= Self::MAX_REJECTED_UPDATES {
             self.rejected_updates = 0;
@@ -598,10 +603,9 @@ impl OsElm {
             scratch_h: vec![0.0; hd],
             scratch_ph: vec![0.0; hd],
             scratch_hp: vec![0.0; hd],
-            scratch_err: vec![0.0; od],
             scratch_out: vec![0.0; od],
             backup_p: vec![0.0; p_len],
-            backup_beta: vec![0.0; beta_len],
+            spare_beta: Matrix::zeros(hd, od),
             rejected_updates: 0,
             cfg,
         })
@@ -679,12 +683,7 @@ impl OsElm {
         let p = cholesky::spd_inverse(&u_merged)?;
         let beta = p.matmul(&rhs_mean)?;
         // Commit gate, exactly as seq_train's post-update validation.
-        let trace: Real = (0..hd).map(|i| p.get(i, i)).sum();
-        let sane = trace.is_finite()
-            && trace <= Self::P_TRACE_BOUND
-            && vector::all_finite(p.as_slice())
-            && vector::all_finite(beta.as_slice());
-        if !sane {
+        if !is_sane(&p, vector::all_finite(beta.as_slice())) {
             return Err(ModelError::RejectedUpdate(
                 "merge produced non-finite or divergent P/beta",
             ));
@@ -703,6 +702,17 @@ impl OsElm {
             samples_seen,
         )
     }
+}
+
+/// The commit gate of every `P`/`β` state change: `β` entirely finite
+/// (`beta_finite`, scanned by the caller), and `P` entirely finite with
+/// `trace(P)` finite within [`OsElm::P_TRACE_BOUND`].
+fn is_sane(p: &Matrix, beta_finite: bool) -> bool {
+    let trace: Real = (0..p.rows()).map(|i| p.get(i, i)).sum();
+    beta_finite
+        && trace.is_finite()
+        && trace <= OsElm::P_TRACE_BOUND
+        && vector::all_finite(p.as_slice())
 }
 
 /// Scalar-count breakdown of an OS-ELM's buffers.
@@ -995,12 +1005,17 @@ mod tests {
         assert_eq!(m.samples_seen(), seen_before + 1);
     }
 
+    /// The commit gate applied to a network's committed state.
+    fn state_is_sane(m: &OsElm) -> bool {
+        is_sane(&m.p, vector::all_finite(m.beta.as_slice()))
+    }
+
     #[test]
     fn sanity_scan_rejects_one_non_finite_entry_anywhere_in_p_or_beta() {
         let xs = toy_data(40, 5, 62);
         let mut m = OsElm::new(OsElmConfig::new(5, 7).with_seed(3)).unwrap();
         m.init_train(&xs, &xs).unwrap();
-        assert!(m.state_is_sane());
+        assert!(state_is_sane(&m));
         for bad in [Real::NAN, Real::INFINITY, Real::NEG_INFINITY] {
             for in_p in [true, false] {
                 let n = if in_p {
@@ -1017,7 +1032,7 @@ mod tests {
                         &mut m.beta.as_mut_slice()[at]
                     };
                     let kept = std::mem::replace(slot, bad);
-                    let sane = m.state_is_sane();
+                    let sane = state_is_sane(&m);
                     if in_p {
                         m.p.as_mut_slice()[at] = kept;
                     } else {
@@ -1028,7 +1043,7 @@ mod tests {
                         "{bad} at {at} of {}",
                         if in_p { "P" } else { "beta" }
                     );
-                    assert!(m.state_is_sane());
+                    assert!(state_is_sane(&m));
                 }
             }
         }
