@@ -217,7 +217,8 @@ pub struct LoadArgs {
     pub csv: Option<PathBuf>,
     /// Declarative `.sqsc` scenario: each device streams its own
     /// per-session synthesized stream and the bench entry is named after
-    /// the scenario.
+    /// the scenario. Its `faults chaos SEED` line stands in for
+    /// `--chaos --chaos-seed SEED`.
     pub scenario: Option<PathBuf>,
     /// Server address (`host:port`).
     pub addr: String,
@@ -287,6 +288,10 @@ USAGE:
                  [--state-dir <dir>] [--resume]
                  [--federate] [--federate-interval 2048] [--poison SEED]
                  [--no-header] [--label-last]
+                 With --state-dir, both --csv and --scenario runs keep every
+                 session's checkpoints and quarantine verdicts on disk: a
+                 quarantined session stays quarantined in later runs, and
+                 --resume re-homes the surviving sessions.
   seqdrift serve [--model <model.sqdm>] [--listen 127.0.0.1:4747] [--workers 4]
                  [--queue 256] [--feed-timeout-ms 10000] [--state-dir <dir>]
                  [--idle-timeout-ms 30000] [--port-file <path>]
@@ -300,6 +305,8 @@ USAGE:
                  [--verify --model <model.sqdm>] [--busy-stall-timeout SECS]
                  [--chaos] [--chaos-seed 42] [--chaos-victims N]
                  [--no-header] [--label-last]
+                 With --scenario, a 'faults chaos SEED' line acts as
+                 --chaos --chaos-seed SEED (half the devices are victims).
 ";
 
 fn err(msg: impl Into<String>) -> ParseError {
@@ -364,6 +371,16 @@ impl Flags {
                 .parse()
                 .map_err(|_| err(format!("flag {name}: cannot parse {v:?}"))),
         }
+    }
+
+    /// An optional number; a malformed one reads `NAME: cannot parse "v"`.
+    fn maybe_number<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, ParseError> {
+        self.take(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| err(format!("{name}: cannot parse {v:?}")))
+            })
+            .transpose()
     }
 
     fn boolean(&mut self, name: &str) -> bool {
@@ -434,37 +451,19 @@ impl Cli {
                     sessions: flags.number("--sessions", 8usize)?,
                     workers: flags.number("--workers", 4usize)?,
                     queue: flags.number("--queue", 256usize)?,
-                    drift_at: match flags.take("--drift-at") {
-                        None => None,
-                        Some(v) => Some(
-                            v.parse()
-                                .map_err(|_| err(format!("--drift-at: cannot parse {v:?}")))?,
-                        ),
-                    },
+                    drift_at: flags.maybe_number("--drift-at")?,
                     drift_step: flags.number("--drift-step", 25usize)?,
                     drift_shift: flags.number("--drift-shift", 0.3f32)?,
                     has_header: !flags.boolean("--no-header"),
                     label_last: flags.boolean("--label-last"),
-                    inject_faults: match flags.take("--inject-faults") {
-                        None => None,
-                        Some(v) => Some(
-                            v.parse()
-                                .map_err(|_| err(format!("--inject-faults: cannot parse {v:?}")))?,
-                        ),
-                    },
+                    inject_faults: flags.maybe_number("--inject-faults")?,
                     guard_policy: flags.optional("--guard-policy")?,
                     stuck_threshold: flags.optional("--stuck-threshold")?,
                     state_dir: flags.take("--state-dir").map(Into::into),
                     resume: flags.boolean("--resume"),
                     federate: flags.boolean("--federate"),
                     federate_interval: flags.number("--federate-interval", 2048u64)?,
-                    poison: match flags.take("--poison") {
-                        None => None,
-                        Some(v) => Some(
-                            v.parse()
-                                .map_err(|_| err(format!("--poison: cannot parse {v:?}")))?,
-                        ),
-                    },
+                    poison: flags.maybe_number("--poison")?,
                 };
                 if a.sessions == 0 || a.workers == 0 || a.queue == 0 {
                     return Err(err("--sessions, --workers and --queue must be positive"));
@@ -590,13 +589,7 @@ impl Cli {
             "synth" => Command::Synth(SynthArgs {
                 dataset: flags.required("--dataset")?,
                 out: flags.required("--out")?.into(),
-                seed: match flags.take("--seed") {
-                    None => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| err(format!("--seed: cannot parse {v:?}")))?,
-                    ),
-                },
+                seed: flags.maybe_number("--seed")?,
                 quick: flags.boolean("--quick"),
             }),
             "--help" | "-h" | "help" => return Err(err(USAGE)),

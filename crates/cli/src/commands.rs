@@ -5,19 +5,20 @@ use seqdrift_core::pipeline::PipelineEvent;
 use seqdrift_core::{
     CoreError, DetectorConfig, DriftPipeline, GuardConfig, GuardPolicy, PipelineConfig,
 };
-use seqdrift_datasets::drift::DriftSchedule;
 use seqdrift_datasets::fan::{self, FanConfig, FanScenario};
 use seqdrift_datasets::nslkdd::{self, NslKddConfig};
 use seqdrift_datasets::{loader, DriftDataset, Sample};
 use seqdrift_federate::{Federator, PoisonInjector};
 use seqdrift_fleet::{
     FaultInjector, FederationConfig, FleetConfig, FleetEngine, FleetError, FleetEvent,
-    MetricsSnapshot, SessionId, ShutdownReport,
+    MetricsSnapshot, RecoveryReport, SessionId, ShutdownReport,
 };
-use seqdrift_linalg::{Real, Rng};
+use seqdrift_linalg::Real;
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
 use seqdrift_scenario::{GuardMode, ScenarioPlayer};
 use std::io::Write;
+use std::path::Path;
+use std::rc::Rc;
 
 type Out<'a> = &'a mut dyn Write;
 
@@ -73,6 +74,33 @@ fn guard_override(
     Some(g)
 }
 
+/// Trains one OS-ELM autoencoder per class on its rows of `pairs`, then
+/// calibrates a drift pipeline over all of them (with `guard` in place
+/// of the default input guard).
+fn calibrate_labelled(
+    pairs: &[(usize, &[Real])],
+    elm: OsElmConfig,
+    det: DetectorConfig,
+    guard: Option<GuardConfig>,
+) -> Result<DriftPipeline, String> {
+    let mut model =
+        MultiInstanceModel::new(det.classes, elm).map_err(|e| fail("building model", e))?;
+    let mut buckets: Vec<Vec<Vec<Real>>> = vec![Vec::new(); det.classes];
+    for &(label, x) in pairs {
+        buckets[label].push(x.to_vec());
+    }
+    for (label, bucket) in buckets.iter().enumerate() {
+        if bucket.is_empty() {
+            return Err(format!("class {label} has no training samples"));
+        }
+        model
+            .init_train_class(label, bucket)
+            .map_err(|e| fail("initial training", e))?;
+    }
+    let cfg = guard.map(|g| PipelineConfig::new(det.clone()).with_guard(g));
+    DriftPipeline::calibrate_with(model, det, pairs, cfg).map_err(|e| fail("calibration", e))
+}
+
 /// `seqdrift train`: calibrate from labelled CSV, checkpoint to disk.
 pub fn train(a: &TrainArgs, out: Out<'_>) -> Result<(), String> {
     let samples = loader::load_csv(&a.csv, a.has_header, a.label_last)
@@ -89,28 +117,13 @@ pub fn train(a: &TrainArgs, out: Out<'_>) -> Result<(), String> {
     )
     .ok();
 
-    let mut model =
-        MultiInstanceModel::new(classes, OsElmConfig::new(dim, a.hidden).with_seed(a.seed))
-            .map_err(|e| fail("building model", e))?;
-    let mut buckets: Vec<Vec<Vec<Real>>> = vec![Vec::new(); classes];
-    for s in &samples {
-        buckets[s.label].push(s.x.clone());
-    }
-    for (label, bucket) in buckets.iter().enumerate() {
-        if bucket.is_empty() {
-            return Err(format!("class {label} has no training samples"));
-        }
-        model
-            .init_train_class(label, bucket)
-            .map_err(|e| fail("initial training", e))?;
-    }
-
     let pairs: Vec<(usize, &[Real])> = samples.iter().map(|s| (s.label, s.x.as_slice())).collect();
-    let det = DetectorConfig::new(classes, dim).with_window(a.window);
-    let pipeline_cfg = guard_override(GuardConfig::new(), a.guard_policy, a.stuck_threshold)
-        .map(|g| PipelineConfig::new(det.clone()).with_guard(g));
-    let pipeline = DriftPipeline::calibrate_with(model, det, &pairs, pipeline_cfg)
-        .map_err(|e| fail("calibration", e))?;
+    let pipeline = calibrate_labelled(
+        &pairs,
+        OsElmConfig::new(dim, a.hidden).with_seed(a.seed),
+        DetectorConfig::new(classes, dim).with_window(a.window),
+        guard_override(GuardConfig::new(), a.guard_policy, a.stuck_threshold),
+    )?;
     let g = pipeline.guard_config();
     writeln!(
         out,
@@ -327,22 +340,89 @@ pub fn info(a: &InfoArgs, out: Out<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// `seqdrift fleet`: replay one CSV across S simulated devices, each a
-/// session restored from the same checkpoint, with per-device staggered
-/// drift injection so devices flag drift at different stream positions.
-/// With `--scenario`, the `.sqsc` file owns the streams, session roster,
-/// guard, fault, and federation plan instead.
-pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
-    if a.scenario.is_some() {
-        return fleet_scenario(a, out);
+/// Where one `fleet` session's rows come from.
+enum Rows {
+    /// `--csv`: the rows every device replays, with `shift` added to
+    /// every feature from row `onset` on (never, for `None`).
+    Csv {
+        rows: Rc<Vec<Sample>>,
+        onset: Option<usize>,
+        shift: Real,
+    },
+    /// `--scenario`: this session's own stream.
+    Stream(Vec<Vec<Real>>),
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Csv { rows, .. } => rows.len(),
+            Rows::Stream(rows) => rows.len(),
+        }
     }
-    let (csv, model) = match (&a.csv, &a.model) {
-        (Some(c), Some(m)) => (c, m),
+
+    /// Row `t`, if the stream is that long. A shifted row is computed
+    /// into `scratch`.
+    fn get<'a>(&'a self, t: usize, scratch: &'a mut Vec<Real>) -> Option<&'a [Real]> {
+        match self {
+            Rows::Csv { rows, onset, shift } => {
+                let x = &rows.get(t)?.x;
+                if onset.is_none_or(|at| t < at) {
+                    return Some(x);
+                }
+                scratch.clear();
+                scratch.extend(x.iter().map(|&v| v + shift));
+                Some(scratch)
+            }
+            Rows::Stream(rows) => rows.get(t).map(Vec::as_slice),
+        }
+    }
+}
+
+/// One `fleet` run as the CSV or the scenario front end resolved it. The
+/// engine sizing and the state dir come from the flags.
+struct FleetPlan {
+    /// Session ids, in feed order.
+    sessions: Vec<u64>,
+    /// One row source per entry of `sessions`.
+    rows: Vec<Rows>,
+    /// The checkpoint every created session starts from.
+    blob: Vec<u8>,
+    /// `blob`, decoded.
+    reference: DriftPipeline,
+    /// Guard configuration to write into `blob` before any session exists.
+    guard: Option<GuardConfig>,
+    /// Label of the line that reports `guard`.
+    guard_line: &'static str,
+    /// Seed of the fleet fault-injection plan.
+    fault_seed: Option<u64>,
+    /// Fleet-wide samples between merge rounds; `None` disables federation.
+    federate: Option<u64>,
+    /// Seed of the model-poisoning plan (needs federation).
+    poison: Option<u64>,
+    /// Re-home the sessions that survive in the state dir first.
+    resume: bool,
+    /// The line announcing the run once its sessions exist.
+    banner: String,
+}
+
+/// `seqdrift fleet`: replay a CSV (`--csv`) or a `.sqsc` scenario
+/// (`--scenario`) across simulated devices through one fleet engine.
+pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
+    let plan = match (&a.scenario, &a.csv, &a.model) {
+        (Some(scenario), _, _) => scenario_plan(a, scenario)?,
+        (None, Some(csv), Some(model)) => csv_plan(a, csv, model)?,
         _ => return Err("fleet needs --csv with --model, or --scenario".into()),
     };
-    let mut blob = std::fs::read(model).map_err(|e| fail("reading checkpoint", e))?;
-    let mut reference =
-        DriftPipeline::from_bytes(&blob).map_err(|e| fail("decoding checkpoint", e))?;
+    run_fleet(a, plan, out)
+}
+
+/// `--csv`: every device replays one CSV from one checkpoint. Device
+/// `d`'s rows gain `--drift-shift` from row `drift_at + d * drift_step`
+/// on, so detections stagger across the fleet.
+fn csv_plan(a: &FleetArgs, csv: &Path, model: &Path) -> Result<FleetPlan, String> {
+    let blob = std::fs::read(model).map_err(|e| fail("reading checkpoint", e))?;
+    let reference = DriftPipeline::from_bytes(&blob).map_err(|e| fail("decoding checkpoint", e))?;
     let expected = reference.detector().config().dim;
     let samples = loader::load_csv(csv, a.has_header, a.label_last)
         .map_err(|e| fail("reading stream CSV", e))?;
@@ -355,24 +435,131 @@ pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
             samples[0].dim()
         ));
     }
-    // A guard override is applied to the decoded checkpoint and re-encoded
-    // so every session clones the overridden configuration.
-    if let Some(g) = guard_override(*reference.guard_config(), a.guard_policy, a.stuck_threshold) {
-        reference
+    let samples = Rc::new(samples);
+    let rows = (0..a.sessions)
+        .map(|d| Rows::Csv {
+            rows: Rc::clone(&samples),
+            onset: a.drift_at.map(|at| at + d * a.drift_step),
+            shift: a.drift_shift as Real,
+        })
+        .collect();
+    Ok(FleetPlan {
+        sessions: (0..a.sessions as u64).collect(),
+        rows,
+        guard: guard_override(*reference.guard_config(), a.guard_policy, a.stuck_threshold),
+        guard_line: "guard override",
+        blob,
+        reference,
+        fault_seed: a.inject_faults,
+        federate: a.federate.then_some(a.federate_interval),
+        poison: a.poison,
+        resume: a.resume,
+        banner: format!(
+            "fleet: {} sessions over {} workers (queue capacity {})",
+            a.sessions, a.workers, a.queue
+        ),
+    })
+}
+
+/// `--scenario`: the `.sqsc` file supplies the session roster, each
+/// session's stream (synthesized from the scenario seed, or recorded off
+/// a live server), and the guard, fleet-fault, poison and federation
+/// plans. `--guard-policy`, `--stuck-threshold`, `--federate` and
+/// `--poison` override the file.
+fn scenario_plan(a: &FleetArgs, path: &Path) -> Result<FleetPlan, String> {
+    let player = ScenarioPlayer::from_file(path).map_err(|e| fail("loading scenario", e))?;
+    let sessions = player.sessions();
+    if sessions.is_empty() {
+        return Err(format!("scenario '{}' has no sessions", player.name()));
+    }
+    let synth = player.scenario().synthetic().ok();
+
+    // Reference checkpoint: an explicit --model wins; recorded bundles
+    // carry the blob they were served from; synthetic scenarios calibrate
+    // one from their own deterministic training split.
+    let blob = match &a.model {
+        Some(m) => std::fs::read(m).map_err(|e| fail("reading checkpoint", e))?,
+        None => match player.reference_model() {
+            Some(b) => b.to_vec(),
+            None => scenario_reference(&player)?,
+        },
+    };
+    let reference = DriftPipeline::from_bytes(&blob).map_err(|e| fail("decoding checkpoint", e))?;
+    let expected = reference.detector().config().dim;
+    if expected != player.dim() {
+        return Err(format!(
+            "scenario streams {} features but the checkpoint expects {expected}",
+            player.dim()
+        ));
+    }
+
+    let spec_guard = synth.and_then(|s| s.guard.as_ref());
+    let policy = a
+        .guard_policy
+        .or(spec_guard.map(|g| guard_mode_to_policy(g.mode)));
+    let stuck = a
+        .stuck_threshold
+        .or(spec_guard.and_then(|g| g.stuck.map(|k| k as u64)));
+    let rows = sessions
+        .iter()
+        .map(|&id| {
+            player
+                .stream(id)
+                .map(Rows::Stream)
+                .map_err(|e| fail("synthesizing stream", e))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let total: usize = rows.iter().map(Rows::len).sum();
+    Ok(FleetPlan {
+        banner: format!(
+            "scenario '{}': {} session(s) over {} workers, {total} total samples",
+            player.name(),
+            sessions.len(),
+            a.workers
+        ),
+        sessions,
+        rows,
+        guard: guard_override(*reference.guard_config(), policy, stuck),
+        guard_line: "guard",
+        blob,
+        reference,
+        fault_seed: synth.and_then(|s| s.faults.fleet),
+        federate: if a.federate {
+            Some(a.federate_interval)
+        } else {
+            synth.and_then(|s| s.federate)
+        },
+        poison: a.poison.or(synth.and_then(|s| s.faults.poison)),
+        resume: a.resume,
+    })
+}
+
+/// Runs a [`FleetPlan`]: starts the engine, re-homes or keeps what a
+/// previous run left in the state dir, creates the remaining sessions,
+/// and feeds every session's rows t-major (so sessions interleave the
+/// way live ingest would) with federation rounds in between.
+fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), String> {
+    // The override is written into the reference checkpoint so every
+    // session clones the overridden configuration.
+    if let Some(g) = plan.guard {
+        plan.reference
             .set_guard_config(g)
             .map_err(|e| fail("applying guard override", e))?;
-        blob = reference.to_bytes().map_err(|e| fail("serialising", e))?;
+        plan.blob = plan
+            .reference
+            .to_bytes()
+            .map_err(|e| fail("serialising", e))?;
         writeln!(
             out,
-            "guard override: policy {}, stuck threshold {}",
-            g.policy, g.stuck_threshold
+            "{}: policy {}, stuck threshold {}",
+            plan.guard_line, g.policy, g.stuck_threshold
         )
         .ok();
     }
 
     let mut cfg = FleetConfig::new(a.workers).with_queue_capacity(a.queue);
-    if let Some(seed) = a.inject_faults {
-        let injector = FaultInjector::from_seed(seed, a.sessions as u64);
+    if let Some(seed) = plan.fault_seed {
+        let injector = FaultInjector::from_seed(seed, plan.sessions.len() as u64);
         writeln!(out, "fault plan (seed {seed}):").ok();
         for line in injector.describe().lines() {
             writeln!(out, "  {line}").ok();
@@ -383,34 +570,24 @@ pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
         cfg = cfg.with_state_dir(dir);
         writeln!(out, "durable state store: {}", dir.display()).ok();
     }
-    if a.federate {
-        cfg = cfg.with_federation(FederationConfig::default().with_interval(a.federate_interval));
+    if let Some(interval) = plan.federate {
+        cfg = cfg.with_federation(FederationConfig::default().with_interval(interval));
         writeln!(
             out,
-            "federation: merge round every {} fleet-wide samples",
-            a.federate_interval
+            "federation: merge round every {interval} fleet-wide samples"
         )
         .ok();
     }
     let engine = FleetEngine::new(cfg).map_err(|e| fail("starting fleet", e))?;
     if let Some(rec) = engine.recovery_report() {
-        writeln!(
-            out,
-            "state recovery: {} session(s) restored ({} generation(s) kept, \
-             {} corrupt frame(s) dropped, {} stale temp(s) swept)",
-            rec.sessions_recovered,
-            rec.generations_kept,
-            rec.corrupt_frames_dropped,
-            rec.stale_temps_deleted
-        )
-        .ok();
+        recovery_line(&rec, out);
     }
 
     // Sessions re-homed from the store (or still quarantined in its
     // ledger) must not be re-created from the reference checkpoint: a
     // fresh create() would discard the survivor — or lift the verdict.
     let mut preexisting = std::collections::HashSet::new();
-    if a.resume {
+    if plan.resume {
         let resumed = engine
             .resume()
             .map_err(|e| fail("resuming from state dir", e))?;
@@ -436,29 +613,22 @@ pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
         .ok();
         preexisting.insert(id.0);
     }
-    for d in 0..a.sessions {
-        if preexisting.contains(&(d as u64)) {
-            continue;
+    for &id in &plan.sessions {
+        if !preexisting.contains(&id) {
+            engine
+                .create_from_bytes(SessionId(id), &plan.blob)
+                .map_err(|e| fail("creating session", e))?;
         }
-        engine
-            .create_from_bytes(SessionId(d as u64), &blob)
-            .map_err(|e| fail("creating session", e))?;
     }
-    writeln!(
-        out,
-        "fleet: {} sessions over {} workers (queue capacity {})",
-        a.sessions, a.workers, a.queue
-    )
-    .ok();
-    let mut federator = if a.federate {
-        Some(Federator::new(&engine, &blob).map_err(|e| fail("starting federation", e))?)
-    } else {
-        None
-    };
-    if let Some(seed) = a.poison {
+    writeln!(out, "{}", plan.banner).ok();
+    let mut federator = plan
+        .federate
+        .map(|_| Federator::new(&engine, &plan.blob))
+        .transpose()
+        .map_err(|e| fail("starting federation", e))?;
+    if let Some(seed) = plan.poison {
         if let Some(f) = federator.take() {
-            let ids: Vec<u64> = (0..a.sessions as u64).collect();
-            let injector = PoisonInjector::from_seed(seed, &ids);
+            let injector = PoisonInjector::from_seed(seed, &plan.sessions);
             writeln!(out, "poison plan (seed {seed}):").ok();
             for line in injector.describe().lines() {
                 writeln!(out, "  {line}").ok();
@@ -467,16 +637,6 @@ pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
         }
     }
 
-    // Device d's injected drift starts drift_step samples after device d-1's,
-    // so detections should stagger the same way across the fleet.
-    let schedules: Vec<Option<DriftSchedule>> = (0..a.sessions)
-        .map(|d| {
-            a.drift_at
-                .map(|at| DriftSchedule::sudden(at + d * a.drift_step))
-        })
-        .collect();
-    let mut rng = Rng::seed_from(0xF1EE7);
-    let mut shifted = vec![0.0 as Real; expected];
     // Federation rounds trigger at deterministic stream positions: this
     // feeder-side counter of delivered rows decides the boundaries, not
     // the worker-side `samples_processed` gauge (which races with the
@@ -484,25 +644,18 @@ pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
     // Snapshots travel through the shard FIFOs behind every sample and
     // fault already enqueued, so a fixed boundary sees a fixed model.
     let mut fed_since_round: u64 = 0;
-    for (t, s) in samples.iter().enumerate() {
-        for (d, schedule) in schedules.iter().enumerate() {
-            let use_new = schedule
-                .as_ref()
-                .map(|sch| sch.resolve(t, &mut rng).0)
-                .unwrap_or(false);
-            let x: &[Real] = if use_new {
-                for (o, &v) in shifted.iter_mut().zip(s.x.iter()) {
-                    *o = v + a.drift_shift as Real;
-                }
-                &shifted
-            } else {
-                &s.x
+    let mut scratch = Vec::new();
+    let max_len = plan.rows.iter().map(Rows::len).max().unwrap_or(0);
+    for t in 0..max_len {
+        for (&id, rows) in plan.sessions.iter().zip(&plan.rows) {
+            let Some(x) = rows.get(t, &mut scratch) else {
+                continue;
             };
             // A quarantined device stays quarantined for the rest of the
             // replay; the fleet keeps serving every other device. The
             // attempt still counts towards the round boundary: attempts
             // are deterministic, outcomes race with the verdict.
-            match engine.feed_blocking(SessionId(d as u64), x) {
+            match engine.feed_blocking(SessionId(id), x) {
                 Ok(()) | Err(FleetError::SessionQuarantined(_)) => {}
                 Err(e) => return Err(fail("feeding sample", e)),
             }
@@ -520,17 +673,52 @@ pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
     let report = engine.shutdown();
     report_fleet_shutdown(
         &report,
-        a.federate,
-        a.inject_faults.is_some(),
+        plan.federate.is_some(),
+        plan.fault_seed.is_some(),
         a.state_dir.is_some(),
         out,
     );
     Ok(())
 }
 
+/// Federation totals of a `fleet` or `serve` run.
+fn federation_line(m: &MetricsSnapshot, out: Out<'_>) {
+    writeln!(
+        out,
+        "federation: {} merge round(s) ({} rejected wholesale), {} contribution(s) \
+         accepted, {} rejected ({} health, {} stale, {} non-PD, {} outlier, \
+         {} low-trust), {} redistribution(s)",
+        m.merge_rounds,
+        m.merge_rounds_rejected,
+        m.contributions_accepted,
+        m.contributions_rejected,
+        m.rejected_health,
+        m.rejected_staleness,
+        m.rejected_non_pd,
+        m.rejected_deviation,
+        m.rejected_low_trust,
+        m.redistributions
+    )
+    .ok();
+}
+
+/// What the durable store's open-time scan found, for `fleet` and `serve`.
+fn recovery_line(rec: &RecoveryReport, out: Out<'_>) {
+    writeln!(
+        out,
+        "state recovery: {} session(s) restored ({} generation(s) kept, \
+         {} corrupt frame(s) dropped, {} stale temp(s) swept)",
+        rec.sessions_recovered,
+        rec.generations_kept,
+        rec.corrupt_frames_dropped,
+        rec.stale_temps_deleted
+    )
+    .ok();
+}
+
 /// Prints a fleet [`ShutdownReport`]: drained events, aggregate metrics,
 /// and the federation / fault-tolerance / durability summaries the run's
-/// flags make relevant. Shared by the CSV and scenario replay paths.
+/// flags make relevant.
 fn report_fleet_shutdown(
     report: &ShutdownReport,
     federate: bool,
@@ -663,23 +851,7 @@ fn report_fleet_shutdown(
     )
     .ok();
     if federate {
-        writeln!(
-            out,
-            "federation: {} merge round(s) ({} rejected wholesale), {} contribution(s) \
-             accepted, {} rejected ({} health, {} stale, {} non-PD, {} outlier, \
-             {} low-trust), {} redistribution(s)",
-            m.merge_rounds,
-            m.merge_rounds_rejected,
-            m.contributions_accepted,
-            m.contributions_rejected,
-            m.rejected_health,
-            m.rejected_staleness,
-            m.rejected_non_pd,
-            m.rejected_deviation,
-            m.rejected_low_trust,
-            m.redistributions
-        )
-        .ok();
+        federation_line(m, out);
     }
     if faults || m.panics_caught > 0 {
         writeln!(
@@ -729,189 +901,16 @@ fn scenario_reference(player: &ScenarioPlayer) -> Result<Vec<u8>, String> {
     let pairs = player
         .train_pairs()
         .map_err(|e| fail("synthesizing training data", e))?;
-    let mut model = MultiInstanceModel::new(
-        s.classes,
+    let pairs: Vec<(usize, &[Real])> = pairs.iter().map(|(l, x)| (*l, x.as_slice())).collect();
+    let pipeline = calibrate_labelled(
+        &pairs,
         OsElmConfig::new(s.dim, 22.min(s.train.max(4))).with_seed(s.seed),
-    )
-    .map_err(|e| fail("building reference model", e))?;
-    let mut buckets: Vec<Vec<Vec<Real>>> = vec![Vec::new(); s.classes];
-    for (label, x) in &pairs {
-        buckets[*label].push(x.clone());
-    }
-    for (label, bucket) in buckets.iter().enumerate() {
-        model
-            .init_train_class(label, bucket)
-            .map_err(|e| fail("training reference model", e))?;
-    }
-    let refs: Vec<(usize, &[Real])> = pairs.iter().map(|(l, x)| (*l, x.as_slice())).collect();
-    let det = DetectorConfig::new(s.classes, s.dim).with_window(100);
-    let pipeline = DriftPipeline::calibrate_with(model, det, &refs, None)
-        .map_err(|e| fail("calibrating reference model", e))?;
+        DetectorConfig::new(s.classes, s.dim).with_window(100),
+        None,
+    )?;
     pipeline
         .to_bytes()
         .map_err(|e| fail("serialising reference model", e))
-}
-
-/// `seqdrift fleet --scenario`: replay a declarative `.sqsc` scenario —
-/// synthetic streams synthesized from the scenario seed, or a recorded
-/// bundle captured off a live server — through an in-process fleet. The
-/// scenario supplies the session roster, per-session streams, guard
-/// policy, fleet fault plan, and federation cadence; `--guard-policy` /
-/// `--stuck-threshold` / `--federate` flags override it.
-fn fleet_scenario(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
-    let path = a
-        .scenario
-        .as_deref()
-        .ok_or("fleet_scenario without --scenario")?;
-    let player = ScenarioPlayer::from_file(path).map_err(|e| fail("loading scenario", e))?;
-    let sessions = player.sessions();
-    if sessions.is_empty() {
-        return Err(format!("scenario '{}' has no sessions", player.name()));
-    }
-    let synth = player.scenario().synthetic().ok().cloned();
-
-    // Reference checkpoint: an explicit --model wins; recorded bundles
-    // carry the blob they were served from; synthetic scenarios calibrate
-    // one from their own deterministic training split.
-    let mut blob = match &a.model {
-        Some(m) => std::fs::read(m).map_err(|e| fail("reading checkpoint", e))?,
-        None => match player.reference_model() {
-            Some(b) => b.to_vec(),
-            None => scenario_reference(&player)?,
-        },
-    };
-    let mut reference =
-        DriftPipeline::from_bytes(&blob).map_err(|e| fail("decoding checkpoint", e))?;
-    let expected = reference.detector().config().dim;
-    if expected != player.dim() {
-        return Err(format!(
-            "scenario streams {} features but the checkpoint expects {expected}",
-            player.dim()
-        ));
-    }
-
-    // Guard plan: CLI flags override the scenario's guard line per field.
-    let spec_guard = synth.as_ref().and_then(|s| s.guard.clone());
-    let policy = a
-        .guard_policy
-        .or(spec_guard.as_ref().map(|g| guard_mode_to_policy(g.mode)));
-    let stuck = a
-        .stuck_threshold
-        .or(spec_guard.as_ref().and_then(|g| g.stuck.map(|k| k as u64)));
-    if let Some(g) = guard_override(*reference.guard_config(), policy, stuck) {
-        reference
-            .set_guard_config(g)
-            .map_err(|e| fail("applying guard policy", e))?;
-        blob = reference.to_bytes().map_err(|e| fail("serialising", e))?;
-        writeln!(
-            out,
-            "guard: policy {}, stuck threshold {}",
-            g.policy, g.stuck_threshold
-        )
-        .ok();
-    }
-
-    let mut cfg = FleetConfig::new(a.workers).with_queue_capacity(a.queue);
-    let fault_seed = synth.as_ref().and_then(|s| s.faults.fleet);
-    if let Some(seed) = fault_seed {
-        let injector = FaultInjector::from_seed(seed, sessions.len() as u64);
-        writeln!(out, "fault plan (seed {seed}):").ok();
-        for line in injector.describe().lines() {
-            writeln!(out, "  {line}").ok();
-        }
-        cfg = cfg.with_fault_injector(injector);
-    }
-    if let Some(dir) = &a.state_dir {
-        cfg = cfg.with_state_dir(dir);
-        writeln!(out, "durable state store: {}", dir.display()).ok();
-    }
-    // Federation cadence: an explicit --federate wins; otherwise the
-    // scenario's `federate N` line arms it at the scenario's interval.
-    let fed_interval = if a.federate {
-        Some(a.federate_interval)
-    } else {
-        synth.as_ref().and_then(|s| s.federate)
-    };
-    if let Some(interval) = fed_interval {
-        cfg = cfg.with_federation(FederationConfig::default().with_interval(interval));
-        writeln!(
-            out,
-            "federation: merge round every {interval} fleet-wide samples"
-        )
-        .ok();
-    }
-    let engine = FleetEngine::new(cfg).map_err(|e| fail("starting fleet", e))?;
-    for &id in &sessions {
-        engine
-            .create_from_bytes(SessionId(id), &blob)
-            .map_err(|e| fail("creating session", e))?;
-    }
-    let mut federator = if fed_interval.is_some() {
-        Some(Federator::new(&engine, &blob).map_err(|e| fail("starting federation", e))?)
-    } else {
-        None
-    };
-    if let Some(seed) = a.poison.or(synth.as_ref().and_then(|s| s.faults.poison)) {
-        if let Some(f) = federator.take() {
-            let injector = PoisonInjector::from_seed(seed, &sessions);
-            writeln!(out, "poison plan (seed {seed}):").ok();
-            for line in injector.describe().lines() {
-                writeln!(out, "  {line}").ok();
-            }
-            federator = Some(f.with_poison(injector));
-        }
-    }
-
-    // Synthesize (or load) every per-session stream up front, then feed
-    // t-major so hot sessions interleave the way live ingest would.
-    let mut streams = Vec::with_capacity(sessions.len());
-    for &id in &sessions {
-        streams.push(
-            player
-                .stream(id)
-                .map_err(|e| fail("synthesizing stream", e))?,
-        );
-    }
-    let total: usize = streams.iter().map(Vec::len).sum();
-    writeln!(
-        out,
-        "scenario '{}': {} session(s) over {} workers, {total} total samples",
-        player.name(),
-        sessions.len(),
-        a.workers
-    )
-    .ok();
-    let max_len = streams.iter().map(Vec::len).max().unwrap_or(0);
-    let mut fed_since_round: u64 = 0;
-    for t in 0..max_len {
-        for (i, &id) in sessions.iter().enumerate() {
-            let Some(row) = streams[i].get(t) else {
-                continue;
-            };
-            match engine.feed_blocking(SessionId(id), row) {
-                Ok(()) | Err(FleetError::SessionQuarantined(_)) => {}
-                Err(e) => return Err(fail("feeding sample", e)),
-            }
-            fed_since_round += 1;
-        }
-        if let Some(f) = federator.as_mut() {
-            if fed_since_round >= f.config().interval {
-                fed_since_round = 0;
-                f.run_round(&engine)
-                    .map_err(|e| fail("federation round", e))?;
-            }
-        }
-    }
-
-    let report = engine.shutdown();
-    report_fleet_shutdown(
-        &report,
-        fed_interval.is_some(),
-        fault_seed.is_some(),
-        a.state_dir.is_some(),
-        out,
-    );
-    Ok(())
 }
 
 /// Process-wide Ctrl-C flag: the handler only sets this; the accept loop
@@ -1003,16 +1002,7 @@ pub fn serve_with_stop(
     }
     let server = Server::bind(&a.listen, cfg).map_err(|e| fail("binding server", e))?;
     if let Some(rec) = server.recovery_report() {
-        writeln!(
-            out,
-            "state recovery: {} session(s) restored ({} generation(s) kept, \
-             {} corrupt frame(s) dropped, {} stale temp(s) swept)",
-            rec.sessions_recovered,
-            rec.generations_kept,
-            rec.corrupt_frames_dropped,
-            rec.stale_temps_deleted
-        )
-        .ok();
+        recovery_line(&rec, out);
     }
     let addr = server.local_addr();
     writeln!(
@@ -1064,23 +1054,7 @@ pub fn serve_with_stop(
     )
     .ok();
     if a.federate {
-        writeln!(
-            out,
-            "federation: {} merge round(s) ({} rejected wholesale), {} contribution(s) \
-             accepted, {} rejected ({} health, {} stale, {} non-PD, {} outlier, \
-             {} low-trust), {} redistribution(s)",
-            m.merge_rounds,
-            m.merge_rounds_rejected,
-            m.contributions_accepted,
-            m.contributions_rejected,
-            m.rejected_health,
-            m.rejected_staleness,
-            m.rejected_non_pd,
-            m.rejected_deviation,
-            m.rejected_low_trust,
-            m.redistributions
-        )
-        .ok();
+        federation_line(m, out);
     }
     if a.state_dir.is_some() {
         durability_lines(m, out);
@@ -1111,12 +1085,10 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
 
     // Device roster: `(session id, flattened rows)`. With `--csv` every
     // device replays the same stream; with `--scenario` each device
-    // streams its own deterministic per-session stream and the bench
-    // entry is attributed to the scenario.
-    type Roster = Vec<(u64, std::sync::Arc<Vec<Real>>)>;
-    let (dim, devices, scenario_name): (usize, Roster, Option<String>) = if let Some(path) =
-        &a.scenario
-    {
+    // streams its own deterministic per-session stream, the bench entry
+    // is attributed to the scenario, and a `faults chaos SEED` line
+    // stands in for `--chaos --chaos-seed SEED`.
+    let (dim, devices, scenario_name, chaos_seed) = if let Some(path) = &a.scenario {
         let player = ScenarioPlayer::from_file(path).map_err(|e| fail("loading scenario", e))?;
         let sessions = player.sessions();
         if sessions.is_empty() {
@@ -1136,7 +1108,17 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
             }
             devices.push((id, std::sync::Arc::new(flat)));
         }
-        (player.dim(), devices, Some(player.name().to_string()))
+        let chaos = player
+            .scenario()
+            .synthetic()
+            .ok()
+            .and_then(|s| s.faults.chaos);
+        (
+            player.dim(),
+            devices,
+            Some(player.name().to_string()),
+            chaos,
+        )
     } else {
         let csv = a.csv.as_ref().ok_or("load needs --csv or --scenario")?;
         let samples = loader::load_csv(csv, a.has_header, a.label_last)
@@ -1159,7 +1141,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         let devices = (0..a.sessions)
             .map(|d| (a.session0 + d as u64, std::sync::Arc::clone(&rows)))
             .collect();
-        (dim, devices, None)
+        (dim, devices, None, a.chaos.then_some(a.chaos_seed))
     };
     let n_devices = devices.len();
     let total_rows_all: usize = devices.iter().map(|(_, r)| r.len() / dim).sum();
@@ -1198,7 +1180,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
     // the server, and the first `victims` devices are routed through it
     // (with reconnect-capable clients); the rest connect directly so the
     // run also measures collateral damage on healthy traffic.
-    let chaos_proxy = if a.chaos {
+    let chaos_proxy = if let Some(seed) = chaos_seed {
         use std::net::ToSocketAddrs;
         let upstream = a
             .addr
@@ -1206,22 +1188,20 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
             .map_err(|e| fail("resolving server address", e))?
             .next()
             .ok_or("server address resolved to nothing")?;
-        let proxy = ChaosProxy::spawn(upstream, ChaosConfig::all_faults(a.chaos_seed))
+        let proxy = ChaosProxy::spawn(upstream, ChaosConfig::all_faults(seed))
             .map_err(|e| fail("starting chaos proxy", e))?;
         Some(proxy)
     } else {
         None
     };
-    let victims = if a.chaos {
-        a.chaos_victims.unwrap_or(n_devices.div_ceil(2))
-    } else {
-        0
+    let victims = match chaos_seed {
+        Some(_) => a.chaos_victims.unwrap_or(n_devices.div_ceil(2)),
+        None => 0,
     };
-    if let Some(proxy) = &chaos_proxy {
+    if let (Some(seed), Some(proxy)) = (chaos_seed, &chaos_proxy) {
         writeln!(
             out,
-            "chaos: seed {}, every fault family armed; {victims} victim device(s) via {}",
-            a.chaos_seed,
+            "chaos: seed {seed}, every fault family armed; {victims} victim device(s) via {}",
             proxy.local_addr()
         )
         .ok();
@@ -1237,11 +1217,10 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         let want_snapshot = a.verify;
         let stall_timeout = a.busy_stall_timeout;
         if d < victims {
-            let proxy_addr = match &chaos_proxy {
-                Some(p) => p.local_addr(),
-                None => continue,
+            let (Some(proxy), Some(chaos_seed)) = (&chaos_proxy, chaos_seed) else {
+                continue;
             };
-            let chaos_seed = a.chaos_seed;
+            let proxy_addr = proxy.local_addr();
             handles.push(std::thread::spawn(move || -> Result<DeviceRun, String> {
                 let policy = ReconnectPolicy {
                     max_attempts: 12,
@@ -1349,18 +1328,31 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         writeln!(out, "device FAILED: {f}").ok();
     }
 
-    let sent_rows: u64 = runs
-        .iter()
-        .map(|r| r.total_rows.saturating_sub(r.resume_from))
-        .sum();
-    let busy: u64 = runs.iter().map(|r| r.busy_retries).sum();
-    let mut latencies: Vec<f64> = runs.iter().flat_map(|r| r.latencies_us.clone()).collect();
-    let (p50_us, p99_us) = latency_percentiles(&mut latencies);
-    let samples_per_sec = if elapsed > 0.0 {
-        sent_rows as f64 / elapsed
-    } else {
-        0.0
+    // Rows sent, samples/sec and batch RTT p50/p99 (us) over the runs
+    // `pick` selects.
+    type Stats = (u64, f64, f64, f64);
+    let stats = |pick: &dyn Fn(&DeviceRun) -> bool| -> Stats {
+        let sent: u64 = runs
+            .iter()
+            .filter(|r| pick(r))
+            .map(|r| r.total_rows.saturating_sub(r.resume_from))
+            .sum();
+        let mut lat: Vec<f64> = runs
+            .iter()
+            .filter(|r| pick(r))
+            .flat_map(|r| r.latencies_us.iter().copied())
+            .collect();
+        let (p50, p99) = latency_percentiles(&mut lat);
+        let rate = if elapsed > 0.0 {
+            sent as f64 / elapsed
+        } else {
+            0.0
+        };
+        (sent, rate, p50, p99)
     };
+    let all = stats(&|_| true);
+    let (sent_rows, samples_per_sec, p50_us, p99_us) = all;
+    let busy: u64 = runs.iter().map(|r| r.busy_retries).sum();
     for r in &runs {
         if r.resume_from > 0 {
             writeln!(
@@ -1381,25 +1373,16 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
     .ok();
 
     // Per-group stats (healthy vs victim) for chaos runs.
-    let group_stats = |victim: bool| -> Option<(u64, f64, f64, f64)> {
-        let subset: Vec<&DeviceRun> = runs.iter().filter(|r| r.victim == victim).collect();
-        if subset.is_empty() {
-            return None;
-        }
-        let sent: u64 = subset
-            .iter()
-            .map(|r| r.total_rows.saturating_sub(r.resume_from))
-            .sum();
-        let mut lat: Vec<f64> = subset.iter().flat_map(|r| r.latencies_us.clone()).collect();
-        let (p50, p99) = latency_percentiles(&mut lat);
-        let rate = if elapsed > 0.0 {
-            sent as f64 / elapsed
-        } else {
-            0.0
-        };
-        Some((sent, rate, p50, p99))
+    let groups: Vec<(&str, Stats)> = if chaos_seed.is_some() {
+        [("healthy", false), ("victim", true)]
+            .into_iter()
+            .filter(|&(_, victim)| runs.iter().any(|r| r.victim == victim))
+            .map(|(tag, victim)| (tag, stats(&|r| r.victim == victim)))
+            .collect()
+    } else {
+        Vec::new()
     };
-    if a.chaos {
+    if chaos_seed.is_some() {
         let reconnects: u64 = runs.iter().map(|r| r.reconnects).sum();
         let replayed: u64 = runs.iter().map(|r| r.replayed_rows).sum();
         let recovered: u64 = runs.iter().map(|r| r.recovered_rows).sum();
@@ -1414,60 +1397,43 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
              {recovered} acked-but-unseen row(s) recovered via resume offsets"
         )
         .ok();
-        for (tag, victim) in [("healthy", false), ("victim", true)] {
-            if let Some((sent, _, p50, p99)) = group_stats(victim) {
-                writeln!(
-                    out,
-                    "chaos {tag}: {sent} row(s), batch RTT p50 {p50:.1} us / p99 {p99:.1} us"
-                )
-                .ok();
-            }
+        for (tag, (sent, _, p50, p99)) in &groups {
+            writeln!(
+                out,
+                "chaos {tag}: {sent} row(s), batch RTT p50 {p50:.1} us / p99 {p99:.1} us"
+            )
+            .ok();
         }
     }
 
     if let Some(json_path) = &a.bench_json {
-        let mut entries: Vec<(String, IngestEntry)> = Vec::new();
-        if a.chaos {
-            for (tag, victim) in [("healthy", false), ("victim", true)] {
-                if let Some((sent, rate, p50, p99)) = group_stats(victim) {
-                    entries.push((
-                        format!("chaos_{tag}_sessions_{}_batch_{}", a.sessions, a.batch),
-                        IngestEntry {
-                            samples_per_sec: rate,
-                            p50_us: p50,
-                            p99_us: p99,
-                            samples: sent,
-                            unit: None,
-                            scenario: None,
-                        },
-                    ));
-                }
-            }
-        } else if let Some(name) = &scenario_name {
-            entries.push((
-                format!("scenario_{name}_sessions_{n_devices}_batch_{}", a.batch),
-                IngestEntry {
-                    samples_per_sec,
-                    p50_us,
-                    p99_us,
-                    samples: sent_rows,
-                    unit: None,
-                    scenario: Some(name.clone()),
-                },
-            ));
+        let batch = a.batch;
+        let named: Vec<(String, Stats)> = if chaos_seed.is_some() {
+            groups
+                .iter()
+                .map(|&(tag, g)| (format!("chaos_{tag}_sessions_{n_devices}_batch_{batch}"), g))
+                .collect()
         } else {
-            entries.push((
-                format!("load_sessions_{n_devices}_batch_{}", a.batch),
-                IngestEntry {
-                    samples_per_sec,
-                    p50_us,
-                    p99_us,
-                    samples: sent_rows,
+            let name = match &scenario_name {
+                Some(name) => format!("scenario_{name}_sessions_{n_devices}_batch_{batch}"),
+                None => format!("load_sessions_{n_devices}_batch_{batch}"),
+            };
+            vec![(name, all)]
+        };
+        let entries: Vec<(String, IngestEntry)> = named
+            .into_iter()
+            .map(|(name, (sent, rate, p50, p99))| {
+                let entry = IngestEntry {
+                    samples_per_sec: rate,
+                    p50_us: p50,
+                    p99_us: p99,
+                    samples: sent,
                     unit: None,
-                    scenario: None,
-                },
-            ));
-        }
+                    scenario: scenario_name.clone(),
+                };
+                (name, entry)
+            })
+            .collect();
         merge_into_file(json_path, &entries).map_err(|e| fail("writing bench JSON", e))?;
         writeln!(out, "bench results merged into {}", json_path.display()).ok();
     }
@@ -1621,6 +1587,7 @@ pub fn synth(a: &SynthArgs, out: Out<'_>) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::args::{Cli, Command};
+    use seqdrift_linalg::Rng;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("seqdrift-cli-{name}"));
@@ -2151,6 +2118,62 @@ mod tests {
         let out = exec(&format!("fleet --scenario {}", manifest.display())).unwrap();
         assert!(out.contains("scenario 'incident-7': 2 session(s)"), "{out}");
         assert!(out.contains("120 samples processed"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_scenario_takes_its_chaos_seed_from_the_faults_line() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let dir = tmpdir("load-scenario-chaos");
+        let train_csv = labelled_csv(&dir, 200, 0.0, 71);
+        let model = dir.join("model.sqdm");
+        exec(&format!(
+            "train --csv {} --out {} --label-last --hidden 6 --window 20",
+            train_csv.display(),
+            model.display()
+        ))
+        .unwrap();
+        let sqsc = dir.join("storm.sqsc");
+        std::fs::write(
+            &sqsc,
+            "sqsc 1\nname storm\nkind synthetic\nseed 5\nsessions 4\ndim 4\nclasses 2\n\
+             train 40\nsamples 60\ndrift sudden start 1000 magnitude 0.8\nfaults chaos 9\n",
+        )
+        .unwrap();
+        let port_file = dir.join("port.txt");
+        std::fs::remove_file(&port_file).ok();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = Arc::clone(&stop);
+            let args = Cli::parse(&argv_vec(&format!(
+                "serve --model {} --listen 127.0.0.1:0 --workers 2 --port-file {}",
+                model.display(),
+                port_file.display()
+            )))
+            .unwrap();
+            std::thread::spawn(move || {
+                let Command::Serve(a) = args.command else {
+                    panic!("not serve")
+                };
+                serve_with_stop(&a, &mut Vec::new(), &stop)
+            })
+        };
+        let addr = wait_for_port_file(&port_file);
+        let out = exec(&format!(
+            "load --scenario {} --addr {addr} --batch 8",
+            sqsc.display()
+        ))
+        .unwrap();
+        assert!(
+            out.contains("chaos: seed 9, every fault family armed; 2 victim device(s)"),
+            "{out}"
+        );
+        assert!(out.contains("chaos victim: "), "{out}");
+        assert!(out.contains("sent 240 rows"), "{out}");
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

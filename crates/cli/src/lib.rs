@@ -26,10 +26,11 @@
 //!   inspection or replay;
 //! * `fleet` — replay one CSV across many simulated devices, each an
 //!   independent [`seqdrift_fleet::FleetEngine`] session restored from the
-//!   same checkpoint, with per-device staggered drift injection. With
+//!   same checkpoint, with per-device staggered drift injection; or, with
+//!   `--scenario`, the per-session streams of a `.sqsc` file. With
 //!   `--state-dir` every rolling checkpoint is flushed to a crash-safe
-//!   on-disk store, and `--resume` re-homes the surviving sessions (and
-//!   re-applies persisted quarantine verdicts) after a crash;
+//!   on-disk store, persisted quarantine verdicts stay in force, and
+//!   `--resume` re-homes the surviving sessions after a crash;
 //! * `serve` — run the [`seqdrift_server`] TCP ingest server: real
 //!   devices connect over the `SQNP` wire protocol and stream into one
 //!   fleet engine. Ctrl-C drains gracefully, flushing every session's

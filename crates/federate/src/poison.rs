@@ -24,6 +24,7 @@
 //!   every colluding victim: coordinated devices that agree with each
 //!   other, hoping to out-vote the honest majority.
 
+use seqdrift_linalg::rng::mix64;
 use seqdrift_linalg::{Matrix, Real, Rng};
 use seqdrift_oselm::{Autoencoder, MultiInstanceModel, OsElm};
 use std::collections::BTreeMap;
@@ -63,12 +64,10 @@ pub struct PoisonInjector {
 /// Splitmix-style mixer so per-(session, round) randomness is
 /// independent of victim iteration order.
 fn mix(seed: u64, session: u64, round: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(session.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(round.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(
+        seed.wrapping_add(session.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(round.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+    )
 }
 
 impl PoisonInjector {
@@ -266,6 +265,32 @@ mod tests {
         let mut m = MultiInstanceModel::new(1, OsElmConfig::new(4, 3).with_seed(1)).unwrap();
         m.init_train_class(0, &rows).unwrap();
         m
+    }
+
+    /// `--poison 99` replays the same attack only while the plan and the
+    /// per-(session, round) seeds stay fixed.
+    #[test]
+    fn seed_99_replays_the_documented_plan() {
+        let eight: Vec<u64> = (0..8).collect();
+        let plan = PoisonInjector::from_seed(99, &eight);
+        assert_eq!(
+            format!("{:?}", plan.plan()),
+            "{3: RotatedGram, 6: Colluding}"
+        );
+        let fifty: Vec<u64> = (0..50).collect();
+        assert_eq!(
+            format!("{:?}", PoisonInjector::from_seed(99, &fifty).plan()),
+            "{0: Colluding, 16: SlowBias, 19: Colluding, 20: SlowBias, 24: RotatedGram, \
+             25: RotatedGram, 32: Colluding, 40: SlowBias, 41: SlowBias, 44: Colluding}"
+        );
+        assert_eq!(
+            [mix(99, 0, 0), mix(99, 3, 2), mix(7, 41, 0)],
+            [
+                0x79ce_5dc9_7509_c089,
+                0x6c41_b6e4_8539_d61f,
+                0xa4d4_f048_89d2_0de1,
+            ]
+        );
     }
 
     #[test]

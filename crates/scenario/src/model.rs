@@ -165,10 +165,8 @@ impl GuardMode {
 pub struct FaultsSpec {
     /// Fleet fault plan seed (`FaultInjector::from_seed`).
     pub fleet: Option<u64>,
-    /// Network chaos proxy seed.
+    /// Network chaos proxy seed (`load --scenario`).
     pub chaos: Option<u64>,
-    /// Storage fault VFS seed.
-    pub storage: Option<u64>,
     /// Model-poisoning injector seed.
     pub poison: Option<u64>,
 }
@@ -176,10 +174,7 @@ pub struct FaultsSpec {
 impl FaultsSpec {
     /// True when no fault family is armed.
     pub fn is_empty(&self) -> bool {
-        self.fleet.is_none()
-            && self.chaos.is_none()
-            && self.storage.is_none()
-            && self.poison.is_none()
+        self.fleet.is_none() && self.chaos.is_none() && self.poison.is_none()
     }
 }
 
@@ -268,7 +263,6 @@ impl Scenario {
                 for (family, seed) in [
                     ("fleet", s.faults.fleet),
                     ("chaos", s.faults.chaos),
-                    ("storage", s.faults.storage),
                     ("poison", s.faults.poison),
                 ] {
                     if let Some(seed) = seed {

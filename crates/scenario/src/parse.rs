@@ -13,7 +13,7 @@
 //! drift <kind> start <n> [end <n>] magnitude <float>
 //! stagger <n>       traffic hot <n> idle <n>
 //! guard <mode> [stuck <n>]
-//! faults <fleet|chaos|storage|poison> <u64>
+//! faults <fleet|chaos|poison> <u64>
 //! federate <n>
 //! # recorded:
 //! dim <n>   reference <file>   log <file>
@@ -207,7 +207,6 @@ pub fn parse(text: &str) -> Result<Scenario> {
     let mut log: Slot<String> = Slot::default();
     let mut fault_fleet: Slot<u64> = Slot::default();
     let mut fault_chaos: Slot<u64> = Slot::default();
-    let mut fault_storage: Slot<u64> = Slot::default();
     let mut fault_poison: Slot<u64> = Slot::default();
     let mut rec_sessions: Vec<(usize, RecordedSession)> = Vec::new();
 
@@ -306,14 +305,11 @@ pub fn parse(text: &str) -> Result<Scenario> {
                 let slot = match family {
                     "fleet" => &mut fault_fleet,
                     "chaos" => &mut fault_chaos,
-                    "storage" => &mut fault_storage,
                     "poison" => &mut fault_poison,
                     other => {
                         return Err(err(
                             line,
-                            format!(
-                                "unknown fault family '{other}' (fleet, chaos, storage, poison)"
-                            ),
+                            format!("unknown fault family '{other}' (fleet, chaos, poison)"),
                         ))
                     }
                 };
@@ -419,7 +415,6 @@ pub fn parse(text: &str) -> Result<Scenario> {
                 faults: FaultsSpec {
                     fleet: fault_fleet.get().copied(),
                     chaos: fault_chaos.get().copied(),
-                    storage: fault_storage.get().copied(),
                     poison: fault_poison.get().copied(),
                 },
                 federate: federate.get().copied(),
@@ -440,7 +435,6 @@ pub fn parse(text: &str) -> Result<Scenario> {
             (federate.line(), "federate"),
             (fault_fleet.line(), "faults fleet"),
             (fault_chaos.line(), "faults chaos"),
-            (fault_storage.line(), "faults storage"),
             (fault_poison.line(), "faults poison"),
         ] {
             forbid(slot_line, key, "recorded")?;

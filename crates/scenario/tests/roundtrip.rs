@@ -72,7 +72,6 @@ fn random_scenario(rng: &mut Rng) -> Scenario {
             faults: FaultsSpec {
                 fleet: maybe(rng),
                 chaos: maybe(rng),
-                storage: maybe(rng),
                 poison: maybe(rng),
             },
             federate: maybe(rng),

@@ -27,6 +27,7 @@
 //! keyed relative to [`FaultVfs::with_base`] when set, so the schedule
 //! survives relocating the store root.
 
+use seqdrift_linalg::rng::mix64;
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::fs::{self, File};
@@ -297,13 +298,6 @@ struct FaultState {
     events: Vec<FaultEvent>,
 }
 
-/// SplitMix64 finalizer: turns a structured key into uniform bits.
-fn mix(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
 fn injected(kind: &str) -> io::Error {
     io::Error::other(format!("injected fault: {kind}"))
 }
@@ -370,7 +364,7 @@ impl FaultVfs {
         h ^= op.code().wrapping_mul(0x2545_F491_4F6C_DD1D);
         h ^= index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= salt << 17;
-        mix(h)
+        mix64(h)
     }
 
     fn hit(&self, bits: u64, per_1024: u16) -> bool {
@@ -524,6 +518,27 @@ impl Vfs for FaultVfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A storage-fault seed replays the same schedule only while these
+    /// draws stay fixed.
+    #[test]
+    fn draws_replay_the_documented_values() {
+        let v = FaultVfs::new(FaultPlan::new(7));
+        let p = Path::new("store/5/1.ckpt");
+        let got = [
+            v.draw(p, VfsOp::Write, 0, 0),
+            v.draw(p, VfsOp::Fsync, 3, 1),
+            v.draw(Path::new("ledger"), VfsOp::Rename, 11, 2),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x4ea8_1560_b2dc_401f,
+                0x580f_4167_d5e5_eb64,
+                0x650c_332f_c4ee_83db,
+            ]
+        );
+    }
 
     #[test]
     fn schedule_is_pure_in_seed_path_and_index() {
