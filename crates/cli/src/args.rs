@@ -291,7 +291,8 @@ USAGE:
                  With --state-dir, both --csv and --scenario runs keep every
                  session's checkpoints and quarantine verdicts on disk: a
                  quarantined session stays quarantined in later runs, and
-                 --resume re-homes the surviving sessions.
+                 --resume re-homes the surviving sessions, feeding each its
+                 stream from the sample its checkpoint holds.
   seqdrift serve [--model <model.sqdm>] [--listen 127.0.0.1:4747] [--workers 4]
                  [--queue 256] [--feed-timeout-ms 10000] [--state-dir <dir>]
                  [--idle-timeout-ms 30000] [--port-file <path>]
@@ -307,6 +308,8 @@ USAGE:
                  [--no-header] [--label-last]
                  With --scenario, a 'faults chaos SEED' line acts as
                  --chaos --chaos-seed SEED (half the devices are victims).
+                 --verify counts a session that ends mid-reconstruction
+                 (no checkpoint on either side) as matched, not failed.
 ";
 
 fn err(msg: impl Into<String>) -> ParseError {

@@ -16,9 +16,10 @@ use seqdrift_fleet::{
 use seqdrift_linalg::Real;
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
 use seqdrift_scenario::{GuardMode, ScenarioPlayer};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::Arc;
 
 type Out<'a> = &'a mut dyn Write;
 
@@ -149,20 +150,8 @@ pub fn train(a: &TrainArgs, out: Out<'_>) -> Result<(), String> {
 /// `seqdrift run`: stream an unlabelled CSV through a checkpoint.
 pub fn run_stream(a: &RunArgs, out: Out<'_>) -> Result<(), String> {
     let blob = std::fs::read(&a.model).map_err(|e| fail("reading checkpoint", e))?;
-    let mut pipeline =
-        DriftPipeline::from_bytes(&blob).map_err(|e| fail("decoding checkpoint", e))?;
-    let samples = loader::load_csv(&a.csv, a.has_header, a.label_last)
-        .map_err(|e| fail("reading stream CSV", e))?;
-    if samples.is_empty() {
-        return Err("stream CSV contains no rows".into());
-    }
-    let expected = pipeline.detector().config().dim;
-    if samples[0].dim() != expected {
-        return Err(format!(
-            "stream has {} features but the checkpoint expects {expected}",
-            samples[0].dim()
-        ));
-    }
+    let roster = Roster::csv(&a.csv, a.has_header, a.label_last, vec![0])?;
+    let mut pipeline = roster.reference(&blob)?;
 
     if let Some(g) = guard_override(*pipeline.guard_config(), a.guard_policy, a.stuck_threshold) {
         pipeline
@@ -180,10 +169,10 @@ pub fn run_stream(a: &RunArgs, out: Out<'_>) -> Result<(), String> {
     let counters_before = pipeline.guard_counters();
     let mut detections = 0usize;
     let mut guard_rejected = 0u64;
-    for s in &samples {
+    for x in roster.rows[0].chunks_exact(roster.dim) {
         // A guard rejection drops the sample and keeps streaming; anything
         // else (I/O-level corruption, invalid state) still aborts the run.
-        let o = match pipeline.process(&s.x) {
+        let o = match pipeline.process(x) {
             Ok(o) => o,
             Err(
                 e @ (CoreError::NonFiniteInput { .. }
@@ -250,23 +239,18 @@ pub fn run_stream(a: &RunArgs, out: Out<'_>) -> Result<(), String> {
     if let Some(events_path) = &a.events {
         let mut csv = String::from("event,stream_index,value\n");
         for e in pipeline.events() {
-            match e {
-                PipelineEvent::DriftDetected { index, dist } => {
-                    csv.push_str(&format!("drift,{index},{dist}\n"));
-                }
+            let (kind, index, value) = match e {
+                PipelineEvent::DriftDetected { index, dist } => ("drift", index, dist.to_string()),
                 PipelineEvent::Reconstructed {
                     index,
                     new_theta_drift,
-                } => {
-                    csv.push_str(&format!("reconstructed,{index},{new_theta_drift}\n"));
-                }
+                } => ("reconstructed", index, new_theta_drift.to_string()),
                 PipelineEvent::Degraded { index, reason } => {
-                    csv.push_str(&format!("degraded,{index},{reason}\n"));
+                    ("degraded", index, reason.to_string())
                 }
-                PipelineEvent::Recovered { index } => {
-                    csv.push_str(&format!("recovered,{index},\n"));
-                }
-            }
+                PipelineEvent::Recovered { index } => ("recovered", index, String::new()),
+            };
+            csv.push_str(&format!("{kind},{index},{value}\n"));
         }
         seqdrift_store::atomic_write(events_path, csv.as_bytes())
             .map_err(|e| fail("writing events CSV", e))?;
@@ -340,52 +324,159 @@ pub fn info(a: &InfoArgs, out: Out<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Where one `fleet` session's rows come from.
-enum Rows {
-    /// `--csv`: the rows every device replays, with `shift` added to
-    /// every feature from row `onset` on (never, for `None`).
-    Csv {
-        rows: Rc<Vec<Sample>>,
-        onset: Option<usize>,
-        shift: Real,
-    },
-    /// `--scenario`: this session's own stream.
-    Stream(Vec<Vec<Real>>),
+/// The sessions `run`, `fleet` and `load` stream, loaded the same way for
+/// every command and free of any checkpoint.
+struct Roster {
+    /// Session ids, in feed order.
+    sessions: Vec<u64>,
+    /// One source per entry of `sessions`: its `dim`-wide rows back to
+    /// back. Row `i` is sample `i` of that session.
+    rows: Vec<Arc<Vec<Real>>>,
+    /// Features per row.
+    dim: usize,
+    /// Name of the `.sqsc` scenario the roster came from.
+    scenario: Option<String>,
 }
 
-impl Rows {
-    fn len(&self) -> usize {
-        match self {
-            Rows::Csv { rows, .. } => rows.len(),
-            Rows::Stream(rows) => rows.len(),
-        }
+impl Roster {
+    /// `--csv`: every session replays the same rows.
+    fn csv(path: &Path, header: bool, labelled: bool, sessions: Vec<u64>) -> Result<Self, String> {
+        let samples =
+            loader::load_csv(path, header, labelled).map_err(|e| fail("reading stream CSV", e))?;
+        let dim = match samples.first() {
+            None => return Err("stream CSV contains no rows".into()),
+            Some(first) if first.dim() == 0 => {
+                return Err("stream CSV has no feature columns".into())
+            }
+            Some(first) => first.dim(),
+        };
+        let rows = Arc::new(samples.iter().flat_map(|s| s.x.iter().copied()).collect());
+        Ok(Roster {
+            rows: vec![rows; sessions.len()],
+            sessions,
+            dim,
+            scenario: None,
+        })
     }
 
-    /// Row `t`, if the stream is that long. A shifted row is computed
-    /// into `scratch`.
-    fn get<'a>(&'a self, t: usize, scratch: &'a mut Vec<Real>) -> Option<&'a [Real]> {
-        match self {
-            Rows::Csv { rows, onset, shift } => {
-                let x = &rows.get(t)?.x;
-                if onset.is_none_or(|at| t < at) {
-                    return Some(x);
-                }
-                scratch.clear();
-                scratch.extend(x.iter().map(|&v| v + shift));
-                Some(scratch)
-            }
-            Rows::Stream(rows) => rows.get(t).map(Vec::as_slice),
+    /// `--scenario`: each session streams its own rows of the `.sqsc`
+    /// file (synthesized from the scenario seed, or recorded off a live
+    /// server). The player stays available for the file's plan lines.
+    fn scenario(path: &Path) -> Result<(Self, ScenarioPlayer), String> {
+        let player = ScenarioPlayer::from_file(path).map_err(|e| fail("loading scenario", e))?;
+        let sessions = player.sessions();
+        let rows = sessions
+            .iter()
+            .map(|&id| player.stream(id).map(|rows| Arc::new(rows.concat())))
+            .collect::<Result<_, _>>()
+            .map_err(|e| fail("synthesizing stream", e))?;
+        let roster = Roster {
+            sessions,
+            rows,
+            dim: player.dim(),
+            scenario: Some(player.name().to_string()),
+        };
+        Ok((roster, player))
+    }
+
+    /// Rows over every session.
+    fn total_rows(&self) -> usize {
+        self.rows.iter().map(|r| r.len()).sum::<usize>() / self.dim
+    }
+
+    /// Decodes the checkpoint the sessions start from; it must take rows
+    /// as wide as the roster's.
+    fn reference(&self, blob: &[u8]) -> Result<DriftPipeline, String> {
+        let reference =
+            DriftPipeline::from_bytes(blob).map_err(|e| fail("decoding checkpoint", e))?;
+        let expected = reference.detector().config().dim;
+        if expected != self.dim {
+            let what = match self.scenario {
+                Some(_) => "scenario streams",
+                None => "stream has",
+            };
+            return Err(format!(
+                "{what} {} features but the checkpoint expects {expected}",
+                self.dim
+            ));
+        }
+        Ok(reference)
+    }
+}
+
+/// Replays `roster` through `engine`: creates every session from `blob`,
+/// then feeds the sessions their rows t-major, so they interleave the way
+/// live ingest would. A session in `existing` is not created: it already
+/// holds that many samples (`u64::MAX` leaves it out), and its rows
+/// before them are not fed again. With `drift = (at, step, shift)`,
+/// session `d` gets `shift` added to every feature from row
+/// `at + d * step` on. `federator` runs a merge round whenever its
+/// interval of rows has been fed.
+fn replay(
+    engine: &FleetEngine,
+    roster: &Roster,
+    blob: &[u8],
+    existing: &HashMap<u64, u64>,
+    drift: Option<(usize, usize, Real)>,
+    mut federator: Option<&mut Federator>,
+) -> Result<(), String> {
+    for &id in &roster.sessions {
+        if !existing.contains_key(&id) {
+            engine
+                .create_from_bytes(SessionId(id), blob)
+                .map_err(|e| fail("creating session", e))?;
         }
     }
+    // Federation rounds trigger at deterministic stream positions: this
+    // feeder-side counter of delivered rows decides the boundaries, not
+    // the worker-side `samples_processed` gauge (which races with the
+    // shards and made `--federate --inject-faults` replays diverge).
+    // Snapshots travel through the shard FIFOs behind every sample and
+    // fault already enqueued, so a fixed boundary sees a fixed model.
+    let mut fed_since_round: u64 = 0;
+    let mut scratch = Vec::new();
+    let dim = roster.dim;
+    let max_len = roster.rows.iter().map(|r| r.len() / dim).max().unwrap_or(0);
+    for t in 0..max_len {
+        for (d, (&id, rows)) in roster.sessions.iter().zip(&roster.rows).enumerate() {
+            let Some(mut x) = rows.get(t * dim..(t + 1) * dim) else {
+                continue;
+            };
+            if existing.get(&id).is_some_and(|&done| (t as u64) < done) {
+                continue;
+            }
+            if let Some((_, _, shift)) = drift.filter(|&(at, step, _)| t >= at + d * step) {
+                scratch.clear();
+                scratch.extend(x.iter().map(|&v| v + shift));
+                x = &scratch;
+            }
+            // A quarantined device stays quarantined for the rest of the
+            // replay; the fleet keeps serving every other device. The
+            // attempt still counts towards the round boundary: attempts
+            // are deterministic, outcomes race with the verdict.
+            match engine.feed_blocking(SessionId(id), x) {
+                Ok(()) | Err(FleetError::SessionQuarantined(_)) => {}
+                Err(e) => return Err(fail("feeding sample", e)),
+            }
+            fed_since_round += 1;
+        }
+        if let Some(f) = federator.as_deref_mut() {
+            if fed_since_round >= f.config().interval {
+                fed_since_round = 0;
+                f.run_round(engine)
+                    .map_err(|e| fail("federation round", e))?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One `fleet` run as the CSV or the scenario front end resolved it. The
 /// engine sizing and the state dir come from the flags.
 struct FleetPlan {
-    /// Session ids, in feed order.
-    sessions: Vec<u64>,
-    /// One row source per entry of `sessions`.
-    rows: Vec<Rows>,
+    roster: Roster,
+    /// `(at, step, shift)` of the CSV front end's injected drift.
+    drift: Option<(usize, usize, Real)>,
     /// The checkpoint every created session starts from.
     blob: Vec<u8>,
     /// `blob`, decoded.
@@ -400,8 +491,6 @@ struct FleetPlan {
     federate: Option<u64>,
     /// Seed of the model-poisoning plan (needs federation).
     poison: Option<u64>,
-    /// Re-home the sessions that survive in the state dir first.
-    resume: bool,
     /// The line announcing the run once its sessions exist.
     banner: String,
 }
@@ -422,30 +511,14 @@ pub fn fleet(a: &FleetArgs, out: Out<'_>) -> Result<(), String> {
 /// on, so detections stagger across the fleet.
 fn csv_plan(a: &FleetArgs, csv: &Path, model: &Path) -> Result<FleetPlan, String> {
     let blob = std::fs::read(model).map_err(|e| fail("reading checkpoint", e))?;
-    let reference = DriftPipeline::from_bytes(&blob).map_err(|e| fail("decoding checkpoint", e))?;
-    let expected = reference.detector().config().dim;
-    let samples = loader::load_csv(csv, a.has_header, a.label_last)
-        .map_err(|e| fail("reading stream CSV", e))?;
-    if samples.is_empty() {
-        return Err("stream CSV contains no rows".into());
-    }
-    if samples[0].dim() != expected {
-        return Err(format!(
-            "stream has {} features but the checkpoint expects {expected}",
-            samples[0].dim()
-        ));
-    }
-    let samples = Rc::new(samples);
-    let rows = (0..a.sessions)
-        .map(|d| Rows::Csv {
-            rows: Rc::clone(&samples),
-            onset: a.drift_at.map(|at| at + d * a.drift_step),
-            shift: a.drift_shift as Real,
-        })
-        .collect();
+    let sessions = (0..a.sessions as u64).collect();
+    let roster = Roster::csv(csv, a.has_header, a.label_last, sessions)?;
+    let reference = roster.reference(&blob)?;
     Ok(FleetPlan {
-        sessions: (0..a.sessions as u64).collect(),
-        rows,
+        roster,
+        drift: a
+            .drift_at
+            .map(|at| (at, a.drift_step, a.drift_shift as Real)),
         guard: guard_override(*reference.guard_config(), a.guard_policy, a.stuck_threshold),
         guard_line: "guard override",
         blob,
@@ -453,7 +526,6 @@ fn csv_plan(a: &FleetArgs, csv: &Path, model: &Path) -> Result<FleetPlan, String
         fault_seed: a.inject_faults,
         federate: a.federate.then_some(a.federate_interval),
         poison: a.poison,
-        resume: a.resume,
         banner: format!(
             "fleet: {} sessions over {} workers (queue capacity {})",
             a.sessions, a.workers, a.queue
@@ -462,16 +534,11 @@ fn csv_plan(a: &FleetArgs, csv: &Path, model: &Path) -> Result<FleetPlan, String
 }
 
 /// `--scenario`: the `.sqsc` file supplies the session roster, each
-/// session's stream (synthesized from the scenario seed, or recorded off
-/// a live server), and the guard, fleet-fault, poison and federation
+/// session's stream, and the guard, fleet-fault, poison and federation
 /// plans. `--guard-policy`, `--stuck-threshold`, `--federate` and
 /// `--poison` override the file.
 fn scenario_plan(a: &FleetArgs, path: &Path) -> Result<FleetPlan, String> {
-    let player = ScenarioPlayer::from_file(path).map_err(|e| fail("loading scenario", e))?;
-    let sessions = player.sessions();
-    if sessions.is_empty() {
-        return Err(format!("scenario '{}' has no sessions", player.name()));
-    }
+    let (roster, player) = Roster::scenario(path)?;
     let synth = player.scenario().synthetic().ok();
 
     // Reference checkpoint: an explicit --model wins; recorded bundles
@@ -484,14 +551,7 @@ fn scenario_plan(a: &FleetArgs, path: &Path) -> Result<FleetPlan, String> {
             None => scenario_reference(&player)?,
         },
     };
-    let reference = DriftPipeline::from_bytes(&blob).map_err(|e| fail("decoding checkpoint", e))?;
-    let expected = reference.detector().config().dim;
-    if expected != player.dim() {
-        return Err(format!(
-            "scenario streams {} features but the checkpoint expects {expected}",
-            player.dim()
-        ));
-    }
+    let reference = roster.reference(&blob)?;
 
     let spec_guard = synth.and_then(|s| s.guard.as_ref());
     let policy = a
@@ -500,44 +560,56 @@ fn scenario_plan(a: &FleetArgs, path: &Path) -> Result<FleetPlan, String> {
     let stuck = a
         .stuck_threshold
         .or(spec_guard.and_then(|g| g.stuck.map(|k| k as u64)));
-    let rows = sessions
-        .iter()
-        .map(|&id| {
-            player
-                .stream(id)
-                .map(Rows::Stream)
-                .map_err(|e| fail("synthesizing stream", e))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let total: usize = rows.iter().map(Rows::len).sum();
     Ok(FleetPlan {
         banner: format!(
-            "scenario '{}': {} session(s) over {} workers, {total} total samples",
+            "scenario '{}': {} session(s) over {} workers, {} total samples",
             player.name(),
-            sessions.len(),
-            a.workers
+            roster.sessions.len(),
+            a.workers,
+            roster.total_rows()
         ),
-        sessions,
-        rows,
+        roster,
+        drift: None,
         guard: guard_override(*reference.guard_config(), policy, stuck),
         guard_line: "guard",
         blob,
         reference,
         fault_seed: synth.and_then(|s| s.faults.fleet),
-        federate: if a.federate {
-            Some(a.federate_interval)
-        } else {
-            synth.and_then(|s| s.federate)
-        },
+        federate: a
+            .federate
+            .then_some(a.federate_interval)
+            .or(synth.and_then(|s| s.federate)),
         poison: a.poison.or(synth.and_then(|s| s.faults.poison)),
-        resume: a.resume,
     })
+}
+
+/// Adds the durable state dir and federation rounds `fleet` and `serve`
+/// share to `cfg`, announcing each.
+fn with_state_and_federation(
+    mut cfg: FleetConfig,
+    state_dir: Option<&Path>,
+    federate: Option<u64>,
+    out: Out<'_>,
+) -> FleetConfig {
+    if let Some(dir) = state_dir {
+        cfg = cfg.with_state_dir(dir);
+        writeln!(out, "durable state store: {}", dir.display()).ok();
+    }
+    if let Some(interval) = federate {
+        cfg = cfg.with_federation(FederationConfig::default().with_interval(interval));
+        writeln!(
+            out,
+            "federation: merge round every {interval} fleet-wide samples"
+        )
+        .ok();
+    }
+    cfg
 }
 
 /// Runs a [`FleetPlan`]: starts the engine, re-homes or keeps what a
 /// previous run left in the state dir, creates the remaining sessions,
-/// and feeds every session's rows t-major (so sessions interleave the
-/// way live ingest would) with federation rounds in between.
+/// and feeds every session the rows it has not processed yet, with
+/// federation rounds in between.
 fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), String> {
     // The override is written into the reference checkpoint so every
     // session clones the overridden configuration.
@@ -559,25 +631,14 @@ fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), Str
 
     let mut cfg = FleetConfig::new(a.workers).with_queue_capacity(a.queue);
     if let Some(seed) = plan.fault_seed {
-        let injector = FaultInjector::from_seed(seed, plan.sessions.len() as u64);
+        let injector = FaultInjector::from_seed(seed, plan.roster.sessions.len() as u64);
         writeln!(out, "fault plan (seed {seed}):").ok();
         for line in injector.describe().lines() {
             writeln!(out, "  {line}").ok();
         }
         cfg = cfg.with_fault_injector(injector);
     }
-    if let Some(dir) = &a.state_dir {
-        cfg = cfg.with_state_dir(dir);
-        writeln!(out, "durable state store: {}", dir.display()).ok();
-    }
-    if let Some(interval) = plan.federate {
-        cfg = cfg.with_federation(FederationConfig::default().with_interval(interval));
-        writeln!(
-            out,
-            "federation: merge round every {interval} fleet-wide samples"
-        )
-        .ok();
-    }
+    let cfg = with_state_and_federation(cfg, a.state_dir.as_deref(), plan.federate, out);
     let engine = FleetEngine::new(cfg).map_err(|e| fail("starting fleet", e))?;
     if let Some(rec) = engine.recovery_report() {
         recovery_line(&rec, out);
@@ -586,8 +647,8 @@ fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), Str
     // Sessions re-homed from the store (or still quarantined in its
     // ledger) must not be re-created from the reference checkpoint: a
     // fresh create() would discard the survivor — or lift the verdict.
-    let mut preexisting = std::collections::HashSet::new();
-    if plan.resume {
+    let mut existing = HashMap::new();
+    if a.resume {
         let resumed = engine
             .resume()
             .map_err(|e| fail("resuming from state dir", e))?;
@@ -601,7 +662,7 @@ fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), Str
                 id.0
             )
             .ok();
-            preexisting.insert(id.0);
+            existing.insert(id.0, samples_processed);
         }
     }
     for (id, reason) in engine.quarantined_sessions() {
@@ -611,14 +672,7 @@ fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), Str
             id.0
         )
         .ok();
-        preexisting.insert(id.0);
-    }
-    for &id in &plan.sessions {
-        if !preexisting.contains(&id) {
-            engine
-                .create_from_bytes(SessionId(id), &plan.blob)
-                .map_err(|e| fail("creating session", e))?;
-        }
+        existing.entry(id.0).or_insert(0);
     }
     writeln!(out, "{}", plan.banner).ok();
     let mut federator = plan
@@ -628,7 +682,7 @@ fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), Str
         .map_err(|e| fail("starting federation", e))?;
     if let Some(seed) = plan.poison {
         if let Some(f) = federator.take() {
-            let injector = PoisonInjector::from_seed(seed, &plan.sessions);
+            let injector = PoisonInjector::from_seed(seed, &plan.roster.sessions);
             writeln!(out, "poison plan (seed {seed}):").ok();
             for line in injector.describe().lines() {
                 writeln!(out, "  {line}").ok();
@@ -637,39 +691,14 @@ fn run_fleet(a: &FleetArgs, mut plan: FleetPlan, out: Out<'_>) -> Result<(), Str
         }
     }
 
-    // Federation rounds trigger at deterministic stream positions: this
-    // feeder-side counter of delivered rows decides the boundaries, not
-    // the worker-side `samples_processed` gauge (which races with the
-    // shards and made `--federate --inject-faults` replays diverge).
-    // Snapshots travel through the shard FIFOs behind every sample and
-    // fault already enqueued, so a fixed boundary sees a fixed model.
-    let mut fed_since_round: u64 = 0;
-    let mut scratch = Vec::new();
-    let max_len = plan.rows.iter().map(Rows::len).max().unwrap_or(0);
-    for t in 0..max_len {
-        for (&id, rows) in plan.sessions.iter().zip(&plan.rows) {
-            let Some(x) = rows.get(t, &mut scratch) else {
-                continue;
-            };
-            // A quarantined device stays quarantined for the rest of the
-            // replay; the fleet keeps serving every other device. The
-            // attempt still counts towards the round boundary: attempts
-            // are deterministic, outcomes race with the verdict.
-            match engine.feed_blocking(SessionId(id), x) {
-                Ok(()) | Err(FleetError::SessionQuarantined(_)) => {}
-                Err(e) => return Err(fail("feeding sample", e)),
-            }
-            fed_since_round += 1;
-        }
-        if let Some(f) = federator.as_mut() {
-            if fed_since_round >= f.config().interval {
-                fed_since_round = 0;
-                f.run_round(&engine)
-                    .map_err(|e| fail("federation round", e))?;
-            }
-        }
-    }
-
+    replay(
+        &engine,
+        &plan.roster,
+        &plan.blob,
+        &existing,
+        plan.drift,
+        federator.as_mut(),
+    )?;
     let report = engine.shutdown();
     report_fleet_shutdown(
         &report,
@@ -727,116 +756,70 @@ fn report_fleet_shutdown(
     out: Out<'_>,
 ) {
     for event in &report.events {
-        match event {
-            FleetEvent::Pipeline {
-                id,
-                event: PipelineEvent::DriftDetected { index, dist },
-            } => {
-                writeln!(
-                    out,
-                    "device {}: DRIFT at its sample {index} (distance {dist:.4})",
-                    id.0
-                )
-                .ok();
-            }
-            FleetEvent::Pipeline {
-                id,
-                event:
-                    PipelineEvent::Reconstructed {
-                        index,
-                        new_theta_drift,
-                    },
-            } => {
-                writeln!(
-                    out,
+        let line = match event {
+            FleetEvent::Pipeline { id, event } => match event {
+                PipelineEvent::DriftDetected { index, dist } => {
+                    format!(
+                        "device {}: DRIFT at its sample {index} (distance {dist:.4})",
+                        id.0
+                    )
+                }
+                PipelineEvent::Reconstructed {
+                    index,
+                    new_theta_drift,
+                } => format!(
                     "device {}: reconstructed at its sample {index} \
                      (new theta_drift {new_theta_drift:.4})",
                     id.0
-                )
-                .ok();
-            }
-            FleetEvent::Pipeline {
-                id,
-                event: PipelineEvent::Degraded { index, reason },
-            } => {
-                writeln!(
-                    out,
-                    "device {}: DEGRADED at its sample {index} ({reason})",
-                    id.0
-                )
-                .ok();
-            }
-            FleetEvent::Pipeline {
-                id,
-                event: PipelineEvent::Recovered { index },
-            } => {
-                writeln!(out, "device {}: recovered at its sample {index}", id.0).ok();
-            }
+                ),
+                PipelineEvent::Degraded { index, reason } => {
+                    format!("device {}: DEGRADED at its sample {index} ({reason})", id.0)
+                }
+                PipelineEvent::Recovered { index } => {
+                    format!("device {}: recovered at its sample {index}", id.0)
+                }
+            },
             FleetEvent::SessionPanicked { id, at_delivery } => {
-                writeln!(
-                    out,
-                    "device {}: PANIC at delivery {at_delivery} (caught)",
-                    id.0
-                )
-                .ok();
+                format!("device {}: PANIC at delivery {at_delivery} (caught)", id.0)
             }
             FleetEvent::SessionRestored {
                 id,
                 resumed_at_sample,
                 restarts_in_window,
-            } => {
-                writeln!(
-                    out,
-                    "device {}: restored from checkpoint at sample {resumed_at_sample} \
-                     (restart {restarts_in_window} in window)",
-                    id.0
-                )
-                .ok();
-            }
+            } => format!(
+                "device {}: restored from checkpoint at sample {resumed_at_sample} \
+                 (restart {restarts_in_window} in window)",
+                id.0
+            ),
             FleetEvent::SessionQuarantined { id, reason } => {
-                writeln!(out, "device {}: QUARANTINED ({reason})", id.0).ok();
+                format!("device {}: QUARANTINED ({reason})", id.0)
             }
             FleetEvent::WorkerRespawned {
                 shard,
                 recovered,
                 lost,
             } => {
-                writeln!(
-                    out,
-                    "worker {shard}: respawned ({recovered} session(s) recovered, {lost} lost)"
-                )
-                .ok();
+                format!("worker {shard}: respawned ({recovered} session(s) recovered, {lost} lost)")
             }
             FleetEvent::DurabilityDegraded { reason } => {
-                writeln!(out, "durability: DEGRADED ({reason})").ok();
+                format!("durability: DEGRADED ({reason})")
             }
             FleetEvent::DurabilityRestored {
                 flushed_checkpoints,
                 drained_ledger_writes,
-            } => {
-                writeln!(
-                    out,
-                    "durability: restored ({flushed_checkpoints} buffered checkpoint(s) \
-                     flushed, {drained_ledger_writes} ledger write(s) drained)"
-                )
-                .ok();
-            }
+            } => format!(
+                "durability: restored ({flushed_checkpoints} buffered checkpoint(s) \
+                 flushed, {drained_ledger_writes} ledger write(s) drained)"
+            ),
             FleetEvent::MergeRoundRejected { candidates, reason } => {
-                writeln!(
-                    out,
-                    "federation: merge round REJECTED ({candidates} candidate(s), {reason})"
-                )
-                .ok();
+                format!("federation: merge round REJECTED ({candidates} candidate(s), {reason})")
             }
-            FleetEvent::SessionExcludedLowTrust { id, trust } => {
-                writeln!(
-                    out,
-                    "device {}: excluded from merging (trust {trust:.3} below floor)",
-                    id.0
-                )
-                .ok();
-            }
-        }
+            FleetEvent::SessionExcludedLowTrust { id, trust } => format!(
+                "device {}: excluded from merging (trust {trust:.3} below floor)",
+                id.0
+            ),
+        };
+        writeln!(out, "{line}").ok();
     }
     let m = &report.metrics;
     writeln!(
@@ -966,23 +949,14 @@ pub fn serve_with_stop(
     use seqdrift_server::{AdmissionConfig, Server, ServerConfig};
     use std::time::Duration;
 
-    let mut fleet_cfg = FleetConfig::new(a.workers)
-        .with_queue_capacity(a.queue)
-        .with_feed_timeout(Duration::from_millis(a.feed_timeout_ms));
-    if let Some(dir) = &a.state_dir {
-        fleet_cfg = fleet_cfg.with_state_dir(dir);
-        writeln!(out, "durable state store: {}", dir.display()).ok();
-    }
-    if a.federate {
-        fleet_cfg = fleet_cfg
-            .with_federation(FederationConfig::default().with_interval(a.federate_interval));
-        writeln!(
-            out,
-            "federation: merge round every {} fleet-wide samples",
-            a.federate_interval
-        )
-        .ok();
-    }
+    let fleet_cfg = with_state_and_federation(
+        FleetConfig::new(a.workers)
+            .with_queue_capacity(a.queue)
+            .with_feed_timeout(Duration::from_millis(a.feed_timeout_ms)),
+        a.state_dir.as_deref(),
+        a.federate.then_some(a.federate_interval),
+        out,
+    );
     let mut cfg = ServerConfig::new(fleet_cfg)
         .with_idle_timeout(Duration::from_millis(a.idle_timeout_ms))
         .with_admission(AdmissionConfig {
@@ -1076,76 +1050,46 @@ pub fn serve_with_stop(
 }
 
 /// `seqdrift load`: multi-threaded load generator. Each simulated device
-/// opens one connection, HELLOs its own session, replays the CSV in
-/// batches, and records the round-trip latency of every batch.
+/// opens one connection, HELLOs its own session, streams its rows of the
+/// roster in batches from the sample the server already holds, and
+/// records the round-trip latency of every batch.
 pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
     use seqdrift_bench::json::{latency_percentiles, merge_into_file, IngestEntry};
-    use seqdrift_server::{ChaosConfig, ChaosProxy, Client, ReconnectPolicy, ResilientClient};
-    use std::time::Instant;
-
-    // Device roster: `(session id, flattened rows)`. With `--csv` every
-    // device replays the same stream; with `--scenario` each device
-    // streams its own deterministic per-session stream, the bench entry
-    // is attributed to the scenario, and a `faults chaos SEED` line
-    // stands in for `--chaos --chaos-seed SEED`.
-    let (dim, devices, scenario_name, chaos_seed) = if let Some(path) = &a.scenario {
-        let player = ScenarioPlayer::from_file(path).map_err(|e| fail("loading scenario", e))?;
-        let sessions = player.sessions();
-        if sessions.is_empty() {
-            return Err(format!("scenario '{}' has no sessions", player.name()));
-        }
-        if player.dim() == 0 {
-            return Err(format!("scenario '{}' has dimension 0", player.name()));
-        }
-        let mut devices = Vec::with_capacity(sessions.len());
-        for &id in &sessions {
-            let stream = player
-                .stream(id)
-                .map_err(|e| fail("synthesizing stream", e))?;
-            let mut flat = Vec::with_capacity(stream.len() * player.dim());
-            for row in &stream {
-                flat.extend_from_slice(row);
-            }
-            devices.push((id, std::sync::Arc::new(flat)));
-        }
-        let chaos = player
-            .scenario()
-            .synthetic()
-            .ok()
-            .and_then(|s| s.faults.chaos);
-        (
-            player.dim(),
-            devices,
-            Some(player.name().to_string()),
-            chaos,
-        )
-    } else {
-        let csv = a.csv.as_ref().ok_or("load needs --csv or --scenario")?;
-        let samples = loader::load_csv(csv, a.has_header, a.label_last)
-            .map_err(|e| fail("reading stream CSV", e))?;
-        if samples.is_empty() {
-            return Err("stream CSV contains no rows".into());
-        }
-        let dim = samples[0].dim();
-        let mut rows: Vec<Real> = Vec::with_capacity(samples.len() * dim);
-        for s in &samples {
-            if s.dim() != dim {
-                return Err(format!(
-                    "ragged CSV: row with {} features after rows with {dim}",
-                    s.dim()
-                ));
-            }
-            rows.extend_from_slice(&s.x);
-        }
-        let rows = std::sync::Arc::new(rows);
-        let devices = (0..a.sessions)
-            .map(|d| (a.session0 + d as u64, std::sync::Arc::clone(&rows)))
-            .collect();
-        (dim, devices, None, a.chaos.then_some(a.chaos_seed))
+    use seqdrift_server::{
+        ChaosConfig, ChaosProxy, Client, ClientError, ReconnectPolicy, ResilientClient,
     };
-    let n_devices = devices.len();
-    let total_rows_all: usize = devices.iter().map(|(_, r)| r.len() / dim).sum();
-    match &scenario_name {
+    use std::time::{Duration, Instant};
+
+    // With `--csv` every device replays the same stream; with
+    // `--scenario` each device streams its own session of the file, the
+    // bench entry is attributed to the scenario, and a `faults chaos
+    // SEED` line stands in for `--chaos --chaos-seed SEED`.
+    let (roster, chaos_seed) = match (&a.scenario, &a.csv) {
+        (Some(path), _) => {
+            let (roster, player) = Roster::scenario(path)?;
+            let chaos = player.scenario().synthetic().ok();
+            (roster, chaos.and_then(|s| s.faults.chaos))
+        }
+        (None, Some(csv)) => {
+            let sessions = (0..a.sessions as u64).map(|d| a.session0 + d).collect();
+            let roster = Roster::csv(csv, a.has_header, a.label_last, sessions)?;
+            (roster, a.chaos.then_some(a.chaos_seed))
+        }
+        (None, None) => return Err("load needs --csv or --scenario".into()),
+    };
+    // `--verify` replays the roster locally from the checkpoint the
+    // server serves.
+    let reference = match &a.model {
+        Some(model) if a.verify => {
+            let blob = std::fs::read(model).map_err(|e| fail("reading checkpoint", e))?;
+            roster.reference(&blob)?;
+            Some(blob)
+        }
+        _ if a.verify => return Err("--verify requires --model".into()),
+        _ => None,
+    };
+    let (dim, n_devices, total_rows_all) = (roster.dim, roster.sessions.len(), roster.total_rows());
+    match &roster.scenario {
         Some(name) => writeln!(
             out,
             "scenario '{name}': {total_rows_all} rows x {dim} features over {n_devices} \
@@ -1163,6 +1107,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         .ok(),
     };
 
+    #[derive(Default)]
     struct DeviceRun {
         session: u64,
         total_rows: u64,
@@ -1172,32 +1117,37 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         replayed_rows: u64,
         recovered_rows: u64,
         resume_from: u64,
-        snapshot: Option<Vec<u8>>,
+        /// `--verify`: the session's checkpoint, or the server's reason
+        /// for refusing one.
+        snapshot: Option<Result<Vec<u8>, String>>,
         victim: bool,
+    }
+
+    /// How a device reaches the server.
+    enum Link {
+        Direct(Client),
+        /// Through the chaos proxy, reconnecting whenever it cuts the link.
+        Chaos(Box<ResilientClient>),
     }
 
     // Chaos mode: a deterministic fault-injection proxy sits in front of
     // the server, and the first `victims` devices are routed through it
     // (with reconnect-capable clients); the rest connect directly so the
     // run also measures collateral damage on healthy traffic.
-    let chaos_proxy = if let Some(seed) = chaos_seed {
-        use std::net::ToSocketAddrs;
-        let upstream = a
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| fail("resolving server address", e))?
-            .next()
-            .ok_or("server address resolved to nothing")?;
-        let proxy = ChaosProxy::spawn(upstream, ChaosConfig::all_faults(seed))
-            .map_err(|e| fail("starting chaos proxy", e))?;
-        Some(proxy)
-    } else {
-        None
-    };
-    let victims = match chaos_seed {
-        Some(_) => a.chaos_victims.unwrap_or(n_devices.div_ceil(2)),
-        None => 0,
-    };
+    let chaos_proxy = chaos_seed
+        .map(|seed| {
+            use std::net::ToSocketAddrs;
+            let upstream = a
+                .addr
+                .to_socket_addrs()
+                .map_err(|e| fail("resolving server address", e))?
+                .next()
+                .ok_or("server address resolved to nothing")?;
+            ChaosProxy::spawn(upstream, ChaosConfig::all_faults(seed))
+                .map_err(|e| fail("starting chaos proxy", e))
+        })
+        .transpose()?;
+    let victims = chaos_seed.map_or(0, |_| a.chaos_victims.unwrap_or(n_devices.div_ceil(2)));
     if let (Some(seed), Some(proxy)) = (chaos_seed, &chaos_proxy) {
         writeln!(
             out,
@@ -1209,106 +1159,97 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
 
     let wall = Instant::now();
     let mut handles = Vec::new();
-    for (d, (session, rows)) in devices.iter().enumerate() {
-        let session = *session;
-        let rows = std::sync::Arc::clone(rows);
-        let total_rows = (rows.len() / dim) as u64;
-        let batch_rows = a.batch;
-        let want_snapshot = a.verify;
-        let stall_timeout = a.busy_stall_timeout;
-        if d < victims {
-            let (Some(proxy), Some(chaos_seed)) = (&chaos_proxy, chaos_seed) else {
-                continue;
-            };
-            let proxy_addr = proxy.local_addr();
-            handles.push(std::thread::spawn(move || -> Result<DeviceRun, String> {
-                let policy = ReconnectPolicy {
-                    max_attempts: 12,
-                    base: std::time::Duration::from_millis(5),
-                    cap: std::time::Duration::from_millis(500),
-                    seed: chaos_seed ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                };
-                let mut rc = ResilientClient::new(proxy_addr, session, dim as u32, policy)
-                    .map_err(|e| format!("device {session}: chaos client: {e}"))?;
-                // Short read timeout so a blackholed reply surfaces as a
-                // reconnect instead of a long hang.
-                rc.read_timeout = Some(std::time::Duration::from_secs(2));
-                if let Some(secs) = stall_timeout {
-                    rc.busy_stall_timeout = std::time::Duration::from_secs(secs);
-                }
-                let resume_from = rc
-                    .hello()
-                    .map_err(|e| format!("device {session}: hello: {e}"))?;
-                let report = rc
-                    .run_stream(&rows, batch_rows)
-                    .map_err(|e| format!("device {session}: stream: {e}"))?;
-                let snapshot = want_snapshot
-                    .then(|| {
-                        rc.snapshot()
-                            .map_err(|e| format!("device {session}: snapshot: {e}"))
-                    })
-                    .transpose()?;
-                let reconnects = rc.total_reconnects;
-                rc.bye()
-                    .map_err(|e| format!("device {session}: bye: {e}"))?;
-                Ok(DeviceRun {
-                    session,
-                    total_rows,
-                    latencies_us: report.latencies_us.iter().map(|&us| us as f64).collect(),
-                    busy_retries: report.busy_retries,
-                    reconnects,
-                    replayed_rows: report.replayed_rows,
-                    recovered_rows: report.recovered_rows,
-                    resume_from,
-                    snapshot,
-                    victim: true,
-                })
-            }));
-            continue;
-        }
+    for (d, (&session, rows)) in roster.sessions.iter().zip(&roster.rows).enumerate() {
+        let rows = Arc::clone(rows);
         let addr = a.addr.clone();
+        let proxy = (chaos_proxy.as_ref().zip(chaos_seed))
+            .filter(|_| d < victims)
+            .map(|(p, seed)| (p.local_addr(), seed));
+        let (batch_rows, want_snapshot) = (a.batch, a.verify);
+        let stall_timeout = a.busy_stall_timeout.map(Duration::from_secs);
         handles.push(std::thread::spawn(move || -> Result<DeviceRun, String> {
-            let (mut client, hello) = Client::connect(&*addr, session, dim as u32)
-                .map_err(|e| format!("device {session}: connect: {e}"))?;
-            if let Some(secs) = stall_timeout {
-                client.busy_stall_timeout = std::time::Duration::from_secs(secs);
-            }
-            // After a server restart the session resumes mid-stream; skip
-            // the rows its durable state already reflects.
-            let start_row = (hello.resume_from as usize).min(rows.len() / dim);
-            let mut latencies_us = Vec::new();
-            for chunk in rows[start_row * dim..].chunks(batch_rows * dim) {
-                let t = Instant::now();
-                client
-                    .send_all(chunk)
-                    .map_err(|e| format!("device {session}: send: {e}"))?;
-                latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
-            }
-            let snapshot = if want_snapshot {
-                Some(
-                    client
-                        .snapshot()
-                        .map_err(|e| format!("device {session}: snapshot: {e}"))?,
-                )
-            } else {
-                None
+            let err =
+                |what: &'static str| move |e: ClientError| format!("device {session}: {what}: {e}");
+            let (mut link, resume_from) = match proxy {
+                Some((proxy_addr, chaos_seed)) => {
+                    let policy = ReconnectPolicy {
+                        max_attempts: 12,
+                        base: Duration::from_millis(5),
+                        cap: Duration::from_millis(500),
+                        seed: chaos_seed ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    };
+                    let mut rc = ResilientClient::new(proxy_addr, session, dim as u32, policy)
+                        .map_err(err("chaos client"))?;
+                    // Short read timeout so a blackholed reply surfaces as
+                    // a reconnect instead of a long hang.
+                    rc.read_timeout = Some(Duration::from_secs(2));
+                    if let Some(t) = stall_timeout {
+                        rc.busy_stall_timeout = t;
+                    }
+                    let resume_from = rc.hello().map_err(err("hello"))?;
+                    (Link::Chaos(Box::new(rc)), resume_from)
+                }
+                None => {
+                    let (mut client, hello) =
+                        Client::connect(&*addr, session, dim as u32).map_err(err("connect"))?;
+                    if let Some(t) = stall_timeout {
+                        client.busy_stall_timeout = t;
+                    }
+                    (Link::Direct(client), hello.resume_from)
+                }
             };
-            let busy_retries = client.busy_retries;
-            client
-                .bye()
-                .map_err(|e| format!("device {session}: bye: {e}"))?;
-            Ok(DeviceRun {
+            let mut run = DeviceRun {
                 session,
-                total_rows,
-                latencies_us,
-                busy_retries,
-                reconnects: 0,
-                replayed_rows: 0,
-                recovered_rows: 0,
-                resume_from: hello.resume_from,
-                snapshot,
-                victim: false,
-            })
+                total_rows: (rows.len() / dim) as u64,
+                resume_from,
+                victim: proxy.is_some(),
+                ..DeviceRun::default()
+            };
+            // Row `i` of `rows` is sample `i` of the session, so after a
+            // server restart the rows before `resume_from` are skipped:
+            // the session's durable state already reflects them.
+            match &mut link {
+                Link::Direct(client) => {
+                    let start_row = resume_from.min(run.total_rows) as usize;
+                    for chunk in rows[start_row * dim..].chunks(batch_rows * dim) {
+                        let t = Instant::now();
+                        client.send_all(chunk).map_err(err("send"))?;
+                        run.latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
+                    }
+                    run.busy_retries = client.busy_retries;
+                }
+                Link::Chaos(rc) => {
+                    // Addressed the same way: the client skips the rows
+                    // any HELLO, first or after a reconnect, acknowledged.
+                    let report = rc.run_stream(&rows, batch_rows).map_err(err("stream"))?;
+                    run.latencies_us = report.latencies_us.iter().map(|&us| us as f64).collect();
+                    run.busy_retries = report.busy_retries;
+                    run.replayed_rows = report.replayed_rows;
+                    run.recovered_rows = report.recovered_rows;
+                }
+            }
+            if want_snapshot {
+                let snapshot = match &mut link {
+                    Link::Direct(client) => client.snapshot(),
+                    Link::Chaos(rc) => rc.snapshot(),
+                };
+                // A refusal (a session still reconstructing cannot
+                // checkpoint) is an outcome for `--verify` to compare.
+                run.snapshot = Some(match snapshot {
+                    Ok(blob) => Ok(blob),
+                    Err(ClientError::Nack { detail, .. }) => Err(detail),
+                    Err(e) => return Err(err("snapshot")(e)),
+                });
+            }
+            match link {
+                Link::Direct(client) => client.bye(),
+                Link::Chaos(rc) => {
+                    run.reconnects = rc.total_reconnects;
+                    rc.bye()
+                }
+            }
+            .map_err(err("bye"))?;
+            Ok(run)
         }));
     }
     // Join every device and keep going on failure: a crashed device must
@@ -1373,15 +1314,11 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
     .ok();
 
     // Per-group stats (healthy vs victim) for chaos runs.
-    let groups: Vec<(&str, Stats)> = if chaos_seed.is_some() {
-        [("healthy", false), ("victim", true)]
-            .into_iter()
-            .filter(|&(_, victim)| runs.iter().any(|r| r.victim == victim))
-            .map(|(tag, victim)| (tag, stats(&|r| r.victim == victim)))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let groups: Vec<(&str, Stats)> = [("healthy", false), ("victim", true)]
+        .into_iter()
+        .filter(|&(_, victim)| chaos_seed.is_some() && runs.iter().any(|r| r.victim == victim))
+        .map(|(tag, victim)| (tag, stats(&|r| r.victim == victim)))
+        .collect();
     if chaos_seed.is_some() {
         let reconnects: u64 = runs.iter().map(|r| r.reconnects).sum();
         let replayed: u64 = runs.iter().map(|r| r.replayed_rows).sum();
@@ -1414,7 +1351,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
                 .map(|&(tag, g)| (format!("chaos_{tag}_sessions_{n_devices}_batch_{batch}"), g))
                 .collect()
         } else {
-            let name = match &scenario_name {
+            let name = match &roster.scenario {
                 Some(name) => format!("scenario_{name}_sessions_{n_devices}_batch_{batch}"),
                 None => format!("load_sessions_{n_devices}_batch_{batch}"),
             };
@@ -1429,7 +1366,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
                     p99_us: p99,
                     samples: sent,
                     unit: None,
-                    scenario: scenario_name.clone(),
+                    scenario: roster.scenario.clone(),
                 };
                 (name, entry)
             })
@@ -1446,72 +1383,46 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         ));
     }
 
-    if a.verify {
-        let model = a.model.as_ref().ok_or("--verify requires --model")?;
-        let blob = std::fs::read(model).map_err(|e| fail("reading checkpoint", e))?;
-        // Replay the same stream through an in-process fleet and compare
-        // checkpoint blobs byte for byte: the networked path must be
-        // bit-identical to local execution.
-        let device_rows: std::collections::HashMap<u64, &std::sync::Arc<Vec<Real>>> =
-            devices.iter().map(|(id, rows)| (*id, rows)).collect();
+    if let Some(blob) = reference {
+        // Replay the same rows through an in-process fleet and compare
+        // each session's snapshot outcome: the networked path must be
+        // bit-identical to local execution, or refuse to checkpoint for
+        // the same reason. A resumed session started from durable state
+        // this replay cannot rebuild from the reference alone: it is left
+        // out.
         let local = FleetEngine::new(FleetConfig::new(n_devices.min(4)))
             .map_err(|e| fail("starting verification fleet", e))?;
-        let mut verified = 0usize;
-        let mut skipped = 0usize;
-        for r in &runs {
-            if r.resume_from > 0 {
-                // The networked session started from durable state this
-                // replay cannot reconstruct from the reference alone.
-                skipped += 1;
-                continue;
-            }
-            local
-                .create_from_bytes(SessionId(r.session), &blob)
-                .map_err(|e| fail("creating verification session", e))?;
-        }
-        for r in &runs {
-            if r.resume_from > 0 {
-                continue;
-            }
-            let Some(rows) = device_rows.get(&r.session) else {
-                continue;
-            };
-            for row in rows.chunks_exact(dim) {
-                local
-                    .feed_blocking(SessionId(r.session), row)
-                    .map_err(|e| fail("verification replay", e))?;
-            }
-        }
-        for r in &runs {
-            if r.resume_from > 0 {
-                continue;
-            }
-            let local_blob = local
+        let resumed: HashMap<u64, u64> = runs
+            .iter()
+            .filter(|r| r.resume_from > 0)
+            .map(|r| (r.session, u64::MAX))
+            .collect();
+        replay(&local, &roster, &blob, &resumed, None, None)?;
+        let (mut identical, mut midway) = (0usize, 0usize);
+        for r in runs.iter().filter(|r| r.resume_from == 0) {
+            let here = local
                 .snapshot(SessionId(r.session))
-                .map_err(|e| fail("verification snapshot", e))?;
-            match &r.snapshot {
-                Some(remote) if *remote == local_blob => verified += 1,
-                Some(_) => {
+                .map_err(|e| e.to_string());
+            match (&r.snapshot, here) {
+                (Some(Ok(there)), Ok(here)) if *there == here => identical += 1,
+                (Some(Err(there)), Err(here)) if *there == here => midway += 1,
+                _ => {
                     return Err(format!(
                         "device {}: networked state DIVERGED from local replay",
                         r.session
                     ))
                 }
-                None => return Err("verification snapshot missing".into()),
             }
         }
         local.shutdown();
-        writeln!(
-            out,
-            "verify: {verified} device(s) bit-identical to local replay\
-             {}",
-            if skipped > 0 {
-                format!(" ({skipped} resumed device(s) skipped)")
-            } else {
-                String::new()
-            }
-        )
-        .ok();
+        let mut line = format!("verify: {identical} device(s) bit-identical to local replay");
+        if midway > 0 {
+            line += &format!("; {midway} device(s) matched mid-reconstruction");
+        }
+        if !resumed.is_empty() {
+            line += &format!(" ({} resumed device(s) skipped)", resumed.len());
+        }
+        writeln!(out, "{line}").ok();
     }
     Ok(())
 }
@@ -2191,6 +2102,20 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
         panic!("server never wrote {}", path.display());
+    }
+
+    #[test]
+    fn a_stream_without_feature_columns_is_an_error() {
+        let dir = tmpdir("no-features");
+        let labels_only = dir.join("labels.csv");
+        std::fs::write(&labels_only, "0\n1\n").unwrap();
+        let err = exec(&format!(
+            "load --csv {} --label-last --no-header --addr 127.0.0.1:1",
+            labels_only.display()
+        ))
+        .unwrap_err();
+        assert!(err.contains("no feature columns"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

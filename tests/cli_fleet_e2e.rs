@@ -217,11 +217,13 @@ fn fleet_csv_transcripts_are_unchanged() {
         Some(&state),
         0x36a1_b7ae_93b8_09f8,
     );
+    // Re-recorded when `--resume` stopped feeding re-homed sessions their
+    // stream again from row 0: the resumed sessions sit at the end of it.
     check(
         "resume",
         &exec(&format!("{line} --resume")),
         Some(&state),
-        0x1a0c_dbd0_b3a5_6a6d,
+        0xb7c4_4c71_a9dc_b7e8,
     );
     std::fs::remove_dir_all(&f.dir).ok();
 }
@@ -343,4 +345,50 @@ fn both_front_ends_keep_a_persisted_quarantine_verdict() {
         }
     }
     std::fs::remove_dir_all(&f.dir).ok();
+}
+
+/// `--resume` feeds each re-homed session from its checkpoint on: this
+/// run processes exactly the rows its sessions had not yet seen, and no
+/// session reports a drift before the sample it resumed at.
+#[test]
+fn resumed_sessions_are_fed_from_their_checkpoint() {
+    let dir = tmp_dir("resume-offset");
+    let sqsc = dir.join("drill.sqsc");
+    std::fs::write(&sqsc, DRILL).unwrap();
+    let state = dir.join("state");
+    let line = format!(
+        "fleet --scenario {} --workers 3 --state-dir {}",
+        sqsc.display(),
+        state.display()
+    );
+    exec(&line);
+    let out = exec(&format!("{line} --resume"));
+    let mut resumed_at = std::collections::HashMap::new();
+    let mut processed = None;
+    for l in out.lines() {
+        if let Some(rest) = l.strip_prefix("resumed device ") {
+            let (id, at) = rest.split_once(" at its sample ").unwrap();
+            resumed_at.insert(id.to_string(), at.parse::<u64>().unwrap());
+        }
+        if let Some(rest) = l.strip_prefix("fleet done: 6 sessions, ") {
+            let (n, _) = rest.split_once(" samples processed").unwrap();
+            processed = Some(n.parse::<u64>().unwrap());
+        }
+    }
+    assert_eq!(resumed_at.len(), 6, "{out}");
+    let unseen: u64 = resumed_at.values().map(|at| 400 - at).sum();
+    assert_eq!(processed, Some(unseen), "{out}");
+    for l in out.lines() {
+        let Some(rest) = l.strip_prefix("device ") else {
+            continue;
+        };
+        if let Some((id, rest)) = rest.split_once(": DRIFT at its sample ") {
+            let (at, _) = rest.split_once(' ').unwrap();
+            assert!(
+                at.parse::<u64>().unwrap() >= resumed_at[id],
+                "device {id} drifted before its resume point:\n{out}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
