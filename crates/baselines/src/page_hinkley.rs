@@ -1,6 +1,6 @@
 //! Page–Hinkley test: sequential detection of an increase in the mean of a
 //! univariate stream (Page 1954; the streaming form popularised by Gama's
-//! drift-adaptation survey, which the paper cites as [8]).
+//! drift-adaptation survey, which the paper cites as \[8\]).
 //!
 //! Extension baseline: can watch any scalar statistic — e.g. the anomaly
 //! score of the discriminative model — with O(1) state.

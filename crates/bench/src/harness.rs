@@ -66,7 +66,7 @@ impl Stats {
 }
 
 /// Times `f`, auto-calibrating how many calls make up one sample, and
-/// reports the median over [`SAMPLES`] samples. `elements` is the number of
+/// reports the median over `SAMPLES` samples. `elements` is the number of
 /// logical items one `f()` call processes (enables the throughput column).
 pub fn bench(name: &str, elements: Option<u64>, mut f: impl FnMut()) -> Stats {
     // Warm up (fills caches, triggers lazy init) and estimate the per-call
@@ -101,7 +101,7 @@ pub fn bench(name: &str, elements: Option<u64>, mut f: impl FnMut()) -> Stats {
     stats
 }
 
-/// Like [`bench`] for routines that consume fresh state per call (streaming
+/// Like [`bench()`] for routines that consume fresh state per call (streaming
 /// a whole dataset through a detector, say): `setup` runs untimed before
 /// every timed `routine` call, and each call is one sample — no inner loop,
 /// so keep routines in the multi-millisecond range.

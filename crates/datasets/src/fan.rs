@@ -1,6 +1,6 @@
 //! Synthetic cooling-fan vibration spectra.
 //!
-//! The paper's cooling-fan dataset [16] contains 511-bin frequency spectra
+//! The paper's cooling-fan dataset \[16\] contains 511-bin frequency spectra
 //! (1–511 Hz) of healthy and damaged fans measured by an industrial
 //! accelerometer in silent and noisy environments. This module synthesises
 //! physically-plausible equivalents:

@@ -1,7 +1,7 @@
 //! Analytic memory accounting (Table 4).
 //!
 //! Every method's resident state is counted in `Real` scalars by the
-//! implementing crates ([`seqdrift_baselines::BatchDriftDetector::memory_scalars`],
+//! implementing crates (`seqdrift_baselines::BatchDriftDetector::memory_scalars`,
 //! `CentroidDetector::memory_scalars`, OS-ELM `param_counts`); this module
 //! converts scalar counts to bytes and assembles per-method reports. The
 //! counts are *analytic* — derived from the data structures, not from a

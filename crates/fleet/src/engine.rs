@@ -17,9 +17,9 @@ use crate::durability::{flush_loop, DurabilityHealth, DurabilityMonitor};
 use crate::fault::FaultInjector;
 use crate::metrics::{FleetMetrics, MetricsSnapshot, QueueDepth, RejectReasons};
 use crate::supervisor::{
-    decide_recovery, mutex_lock, quarantine, read_lock, worker_loop, write_lock, CheckpointStore,
-    FleetEvent, LostSession, MergeRejectReason, QuarantineReason, Recovery, SessionSlot,
-    SessionStatus, SupervisionPolicy, WorkerCtx,
+    decide_recovery, mutex_lock, quarantine, read_lock, stream_offset, worker_loop, write_lock,
+    CheckpointStore, FleetEvent, LostSession, MergeRejectReason, QuarantineReason, Recovery,
+    SessionSlot, SessionStatus, SupervisionPolicy, WorkerCtx,
 };
 use seqdrift_core::{CoreError, DriftPipeline};
 use seqdrift_linalg::Real;
@@ -1030,25 +1030,17 @@ impl FleetEngine {
         }
     }
 
-    /// The session's live applied-sample count
-    /// (`DriftPipeline::samples_processed`). The request travels the same
-    /// FIFO as samples, so the count reflects every sample fed before
-    /// this call — this is the replay offset a reconnecting device should
-    /// resume its stream from. Cheaper than [`FleetEngine::snapshot`] (no
-    /// serialization) and available even when a mid-reconstruction
-    /// session would refuse to checkpoint.
+    /// The session's stream offset: every row it has consumed, applied
+    /// (`DriftPipeline::samples_processed`) or refused by its input guard.
+    /// The request travels the same FIFO as samples, so the count reflects
+    /// every sample fed before this call — this is the replay offset a
+    /// reconnecting device should resume its stream from. Cheaper than
+    /// [`FleetEngine::snapshot`] (no serialization) and available even
+    /// when a mid-reconstruction session would refuse to checkpoint.
     pub fn samples_processed(&self, id: SessionId) -> Result<u64, FleetError> {
-        match read_lock(&self.registry).get(&id.0) {
-            None => return Err(FleetError::UnknownSession(id)),
-            Some(SessionStatus::Quarantined(_)) => return Err(FleetError::SessionQuarantined(id)),
-            Some(SessionStatus::Active) => {}
-        }
-        let (reply, rx) = channel();
-        self.control_send(id, ShardMsg::SamplesProcessed { id: id.0, reply })?;
-        match rx.recv().map_err(|_| FleetError::Disconnected)? {
-            Err(FleetError::UnknownSession(_)) => Err(self.refine_missing(id)),
-            other => other,
-        }
+        // `recv_timeout` waits without a deadline when `now + timeout`
+        // overflows, so this never times out.
+        self.samples_processed_within(id, Duration::MAX)
     }
 
     /// [`FleetEngine::samples_processed`] with a deadline. The query
@@ -1143,16 +1135,14 @@ impl FleetEngine {
     }
 
     /// Tallies one federation round into the fleet metrics:
-    /// `accepted` and the per-reason reject breakdown always,
+    /// `accepted` and the per-reason reject breakdown always (the
+    /// snapshot's `contributions_rejected` is their total),
     /// `merge_rounds` only when the round actually produced a merged
     /// model.
     pub fn record_federation_round(&self, merged: bool, accepted: u64, rejects: RejectReasons) {
         self.metrics
             .contributions_accepted
             .fetch_add(accepted, Ordering::Relaxed);
-        self.metrics
-            .contributions_rejected
-            .fetch_add(rejects.total(), Ordering::Relaxed);
         self.metrics
             .rejected_health
             .fetch_add(rejects.health, Ordering::Relaxed);
@@ -1268,12 +1258,13 @@ impl FleetEngine {
     /// Re-homes every session that survived in the durable state store:
     /// for each non-quarantined session directory, the newest checkpoint
     /// generation that frames and decodes is installed as a live session.
-    /// Returns `(id, samples_processed)` for each resumed session, sorted
-    /// by id — the caller replays its stream from that offset, losing at
-    /// most one checkpoint interval to the crash. Sessions whose every
-    /// generation was destroyed are skipped (worst case is losing one
-    /// session's recent history, never the store). Requires
-    /// `FleetConfig::state_dir`.
+    /// Returns `(id, offset)` for each resumed session, sorted by id: the
+    /// checkpoint's stream offset, every row it consumed (applied or
+    /// refused by the input guard). The caller replays its stream from
+    /// that offset, losing at most one checkpoint interval to the crash.
+    /// Sessions whose every generation was destroyed are skipped (worst
+    /// case is losing one session's recent history, never the store).
+    /// Requires `FleetConfig::state_dir`.
     pub fn resume(&self) -> Result<Vec<(SessionId, u64)>, FleetError> {
         let Some(durable) = &self.durable else {
             return Err(FleetError::InvalidConfig(
@@ -1295,9 +1286,9 @@ impl FleetEngine {
             let Some((_, pipeline)) = durable.load_pipeline(id)? else {
                 continue; // every generation torn: session lost, store fine
             };
-            let samples = pipeline.samples_processed();
+            let offset = stream_offset(&pipeline);
             self.create(SessionId(id), pipeline)?;
-            resumed.push((SessionId(id), samples));
+            resumed.push((SessionId(id), offset));
         }
         resumed.sort_by_key(|(id, _)| *id);
         Ok(resumed)
@@ -1321,8 +1312,17 @@ impl FleetEngine {
 
     /// Point-in-time aggregate counters plus per-shard queue depths.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let depths = self.shards.iter().map(|s| s.depth.get()).collect();
-        self.metrics.snapshot(depths)
+        let mut m = self.metrics.snapshot();
+        m.queue_depths = self.shards.iter().map(|s| s.depth.get()).collect();
+        m.contributions_rejected = RejectReasons {
+            health: m.rejected_health,
+            staleness: m.rejected_staleness,
+            non_pd: m.rejected_non_pd,
+            deviation: m.rejected_deviation,
+            low_trust: m.rejected_low_trust,
+        }
+        .total();
+        m
     }
 
     /// Removes and returns the event log accumulated since the last drain.
@@ -1403,9 +1403,7 @@ impl FleetEngine {
         self.stop_flusher();
         let quarantined = self.quarantined_sessions();
         let events = std::mem::take(&mut *mutex_lock(&self.events));
-        let metrics = self
-            .metrics
-            .snapshot(self.shards.iter().map(|s| s.depth.get()).collect());
+        let metrics = self.metrics();
         ShutdownReport {
             sessions,
             quarantined,
@@ -2013,5 +2011,31 @@ mod tests {
         let report = fleet.shutdown();
         assert_eq!(report.sessions.len(), 1);
         assert_eq!(report.sessions[0].1.samples_processed(), 1);
+    }
+
+    #[test]
+    fn contributions_rejected_is_the_sum_of_the_reasons() {
+        let fleet = FleetEngine::new(FleetConfig::new(1)).unwrap();
+        let rejects = RejectReasons {
+            health: 1,
+            staleness: 2,
+            non_pd: 3,
+            deviation: 4,
+            low_trust: 5,
+        };
+        fleet.record_federation_round(true, 6, rejects);
+        let m = fleet.metrics();
+        assert_eq!(
+            [
+                m.rejected_health,
+                m.rejected_staleness,
+                m.rejected_non_pd,
+                m.rejected_deviation,
+                m.rejected_low_trust,
+            ],
+            [1, 2, 3, 4, 5]
+        );
+        assert_eq!(m.contributions_rejected, 15);
+        assert_eq!((m.contributions_accepted, m.merge_rounds), (6, 1));
     }
 }

@@ -53,7 +53,8 @@
 //!   newest checkpoint waited for the flusher — never a model, and never
 //!   a quarantine decision.
 //! * **Observability** — [`FleetEngine::metrics`] reads lock-free aggregate
-//!   counters; [`FleetEngine::drain_events`] returns the [`FleetEvent`] log
+//!   counters, each declared once in a [`counter_table!`];
+//!   [`FleetEngine::drain_events`] returns the [`FleetEvent`] log
 //!   so callers can see *which* device drifted, panicked, or recovered.
 //! * **Shutdown** — [`FleetEngine::shutdown`] drains every queue, joins the
 //!   workers, and returns each surviving session's final pipeline plus the

@@ -261,6 +261,14 @@ pub(crate) fn mutex_lock<T>(l: &Mutex<T>) -> MutexGuard<'_, T> {
     l.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A session's position in its input stream: the rows it applied plus
+/// the rows its input guard refused. A refused row does not advance
+/// `samples_processed`, but a replaying device has already sent it, so
+/// resume offsets count it too.
+pub(crate) fn stream_offset(pipeline: &DriftPipeline) -> u64 {
+    pipeline.samples_processed() + pipeline.guard_counters().rejected
+}
+
 /// Supervision parameters, copied out of `FleetConfig` for the workers.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SupervisionPolicy {
@@ -609,7 +617,7 @@ pub(crate) fn worker_loop(
             }
             ShardMsg::SamplesProcessed { id, reply } => {
                 let result = match slots.get(&id) {
-                    Some(slot) => Ok(slot.pipeline.samples_processed()),
+                    Some(slot) => Ok(stream_offset(&slot.pipeline)),
                     None => Err(crate::engine::FleetError::UnknownSession(SessionId(id))),
                 };
                 let _ = reply.send(result);

@@ -445,3 +445,29 @@ fn shutdown_leaves_every_survivor_final_state_on_disk() {
     drop(store);
     fs::remove_dir_all(&dir).ok();
 }
+
+/// A row the input guard refuses advances the session's stream offset
+/// like an applied one: the live query and `resume` both report every
+/// row fed, so a device replaying from that offset never sends a row
+/// twice.
+#[test]
+fn resume_offsets_count_rows_the_guard_rejected() {
+    let dir = tmp_dir("resume-rejected");
+    const ROWS: usize = 150;
+    let fleet = FleetEngine::new(durable_config(&dir)).unwrap();
+    fleet.create(SessionId(0), calibrated_pipeline(0)).unwrap();
+    let mut rows = stream(0, ROWS);
+    for i in [10, 70, 71, ROWS - 1] {
+        rows[i][1] = Real::NAN;
+    }
+    for x in &rows {
+        fleet.feed_blocking(SessionId(0), x).unwrap();
+    }
+    assert_eq!(fleet.samples_processed(SessionId(0)).unwrap(), ROWS as u64);
+    let report = fleet.shutdown();
+    assert_eq!(report.sessions[0].1.samples_processed(), ROWS as u64 - 4);
+    let revived = FleetEngine::new(durable_config(&dir)).unwrap();
+    assert_eq!(revived.resume().unwrap(), vec![(SessionId(0), ROWS as u64)]);
+    drop(revived);
+    fs::remove_dir_all(&dir).ok();
+}

@@ -105,9 +105,10 @@ pub struct HelloReply {
     /// The session already existed (resumed from the durable store or
     /// created by an earlier connection).
     pub existing: bool,
-    /// The session's live `samples_processed` at the handshake (0 for a
-    /// fresh session); replay the stream from this offset after any
-    /// reconnect — everything before it is already applied server-side.
+    /// The session's live stream offset at the handshake (0 for a fresh
+    /// session): the rows it applied or its input guard refused. Replay
+    /// the stream from this offset after any reconnect — everything
+    /// before it is already consumed server-side.
     pub resume_from: u64,
 }
 

@@ -2,112 +2,47 @@
 //! merged with the fleet's own [`seqdrift_fleet::MetricsSnapshot`] in the
 //! final [`crate::ServerReport`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Aggregate network-layer counters. Connection handler threads bump
-/// these with relaxed atomics; readers take a point-in-time
-/// [`ServerMetricsSnapshot`].
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
+seqdrift_fleet::counter_table! {
+    /// Aggregate network-layer counters. Connection handler threads bump
+    /// these with relaxed atomics; readers take a point-in-time
+    /// [`ServerMetricsSnapshot`].
+    pub struct ServerMetrics;
+    /// Point-in-time copy of [`ServerMetrics`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ServerMetricsSnapshot {}
     /// Connections accepted since startup.
-    pub connections_accepted: AtomicU64,
+    connections_accepted,
     /// Connections currently open.
-    pub connections_active: AtomicU64,
+    connections_active,
     /// Connections dropped for exceeding the idle timeout.
-    pub connections_evicted_idle: AtomicU64,
-    /// Connections dropped after a fatal protocol error (corrupt or
-    /// hostile byte stream).
-    pub connections_dropped_protocol: AtomicU64,
+    connections_evicted_idle,
+    /// Connections dropped on a fatal protocol error (corrupt/hostile bytes).
+    connections_dropped_protocol,
     /// Frames successfully decoded.
-    pub frames_rx: AtomicU64,
+    frames_rx,
     /// Frames written.
-    pub frames_tx: AtomicU64,
+    frames_tx,
     /// Bytes read off accepted connections.
-    pub bytes_rx: AtomicU64,
+    bytes_rx,
     /// Bytes written to connections.
-    pub bytes_tx: AtomicU64,
+    bytes_tx,
     /// Sample rows applied to the fleet.
-    pub samples_accepted: AtomicU64,
+    samples_accepted,
     /// BUSY replies sent (feed deadline exceeded under backpressure).
-    pub busy_replies: AtomicU64,
+    busy_replies,
     /// NACK replies sent (fatal and non-fatal).
-    pub nacks_sent: AtomicU64,
+    nacks_sent,
     /// Sessions auto-created from the reference model on HELLO.
-    pub sessions_created: AtomicU64,
+    sessions_created,
     /// HELLOs for a session the server already knew: each one is a device
     /// reconnecting after a blip, an eviction, or a server restart.
-    pub reconnects: AtomicU64,
-    /// Sum of the live `resume_from` offsets acked on those reconnect
-    /// HELLOs — samples the devices did *not* have to replay because the
-    /// server's durable/live state already reflected them.
-    pub resumed_samples: AtomicU64,
+    reconnects,
+    /// Sum of the `resume_from` offsets acked on those reconnect HELLOs:
+    /// rows the devices did *not* replay because the server had them.
+    resumed_samples,
     /// Connections or frames refused by admission control (connection
     /// cap, per-IP accept-rate limit, bytes-in-flight cap).
-    pub admission_rejections: AtomicU64,
-    /// Connections dropped for not completing a HELLO inside the
-    /// handshake deadline (half-open or deliberately trickling sockets).
-    pub handshake_timeouts: AtomicU64,
-}
-
-impl ServerMetrics {
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ServerMetricsSnapshot {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ServerMetricsSnapshot {
-            connections_accepted: load(&self.connections_accepted),
-            connections_active: load(&self.connections_active),
-            connections_evicted_idle: load(&self.connections_evicted_idle),
-            connections_dropped_protocol: load(&self.connections_dropped_protocol),
-            frames_rx: load(&self.frames_rx),
-            frames_tx: load(&self.frames_tx),
-            bytes_rx: load(&self.bytes_rx),
-            bytes_tx: load(&self.bytes_tx),
-            samples_accepted: load(&self.samples_accepted),
-            busy_replies: load(&self.busy_replies),
-            nacks_sent: load(&self.nacks_sent),
-            sessions_created: load(&self.sessions_created),
-            reconnects: load(&self.reconnects),
-            resumed_samples: load(&self.resumed_samples),
-            admission_rejections: load(&self.admission_rejections),
-            handshake_timeouts: load(&self.handshake_timeouts),
-        }
-    }
-}
-
-/// Point-in-time copy of [`ServerMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerMetricsSnapshot {
-    /// Connections accepted since startup.
-    pub connections_accepted: u64,
-    /// Connections currently open.
-    pub connections_active: u64,
-    /// Connections dropped for exceeding the idle timeout.
-    pub connections_evicted_idle: u64,
-    /// Connections dropped after a fatal protocol error.
-    pub connections_dropped_protocol: u64,
-    /// Frames successfully decoded.
-    pub frames_rx: u64,
-    /// Frames written.
-    pub frames_tx: u64,
-    /// Bytes read off accepted connections.
-    pub bytes_rx: u64,
-    /// Bytes written to connections.
-    pub bytes_tx: u64,
-    /// Sample rows applied to the fleet.
-    pub samples_accepted: u64,
-    /// BUSY replies sent.
-    pub busy_replies: u64,
-    /// NACK replies sent.
-    pub nacks_sent: u64,
-    /// Sessions auto-created from the reference model on HELLO.
-    pub sessions_created: u64,
-    /// HELLOs for an already-known session (device reconnects).
-    pub reconnects: u64,
-    /// Samples skipped by reconnecting devices thanks to acked
-    /// `resume_from` offsets.
-    pub resumed_samples: u64,
-    /// Connections or frames refused by admission control.
-    pub admission_rejections: u64,
-    /// Connections dropped at the handshake deadline.
-    pub handshake_timeouts: u64,
+    admission_rejections,
+    /// Connections dropped at the HELLO deadline (half-open or trickling).
+    handshake_timeouts,
 }

@@ -489,9 +489,10 @@ pub enum Message {
         /// True when the session already existed on the server (resumed
         /// from the durable store or created by an earlier connection).
         existing: bool,
-        /// The session's live `samples_processed` at the handshake
-        /// (0 for a freshly created session); the client replays its
-        /// stream from this offset after any reconnect.
+        /// The session's live stream offset at the handshake, rows
+        /// applied or guard-refused (0 for a freshly created session);
+        /// the client replays its stream from this offset after any
+        /// reconnect.
         resume_from: u64,
     },
     /// Batch fully applied.

@@ -234,7 +234,8 @@ struct Shared {
     /// Sessions known to exist in the engine (resumed or created). HELLO
     /// consults this before attempting creation.
     known: RwLock<HashSet<u64>>,
-    /// `samples_processed` at resume, reported in `HelloAck::resume_from`.
+    /// Stream offset at resume (`FleetEngine::resume`), reported in
+    /// `HelloAck::resume_from`.
     resumed: HashMap<u64, u64>,
     /// Per-session event buckets fed from `FleetEngine::drain_events`.
     events: Mutex<HashMap<u64, Vec<String>>>,
@@ -1113,9 +1114,10 @@ fn handle_hello(
         known.contains(&session)
     };
     if already_known {
-        // Report the session's *live* applied-sample count, not the
-        // bind-time resume offset: the session may have been fed since it
-        // was resumed (or created after bind). The query travels the
+        // Report the session's *live* stream offset (rows applied or
+        // refused by its input guard), not the bind-time resume offset:
+        // the session may have been fed since it was resumed (or created
+        // after bind). The query travels the
         // shard FIFO, so every sample a previous connection fed is
         // reflected — a reconnecting device replays exactly the tail the
         // server has not seen, never re-applying samples. The query is

@@ -392,3 +392,27 @@ fn resumed_sessions_are_fed_from_their_checkpoint() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A row the input guard refuses still advances the resume offset. In
+/// the drill, device 4's NaN burst costs it three rows, yet `--resume`
+/// re-homes it at the end of its 400-row stream, so no row is fed twice.
+#[test]
+fn guard_rejected_rows_count_towards_the_resume_offset() {
+    let dir = tmp_dir("resume-rejected");
+    let sqsc = dir.join("drill.sqsc");
+    std::fs::write(&sqsc, DRILL).unwrap();
+    let state = dir.join("state");
+    let line = format!(
+        "fleet --scenario {} --workers 3 --state-dir {}",
+        sqsc.display(),
+        state.display()
+    );
+    exec(&line);
+    let out = exec(&format!("{line} --resume"));
+    assert!(
+        out.lines()
+            .any(|l| l == "resumed device 4 at its sample 400"),
+        "{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
