@@ -308,8 +308,8 @@ USAGE:
                  [--no-header] [--label-last]
                  With --scenario, a 'faults chaos SEED' line acts as
                  --chaos --chaos-seed SEED (half the devices are victims).
-                 --verify counts a session that ends mid-reconstruction
-                 (no checkpoint on either side) as matched, not failed.
+                 --verify compares every device's checkpoint, mid-
+                 reconstruction or not, with a local replay.
 ";
 
 fn err(msg: impl Into<String>) -> ParseError {

@@ -258,19 +258,10 @@ pub fn run_stream(a: &RunArgs, out: Out<'_>) -> Result<(), String> {
     }
 
     if let Some(out_path) = &a.out {
-        if pipeline.is_reconstructing() {
-            writeln!(
-                out,
-                "note: stream ended mid-reconstruction; checkpoint not written \
-                 (feed more samples and save at a quiescent point)"
-            )
-            .ok();
-        } else {
-            let bytes = pipeline.to_bytes().map_err(|e| fail("serialising", e))?;
-            seqdrift_store::atomic_write(out_path, &bytes)
-                .map_err(|e| fail("writing checkpoint", e))?;
-            writeln!(out, "adapted checkpoint written to {}", out_path.display()).ok();
-        }
+        let bytes = pipeline.to_bytes().map_err(|e| fail("serialising", e))?;
+        seqdrift_store::atomic_write(out_path, &bytes)
+            .map_err(|e| fail("writing checkpoint", e))?;
+        writeln!(out, "adapted checkpoint written to {}", out_path.display()).ok();
     }
     Ok(())
 }
@@ -1117,9 +1108,8 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         replayed_rows: u64,
         recovered_rows: u64,
         resume_from: u64,
-        /// `--verify`: the session's checkpoint, or the server's reason
-        /// for refusing one.
-        snapshot: Option<Result<Vec<u8>, String>>,
+        /// `--verify`: the session's checkpoint.
+        snapshot: Option<Vec<u8>>,
         victim: bool,
     }
 
@@ -1233,13 +1223,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
                     Link::Direct(client) => client.snapshot(),
                     Link::Chaos(rc) => rc.snapshot(),
                 };
-                // A refusal (a session still reconstructing cannot
-                // checkpoint) is an outcome for `--verify` to compare.
-                run.snapshot = Some(match snapshot {
-                    Ok(blob) => Ok(blob),
-                    Err(ClientError::Nack { detail, .. }) => Err(detail),
-                    Err(e) => return Err(err("snapshot")(e)),
-                });
+                run.snapshot = Some(snapshot.map_err(err("snapshot"))?);
             }
             match link {
                 Link::Direct(client) => client.bye(),
@@ -1385,11 +1369,10 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
 
     if let Some(blob) = reference {
         // Replay the same rows through an in-process fleet and compare
-        // each session's snapshot outcome: the networked path must be
-        // bit-identical to local execution, or refuse to checkpoint for
-        // the same reason. A resumed session started from durable state
-        // this replay cannot rebuild from the reference alone: it is left
-        // out.
+        // each session's snapshot: the networked path must be
+        // bit-identical to local execution. A resumed session started from
+        // durable state this replay cannot rebuild from the reference
+        // alone: it is left out.
         let local = FleetEngine::new(FleetConfig::new(n_devices.min(4)))
             .map_err(|e| fail("starting verification fleet", e))?;
         let resumed: HashMap<u64, u64> = runs
@@ -1398,27 +1381,21 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
             .map(|r| (r.session, u64::MAX))
             .collect();
         replay(&local, &roster, &blob, &resumed, None, None)?;
-        let (mut identical, mut midway) = (0usize, 0usize);
+        let mut identical = 0usize;
         for r in runs.iter().filter(|r| r.resume_from == 0) {
             let here = local
                 .snapshot(SessionId(r.session))
-                .map_err(|e| e.to_string());
-            match (&r.snapshot, here) {
-                (Some(Ok(there)), Ok(here)) if *there == here => identical += 1,
-                (Some(Err(there)), Err(here)) if *there == here => midway += 1,
-                _ => {
-                    return Err(format!(
-                        "device {}: networked state DIVERGED from local replay",
-                        r.session
-                    ))
-                }
+                .map_err(|e| fail("snapshotting the local replay", e))?;
+            if r.snapshot.as_ref() != Some(&here) {
+                return Err(format!(
+                    "device {}: networked state DIVERGED from local replay",
+                    r.session
+                ));
             }
+            identical += 1;
         }
         local.shutdown();
         let mut line = format!("verify: {identical} device(s) bit-identical to local replay");
-        if midway > 0 {
-            line += &format!("; {midway} device(s) matched mid-reconstruction");
-        }
         if !resumed.is_empty() {
             line += &format!(" ({} resumed device(s) skipped)", resumed.len());
         }

@@ -33,8 +33,8 @@
 //!   `--resume` re-homes the surviving sessions after a crash;
 //! * `serve` — run the [`seqdrift_server`] TCP ingest server: real
 //!   devices connect over the `SQNP` wire protocol and stream into one
-//!   fleet engine. Ctrl-C drains gracefully, flushing every quiescent
-//!   session's final state to `--state-dir`;
+//!   fleet engine. Ctrl-C drains gracefully, flushing every session's
+//!   final state and stream offset to `--state-dir`;
 //! * `load` — multi-threaded load generator: replay a CSV from N
 //!   simulated devices against a running server, report samples/sec and
 //!   batch round-trip percentiles (optionally merged into a machine-

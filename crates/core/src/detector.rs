@@ -199,6 +199,12 @@ impl CentroidDetector {
         self.checking
     }
 
+    /// Samples consumed by the current (or, once closed, the last)
+    /// window: Algorithm 1's `win`.
+    pub fn window_fill(&self) -> usize {
+        self.win
+    }
+
     /// Last computed drift distance.
     pub fn last_distance(&self) -> Real {
         self.dist
@@ -258,15 +264,19 @@ impl CentroidDetector {
     }
 
     /// Rebuilds a detector from persisted state (see `crate::persist`):
-    /// explicit trained and test centroid sets plus the lifetime sample
-    /// counter. The window state resumes closed (checkpoints are taken at
-    /// quiescent points), and the drift distance is recomputed from the
-    /// restored sets.
+    /// explicit trained and test centroid sets, the lifetime sample
+    /// counter, and Algorithm 1's window state `checking`/`win`. An open
+    /// window holds `1 <= win < window` samples; a closed one holds at most
+    /// `window`. The drift distance is recomputed from the restored sets,
+    /// which is the value the live detector last computed: the sets only
+    /// change where the distance is refreshed.
     pub fn restore(
         cfg: DetectorConfig,
         trained: CentroidSet,
         test: CentroidSet,
         samples_seen: u64,
+        checking: bool,
+        win: usize,
     ) -> Result<Self> {
         cfg.validate()?;
         for set in [&trained, &test] {
@@ -276,13 +286,23 @@ impl CentroidDetector {
                 ));
             }
         }
+        let win_ok = if checking {
+            (1..cfg.window).contains(&win)
+        } else {
+            win <= cfg.window
+        };
+        if !win_ok {
+            return Err(CoreError::InvalidConfig(
+                "restore: window fill out of range",
+            ));
+        }
         let dist = test.distance_to(&trained, cfg.metric);
         Ok(CentroidDetector {
             trained,
             test,
             cfg,
-            checking: false,
-            win: 0,
+            checking,
+            win,
             dist,
             samples_seen,
         })

@@ -3,23 +3,58 @@
 //!
 //! An edge device loses power; on restart it should resume with its
 //! *adapted* model and centroids, not refit from scratch (the training
-//! data is long gone). [`DriftPipeline::to_bytes`] captures the model, the
-//! detector's trained/test centroid sets, all thresholds, and the
-//! reconstruction schedule. Mid-reconstruction checkpoints are refused —
-//! the half-retrained model is not a state worth resuming into; callers
-//! checkpoint at quiescent points (e.g. after each `Reconstructed` event).
+//! data is long gone). [`DriftPipeline::to_bytes`] captures every state a
+//! pipeline can be in between two samples, and [`DriftPipeline::from_bytes`]
+//! restores it bit for bit, so a restored pipeline continues exactly like
+//! the uninterrupted one.
+//!
+//! Two payload kinds share one layout:
+//!
+//! - **At rest** (kind 16): no detection window open and no
+//!   reconstruction running. The model, the detector's trained/test
+//!   centroid sets, all thresholds, the guard, the reconstruction schedule
+//!   and the sample counters.
+//! - **In motion** (kind 17): the kind-16 body followed by one tagged
+//!   section. Either Algorithm 1's open window (`win`; `checking` is
+//!   implied by the tag), or a running reconstruction: Algorithms 2–4's
+//!   coordinates `cor`, `seeded`, `count` and the `θ_drift` accumulator.
+//!   The reconstruction's label-alignment reference is not written: it is
+//!   the detector's trained set, which the body already holds.
 
 use crate::centroid::{CentroidSet, Recency};
 use crate::detector::{CentroidDetector, DetectorConfig, DistanceMetric};
 use crate::guard::{GuardConfig, GuardCounters, GuardPolicy, SampleGuard};
 use crate::pipeline::{DegradeReason, DriftPipeline, PipelineConfig, PipelineHealth};
 use crate::reconstruct::{ReconstructConfig, Reconstructor};
+use crate::threshold::DriftThresholdCalibrator;
 use crate::{CoreError, Result};
+use seqdrift_linalg::stats::Welford;
 use seqdrift_linalg::wire::{Reader, WireError, Writer};
 use seqdrift_oselm::persist::{read_multi_instance_body, write_multi_instance_body};
 
-/// Payload kind of a serialised pipeline.
+/// Payload kind of a pipeline at rest.
 const KIND_PIPELINE: u16 = 16;
+/// Payload kind of a pipeline with a window open or a reconstruction
+/// running: the kind-16 body plus one [`Motion`] section.
+const KIND_PIPELINE_IN_MOTION: u16 = 17;
+/// [`Motion`] tag: a detection window is open.
+const TAG_WINDOW: u8 = 1;
+/// [`Motion`] tag: a reconstruction is running.
+const TAG_RECONSTRUCTION: u8 = 2;
+
+/// What an in-motion blob adds to the at-rest body.
+enum Motion {
+    AtRest,
+    /// Algorithm 1's open window, `win` samples in.
+    Window(usize),
+    /// Algorithms 2–4 mid-way.
+    Reconstruction {
+        cor: CentroidSet,
+        seeded: usize,
+        count: usize,
+        calibrator: DriftThresholdCalibrator,
+    },
+}
 
 fn wire_err(e: WireError) -> CoreError {
     CoreError::InvalidConfig(match e {
@@ -121,22 +156,70 @@ fn read_detector_config(r: &mut Reader<'_>) -> Result<DetectorConfig> {
     })
 }
 
-impl DriftPipeline {
-    /// Serialises the pipeline's quiescent state: model, detector (config +
-    /// trained/test centroid sets + window state), pipeline and
-    /// reconstruction configs, and the processed-sample counter. The event
-    /// log is diagnostic and not persisted.
-    ///
-    /// Errors while a reconstruction is in progress.
-    pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        if self.is_reconstructing() {
-            return Err(CoreError::InvalidConfig(
-                "cannot checkpoint mid-reconstruction; wait for the Reconstructed event",
-            ));
+fn write_motion(w: &mut Writer, p: &DriftPipeline) {
+    let det = p.detector();
+    if det.is_checking() {
+        w.u8(TAG_WINDOW);
+        w.u64(det.window_fill() as u64);
+    } else if p.is_reconstructing() {
+        let r = p.reconstructor();
+        debug_assert_eq!(
+            r.previous(),
+            det.trained_centroids(),
+            "the alignment reference is the trained set throughout a reconstruction"
+        );
+        w.u8(TAG_RECONSTRUCTION);
+        write_centroid_set(w, r.coordinates());
+        w.u64(r.seeded() as u64);
+        w.u64(r.count() as u64);
+        let (n, mean, m2) = r.calibrator().welford().parts();
+        w.u64(n);
+        w.u64(mean.to_bits());
+        w.u64(m2.to_bits());
+    }
+}
+
+fn read_motion(r: &mut Reader<'_>) -> Result<Motion> {
+    match r.u8().map_err(wire_err)? {
+        TAG_WINDOW => Ok(Motion::Window(r.u64().map_err(wire_err)? as usize)),
+        TAG_RECONSTRUCTION => {
+            let cor = read_centroid_set(r)?;
+            let seeded = r.u64().map_err(wire_err)? as usize;
+            let count = r.u64().map_err(wire_err)? as usize;
+            let n = r.u64().map_err(wire_err)?;
+            let mean = f64::from_bits(r.u64().map_err(wire_err)?);
+            let m2 = f64::from_bits(r.u64().map_err(wire_err)?);
+            let welford = Welford::from_parts(n, mean, m2)
+                .ok_or(CoreError::InvalidConfig("persist: calibrator state"))?;
+            Ok(Motion::Reconstruction {
+                cor,
+                seeded,
+                count,
+                calibrator: DriftThresholdCalibrator::from_welford(welford),
+            })
         }
+        _ => Err(CoreError::InvalidConfig("persist: motion tag")),
+    }
+}
+
+impl DriftPipeline {
+    /// Serialises the pipeline's whole state: model, detector (config,
+    /// trained/test centroid sets and the open window, if any), pipeline
+    /// and reconstruction configs, a running reconstruction, the guard and
+    /// the processed-sample counter. The event log is diagnostic and not
+    /// persisted. A pipeline at rest writes kind 16, any other state
+    /// kind 17 (see the module docs).
+    ///
+    /// Always `Ok`: every state serialises.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let cfg = self.config();
         let det = self.detector();
-        let mut w = Writer::new(KIND_PIPELINE);
+        let in_motion = det.is_checking() || self.is_reconstructing();
+        let mut w = Writer::new(if in_motion {
+            KIND_PIPELINE_IN_MOTION
+        } else {
+            KIND_PIPELINE
+        });
         // Pipeline-level config.
         write_detector_config(&mut w, det.config());
         w.u64(cfg.reconstruct.n_search as u64);
@@ -180,12 +263,24 @@ impl DriftPipeline {
         w.u64(self.samples_processed());
         // Model.
         write_multi_instance_body(&mut w, self.model());
+        write_motion(&mut w, self);
         Ok(w.into_bytes())
     }
 
-    /// Restores a pipeline written by [`DriftPipeline::to_bytes`].
+    /// Restores a pipeline written by [`DriftPipeline::to_bytes`], in
+    /// whatever state it was written.
     pub fn from_bytes(data: &[u8]) -> Result<DriftPipeline> {
-        let mut r = Reader::new(data, KIND_PIPELINE).map_err(wire_err)?;
+        let (mut r, in_motion) = match Reader::new(data, KIND_PIPELINE) {
+            Ok(r) => (r, false),
+            Err(WireError::WrongKind {
+                got: KIND_PIPELINE_IN_MOTION,
+                ..
+            }) => (
+                Reader::new(data, KIND_PIPELINE_IN_MOTION).map_err(wire_err)?,
+                true,
+            ),
+            Err(e) => return Err(wire_err(e)),
+        };
         let det_cfg = read_detector_config(&mut r)?;
         let n_search = r.u64().map_err(wire_err)? as usize;
         let n_update = r.u64().map_err(wire_err)? as usize;
@@ -228,6 +323,11 @@ impl DriftPipeline {
         let det_samples = r.u64().map_err(wire_err)?;
         let samples_processed = r.u64().map_err(wire_err)?;
         let model = read_multi_instance_body(&mut r)?;
+        let motion = if in_motion {
+            read_motion(&mut r)?
+        } else {
+            Motion::AtRest
+        };
         r.finish().map_err(wire_err)?;
 
         let mut recon_cfg = ReconstructConfig::new(n_total)
@@ -251,8 +351,33 @@ impl DriftPipeline {
             .with_train_on_stable(train_on_stable)
             .with_guard(guard_cfg);
 
-        let detector = CentroidDetector::restore(det_cfg.clone(), trained, test, det_samples)?;
-        let reconstructor = Reconstructor::new(recon_cfg, det_cfg.classes, det_cfg.dim)?;
+        // A running reconstruction was started by the window that just
+        // closed full, so its detector holds `win == window`.
+        let (checking, win) = match motion {
+            Motion::AtRest => (false, 0),
+            Motion::Window(win) => (true, win),
+            Motion::Reconstruction { .. } => (false, det_cfg.window),
+        };
+        // The detector checks the config against the restored sets before
+        // the config sizes any allocation.
+        let detector =
+            CentroidDetector::restore(det_cfg.clone(), trained, test, det_samples, checking, win)?;
+        let reconstructor = match motion {
+            Motion::Reconstruction {
+                cor,
+                seeded,
+                count,
+                calibrator,
+            } => Reconstructor::resume(
+                recon_cfg,
+                detector.trained_centroids().clone(),
+                cor,
+                seeded,
+                count,
+                calibrator,
+            )?,
+            _ => Reconstructor::new(recon_cfg, det_cfg.classes, det_cfg.dim)?,
+        };
         let guard = SampleGuard::from_parts(
             guard_cfg,
             det_cfg.dim,
@@ -332,26 +457,6 @@ mod tests {
             assert_eq!(a.predicted_label, b.predicted_label, "diverged at {i}");
             assert_eq!(a.drift_detected, b.drift_detected, "diverged at {i}");
         }
-    }
-
-    #[test]
-    fn mid_reconstruction_checkpoint_is_refused() {
-        let mut rng = Rng::seed_from(5);
-        let mut p = build_pipeline(&mut rng);
-        // Force a drift and stop inside the reconstruction.
-        let mut drifted = false;
-        for _ in 0..500 {
-            let out = p.process(&blob(&mut rng, 5, 1.4)).unwrap();
-            if out.drift_detected {
-                drifted = true;
-                break;
-            }
-        }
-        assert!(drifted, "no drift triggered");
-        // One more sample puts us mid-reconstruction.
-        p.process(&blob(&mut rng, 5, 1.4)).unwrap();
-        assert!(p.is_reconstructing());
-        assert!(p.to_bytes().is_err());
     }
 
     #[test]

@@ -424,6 +424,11 @@ impl DriftPipeline {
         Ok(())
     }
 
+    /// The reconstructor (persistence).
+    pub(crate) fn reconstructor(&self) -> &Reconstructor {
+        &self.reconstructor
+    }
+
     /// Recovery progress (persistence).
     pub(crate) fn clean_streak(&self) -> u64 {
         self.clean_streak

@@ -195,6 +195,64 @@ impl Reconstructor {
         &self.cor
     }
 
+    /// Coordinates seeded so far (persistence).
+    pub(crate) fn seeded(&self) -> usize {
+        self.seeded
+    }
+
+    /// The label-alignment reference (persistence checks it equals the
+    /// detector's trained set, which is why it is not written).
+    pub(crate) fn previous(&self) -> &CentroidSet {
+        &self.previous
+    }
+
+    /// The `θ_drift` accumulator of phases 3–4 (persistence).
+    pub(crate) fn calibrator(&self) -> &DriftThresholdCalibrator {
+        &self.calibrator
+    }
+
+    /// An active reconstructor resumed from persisted state: `previous` is
+    /// the detector's trained set (it does not change while a
+    /// reconstruction runs), the rest is what [`Reconstructor::step`]
+    /// accumulated. Rejects state no run of `step` can reach: `count` past
+    /// `n_total` (a rejected model update on the last sample leaves
+    /// `count == n_total` for one more step), a seeding count other than
+    /// `min(count, n_search, classes)`, or a calibrator that did not see
+    /// exactly the `count - n_update` phase 3–4 distances.
+    pub(crate) fn resume(
+        cfg: ReconstructConfig,
+        previous: CentroidSet,
+        cor: CentroidSet,
+        seeded: usize,
+        count: usize,
+        calibrator: DriftThresholdCalibrator,
+    ) -> Result<Self> {
+        cfg.validate()?;
+        if cor.classes() != previous.classes() || cor.dim() != previous.dim() {
+            return Err(CoreError::InvalidConfig(
+                "resume: coordinate shape does not match",
+            ));
+        }
+        if count > cfg.n_total {
+            return Err(CoreError::InvalidConfig("resume: count past n_total"));
+        }
+        if seeded != count.min(cfg.n_search).min(cor.classes()) {
+            return Err(CoreError::InvalidConfig("resume: seeded count"));
+        }
+        if calibrator.count() != count.saturating_sub(cfg.n_update) as u64 {
+            return Err(CoreError::InvalidConfig("resume: calibrator count"));
+        }
+        Ok(Reconstructor {
+            cfg,
+            cor,
+            seeded,
+            previous,
+            count,
+            calibrator,
+            active: true,
+        })
+    }
+
     /// Begins a reconstruction: coordinates seed from *zero* so Algorithm
     /// 3's spread-maximisation acts like true k-means++ seeding (seeding
     /// from the old centroids lets an extreme new sample evict a *middle*

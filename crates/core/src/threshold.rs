@@ -56,6 +56,16 @@ impl DriftThresholdCalibrator {
     pub fn reset(&mut self) {
         self.welford.reset();
     }
+
+    /// The running accumulator (persistence).
+    pub(crate) fn welford(&self) -> &stats::Welford {
+        &self.welford
+    }
+
+    /// A calibrator resumed from a persisted accumulator.
+    pub(crate) fn from_welford(welford: stats::Welford) -> Self {
+        DriftThresholdCalibrator { welford }
+    }
 }
 
 /// Eq. 1 in one call: distances of `(label, sample)` pairs to their label

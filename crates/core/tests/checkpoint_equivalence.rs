@@ -5,9 +5,14 @@
 //! and then both the restored copy and the uninterrupted original process
 //! the same M further samples. Every `PipelineOutput` field must be
 //! bit-identical — the wire format stores exact f32 state, so there is no
-//! tolerance here.
+//! tolerance here. The every-cut tests do this after each sample of a
+//! drifting stream, so the cuts land inside open detection windows and in
+//! every phase of a reconstruction.
 
-use seqdrift_core::{DetectorConfig, DriftPipeline};
+use seqdrift_core::pipeline::PipelineEvent;
+use seqdrift_core::{
+    DetectorConfig, DriftPipeline, PipelineConfig, PipelineOutput, ReconstructConfig,
+};
 use seqdrift_linalg::{Real, Rng};
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
 
@@ -80,28 +85,152 @@ fn restore_is_bit_identical_to_uninterrupted_run() {
     assert_eq!(original.events(), restored.events());
 }
 
-#[test]
-fn restore_refuses_then_succeeds_around_reconstruction() {
-    let mut pipeline = calibrated();
-    for x in &stream(N_BEFORE, 41, usize::MAX, 0.0) {
-        pipeline.process(x).unwrap();
+/// The bits of one output, so `-0.0` and `0.0` (equal as floats) differ.
+fn output_bits(o: &PipelineOutput) -> (Option<usize>, u64, u64, [bool; 3]) {
+    (
+        o.predicted_label,
+        u64::from(o.score.to_bits()),
+        u64::from(o.drift_distance.to_bits()),
+        [o.drift_detected, o.reconstructing, o.sanitized],
+    )
+}
+
+/// Where a cut landed: a detection window open, a coordinate phase
+/// (search, refinement), phase 3 or phase 4 of a reconstruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Cut {
+    Window,
+    Search,
+    Refinement,
+    DistanceLabelled,
+    PredictionLabelled,
+}
+
+/// A `classes`-class pipeline with window 25 and a 60-sample
+/// reconstruction (search 6, refinement 15), and a stream of `n` samples
+/// cycling the classes that shifts every feature by `shift` from
+/// sample `drift_at` on.
+fn drifting_case(
+    classes: usize,
+    n: usize,
+    drift_at: usize,
+    shift: Real,
+) -> (DriftPipeline, Vec<Vec<Real>>) {
+    let mean = |c: usize| 0.2 + 0.6 * c as Real / (classes - 1) as Real;
+    let mut rng = Rng::seed_from(0xC07 + classes as u64);
+    let train: Vec<Vec<Vec<Real>>> = (0..classes)
+        .map(|c| (0..80).map(|_| sample(&mut rng, mean(c))).collect())
+        .collect();
+    let mut model =
+        MultiInstanceModel::new(classes, OsElmConfig::new(DIM, 4).with_seed(2)).unwrap();
+    for (c, xs) in train.iter().enumerate() {
+        model.init_train_class(c, xs).unwrap();
     }
-    // Push shifted samples until the pipeline starts reconstructing, then
-    // verify the mid-reconstruction refusal and that a quiescent point
-    // serialises again.
-    let shifted = stream(600, 43, 0, 0.4);
-    let mut refused = false;
-    for x in &shifted {
-        pipeline.process(x).unwrap();
-        if pipeline.is_reconstructing() {
-            assert!(pipeline.to_bytes().is_err(), "mid-reconstruction snapshot");
-            refused = true;
-        } else if refused {
-            break;
+    let pairs: Vec<(usize, &[Real])> = train
+        .iter()
+        .enumerate()
+        .flat_map(|(c, xs)| xs.iter().map(move |x| (c, x.as_slice())))
+        .collect();
+    let det = DetectorConfig::new(classes, DIM).with_window(25);
+    let cfg = PipelineConfig::new(det.clone()).with_reconstruct(ReconstructConfig::new(60));
+    let pipeline = DriftPipeline::calibrate_with(model, det, &pairs, Some(cfg)).unwrap();
+    let stream = (0..n)
+        .map(|i| {
+            let moved = if i >= drift_at { shift } else { 0.0 };
+            sample(&mut rng, mean(i % classes) + moved)
+        })
+        .collect();
+    (pipeline, stream)
+}
+
+/// Checkpoints a drifting stream after every sample and restores each
+/// checkpoint: every later output, every later event and the final
+/// checkpoint match the uninterrupted run bit for bit, whatever state the
+/// cut landed in.
+fn every_cut_resumes_bit_identically(classes: usize) {
+    let (mut original, stream) = drifting_case(classes, 330, 120, 0.4);
+    // Reconstruction schedule of `ReconstructConfig::new(60)`.
+    let (search, refinement, half) = (6, 15, 30);
+    let mut cuts = Vec::new();
+    let mut outputs = Vec::new();
+    // Reconstruction steps taken: the drift sample starts it at 0.
+    let mut count = 0usize;
+    for x in &stream {
+        let out = original.process(x).unwrap();
+        outputs.push(output_bits(&out));
+        count = if out.drift_detected { 0 } else { count + 1 };
+        let kind = if original.detector().is_checking() {
+            Some(Cut::Window)
+        } else if original.is_reconstructing() {
+            Some(match count {
+                c if c <= search => Cut::Search,
+                c if c <= refinement => Cut::Refinement,
+                c if c <= half => Cut::DistanceLabelled,
+                _ => Cut::PredictionLabelled,
+            })
+        } else {
+            None
+        };
+        cuts.push((original.to_bytes().unwrap(), kind));
+    }
+    let events = original.events().to_vec();
+    let last = original.to_bytes().unwrap();
+    let mut covered: Vec<Cut> = cuts.iter().filter_map(|(_, k)| *k).collect();
+    covered.sort();
+    covered.dedup();
+    assert_eq!(
+        covered,
+        [
+            Cut::Window,
+            Cut::Search,
+            Cut::Refinement,
+            Cut::DistanceLabelled,
+            Cut::PredictionLabelled
+        ],
+        "{classes} classes: the cuts must cover every state"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, PipelineEvent::Reconstructed { .. })),
+        "{classes} classes: the stream must finish a reconstruction"
+    );
+    for (t, (blob, kind)) in cuts.iter().enumerate() {
+        let mut restored = DriftPipeline::from_bytes(blob).unwrap();
+        assert_eq!(&restored.to_bytes().unwrap(), blob, "cut {t} ({kind:?})");
+        for (i, x) in stream.iter().enumerate().skip(t + 1) {
+            let out = output_bits(&restored.process(x).unwrap());
+            assert_eq!(out, outputs[i], "cut {t} ({kind:?}): sample {i} diverged");
         }
+        let later: Vec<PipelineEvent> = events
+            .iter()
+            .copied()
+            .filter(|e| event_index(e) > t as u64)
+            .collect();
+        assert_eq!(restored.events(), later, "cut {t} ({kind:?}): events");
+        assert_eq!(
+            restored.to_bytes().unwrap(),
+            last,
+            "cut {t} ({kind:?}): final state"
+        );
     }
-    assert!(refused, "stream never entered reconstruction");
-    assert!(!pipeline.is_reconstructing());
-    let blob = pipeline.to_bytes().unwrap();
-    assert!(DriftPipeline::from_bytes(&blob).is_ok());
+}
+
+fn event_index(e: &PipelineEvent) -> u64 {
+    match *e {
+        PipelineEvent::DriftDetected { index, .. }
+        | PipelineEvent::Reconstructed { index, .. }
+        | PipelineEvent::Degraded { index, .. }
+        | PipelineEvent::Recovered { index } => index,
+    }
+}
+
+#[test]
+fn every_cut_of_a_two_class_drift_resumes_bit_identically() {
+    every_cut_resumes_bit_identically(2);
+}
+
+#[test]
+fn every_cut_of_a_three_class_drift_resumes_bit_identically() {
+    every_cut_resumes_bit_identically(3);
 }

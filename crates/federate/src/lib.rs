@@ -263,12 +263,6 @@ impl Federator {
                     rejects.health += 1;
                     continue;
                 }
-                // Mid-reconstruction sessions refuse to checkpoint; they
-                // get another chance next round.
-                Err(FleetError::Core(_)) => {
-                    summary.skipped += 1;
-                    continue;
-                }
                 // Evicted mid-round.
                 Err(FleetError::UnknownSession(_)) => {
                     summary.skipped += 1;
@@ -285,6 +279,12 @@ impl Federator {
                     continue;
                 }
             };
+            // A half-retrained model is never merged: a session still
+            // reconstructing gets another chance next round.
+            if pipeline.is_reconstructing() {
+                summary.skipped += 1;
+                continue;
+            }
             if pipeline.health() != seqdrift_core::PipelineHealth::Healthy {
                 rejects.health += 1;
                 continue;
@@ -637,6 +637,53 @@ mod tests {
             m.seq_train_label(0, x).unwrap();
         }
         assert_eq!(model_age(&m), before + 10);
+    }
+
+    /// A session still reconstructing at a round is skipped and its
+    /// half-retrained model stays out of the merge: the merged model is
+    /// exactly the merge of the two sessions that finished.
+    #[test]
+    fn a_mid_reconstruction_session_is_skipped_and_left_out_of_the_merge() {
+        use seqdrift_core::DetectorConfig;
+        use seqdrift_fleet::{FederationConfig, FleetConfig, SessionId};
+        let train = blob(120, 4, 0.3, 5);
+        let mut model = MultiInstanceModel::new(1, OsElmConfig::new(4, 3).with_seed(3)).unwrap();
+        model.init_train_class(0, &train).unwrap();
+        let pairs: Vec<(usize, &[Real])> = train.iter().map(|x| (0, x.as_slice())).collect();
+        let reference =
+            DriftPipeline::calibrate(model, DetectorConfig::new(1, 4).with_window(20), &pairs)
+                .unwrap();
+        let blob_ref = reference.to_bytes().unwrap();
+        let federation = FederationConfig::default().with_robust(false);
+        let engine = FleetEngine::new(FleetConfig::new(2).with_federation(federation)).unwrap();
+        // Sessions 0 and 1 drift and finish reconstructing; session 2
+        // drifts too but is mid-way through its 200-sample rebuild.
+        for (s, rows) in [(0u64, 400), (1, 400), (2, 120)] {
+            engine.create_from_bytes(SessionId(s), &blob_ref).unwrap();
+            for x in &blob(rows, 4, 0.9, 50 + s) {
+                engine.feed_blocking(SessionId(s), x).unwrap();
+            }
+        }
+        let snapshot = |s| DriftPipeline::from_bytes(&engine.snapshot(SessionId(s)).unwrap());
+        let finished: Vec<MultiInstanceModel> = (0..2)
+            .map(|s| {
+                let p = snapshot(s).unwrap();
+                assert!(!p.is_reconstructing(), "session {s} still reconstructing");
+                p.model().clone()
+            })
+            .collect();
+        assert!(snapshot(2).unwrap().is_reconstructing());
+        let expected = reference
+            .model()
+            .merge_with(&finished.iter().collect::<Vec<_>>())
+            .unwrap();
+
+        let mut fed = Federator::new(&engine, &blob_ref).unwrap();
+        let summary = fed.run_round(&engine).unwrap();
+        assert!(summary.merged);
+        assert_eq!((summary.accepted, summary.skipped), (2, 1), "{summary:?}");
+        assert!(models_equal(fed.baseline(), &expected));
+        engine.shutdown();
     }
 
     #[test]

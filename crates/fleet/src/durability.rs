@@ -115,9 +115,9 @@ impl LedgerOp {
 #[derive(Debug, Default)]
 struct MonitorState {
     degraded: Option<DegradedReason>,
-    /// Newest unflushed checkpoint per session, shared with the
-    /// in-memory checkpoint table.
-    pending: HashMap<u64, Arc<Vec<u8>>>,
+    /// Newest unflushed checkpoint per session with its stream offset,
+    /// the blob shared with the in-memory checkpoint table.
+    pending: HashMap<u64, (u64, Arc<Vec<u8>>)>,
     /// The sessions of `pending`, in the order they started waiting; a
     /// superseding blob keeps its session's place, so no session starves.
     order: VecDeque<u64>,
@@ -207,15 +207,15 @@ impl DurabilityMonitor {
         self.wake.notify_all();
     }
 
-    /// Worker path: queues `blob` as `id`'s newest checkpoint for the
-    /// flusher, superseding an older blob that has not reached disk yet.
-    /// Never touches the disk.
-    pub fn submit(&self, id: u64, blob: Arc<Vec<u8>>) {
+    /// Worker path: queues `blob` and the stream `offset` it was taken at
+    /// as `id`'s newest checkpoint for the flusher, superseding an older
+    /// one that has not reached disk yet. Never touches the disk.
+    pub fn submit(&self, id: u64, offset: u64, blob: Arc<Vec<u8>>) {
         let mut st = self.lock();
         if st.degraded.is_some() {
             self.count(|m| &m.durable_flushes_buffered);
         }
-        if st.pending.insert(id, blob).is_some() {
+        if st.pending.insert(id, (offset, blob)).is_some() {
             self.count(|m| &m.checkpoints_superseded);
             return;
         }
@@ -232,14 +232,14 @@ impl DurabilityMonitor {
     /// blob goes back to the head of the line (unless a newer one was
     /// submitted meanwhile) and the fleet degrades.
     fn flush_next(&self) -> Option<bool> {
-        let (id, blob) = {
+        let (id, (offset, blob)) = {
             let mut st = self.lock();
             let id = st.order.pop_front()?;
-            let blob = st.pending.remove(&id)?;
+            let pending = st.pending.remove(&id)?;
             st.in_flight = Some(id);
-            (id, blob)
+            (id, pending)
         };
-        let ok = self.store.put(id, &blob).is_ok();
+        let ok = self.store.put_checkpoint(id, offset, &blob).is_ok();
         let mut st = self.lock();
         st.in_flight = None;
         if ok {
@@ -250,7 +250,7 @@ impl DurabilityMonitor {
                 self.count(|m| &m.durable_flush_failures);
             }
             if let std::collections::hash_map::Entry::Vacant(e) = st.pending.entry(id) {
-                e.insert(blob);
+                e.insert((offset, blob));
                 st.order.push_front(id);
             }
             self.degrade_locked(&mut st, DegradedReason::CheckpointFlush);
@@ -577,18 +577,19 @@ mod tests {
     fn newer_blobs_supersede_and_keep_their_place_in_line() {
         let (m, vfs, dir) = failing("order");
         vfs.set_active(false);
-        m.submit(1, blob(b"a1"));
-        m.submit(2, blob(b"b1"));
-        m.submit(1, blob(b"a2"));
+        m.submit(1, 0, blob(b"a1"));
+        m.submit(2, 0, blob(b"b1"));
+        m.submit(1, 0, blob(b"a2"));
         assert_eq!(m.metrics.checkpoints_superseded.load(Ordering::Relaxed), 1);
         assert_eq!(m.lock().order, VecDeque::from([1, 2]));
         assert_eq!(m.flush_next(), Some(true));
         assert_eq!(m.flush_next(), Some(true));
         assert_eq!(m.flush_next(), None);
-        assert_eq!(m.store.load(1).unwrap().unwrap(), (1, b"a2".to_vec()));
+        let (generation, payload) = m.store.load(1).unwrap().unwrap();
+        assert!(generation == 1 && payload.ends_with(b"a2"));
         assert_eq!(m.metrics.durable_flushes.load(Ordering::Relaxed), 2);
         // Removal discards what is pending: the old blob never lands.
-        m.submit(2, blob(b"b2"));
+        m.submit(2, 0, blob(b"b2"));
         m.remove_session(2);
         assert_eq!(m.flush_next(), None);
         assert!(m.store.load(2).unwrap().is_none());
@@ -599,7 +600,7 @@ mod tests {
     fn starts_durable_and_degrades_once_per_episode() {
         let (m, _vfs, dir) = failing("episode");
         assert_eq!(m.health(), DurabilityHealth::Durable);
-        m.submit(1, blob(b"x"));
+        m.submit(1, 0, blob(b"x"));
         assert_eq!(m.flush_next(), Some(false));
         assert_eq!(
             m.health(),
@@ -613,15 +614,15 @@ mod tests {
         );
         assert_eq!(m.metrics.durability_degraded.load(Ordering::Relaxed), 1);
         // The failed blob waits for the retry; a newer one supersedes it.
-        m.submit(1, blob(b"newer"));
-        assert_eq!(&*m.lock().pending[&1], b"newer");
+        m.submit(1, 0, blob(b"newer"));
+        assert_eq!(&*m.lock().pending[&1].1, b"newer");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn drain_recovers_and_emits_restored() {
         let (m, vfs, dir) = failing("drain");
-        m.submit(3, blob(b"blob"));
+        m.submit(3, 0, blob(b"blob"));
         assert_eq!(m.flush_next(), Some(false));
         m.write_ledger(LedgerOp::Set(
             9,
@@ -634,7 +635,7 @@ mod tests {
         vfs.set_active(false);
         assert!(m.try_drain());
         assert_eq!(m.health(), DurabilityHealth::Durable);
-        assert_eq!(m.store.load(3).unwrap().unwrap().1, b"blob");
+        assert!(m.store.load(3).unwrap().unwrap().1.ends_with(b"blob"));
         assert_eq!(m.store.ledger().len(), 1);
         let events = m.events.lock().unwrap();
         assert!(events.iter().any(|e| matches!(

@@ -75,8 +75,8 @@ pub enum FleetError {
     },
     /// Bad engine configuration.
     InvalidConfig(&'static str),
-    /// An error bubbled up from the pipeline (e.g. a mid-reconstruction
-    /// snapshot refusal, or a corrupt restore blob).
+    /// An error bubbled up from the pipeline (e.g. a model install
+    /// refused mid-reconstruction, or a corrupt restore blob).
     Core(CoreError),
     /// The durable state store failed (opening the state dir, or a
     /// resume-time read).
@@ -424,6 +424,8 @@ pub(crate) enum ShardMsg {
     Create {
         id: u64,
         pipeline: Box<DriftPipeline>,
+        /// The session's stream offset at creation.
+        offset: u64,
         reply: Sender<Result<(), FleetError>>,
     },
     /// `rows` (at least one) samples of one session, back to back in
@@ -458,7 +460,7 @@ struct ShardLink {
     /// `None` once shutdown has begun; dropping the sender is what tells
     /// the worker to drain and exit.
     tx: Option<Sender<ShardMsg>>,
-    handle: Option<JoinHandle<Vec<(SessionId, DriftPipeline)>>>,
+    handle: Option<JoinHandle<Vec<(u64, SessionSlot)>>>,
 }
 
 struct Shard {
@@ -622,10 +624,7 @@ impl FleetEngine {
         &self,
         depth: Arc<QueueDepth>,
         initial: Vec<(u64, SessionSlot)>,
-    ) -> (
-        Sender<ShardMsg>,
-        JoinHandle<Vec<(SessionId, DriftPipeline)>>,
-    ) {
+    ) -> (Sender<ShardMsg>, JoinHandle<Vec<(u64, SessionSlot)>>) {
         // No slot bound: every `Feed` carries rows reserved in `depth`
         // first, and a control sender waits for its reply before it can
         // send again, so rows bound the channel (DESIGN.md §7).
@@ -717,21 +716,11 @@ impl FleetEngine {
             .fetch_add(lost_in_queue as u64, Ordering::Relaxed);
 
         let ctx = self.worker_ctx(Arc::clone(&shard.depth));
-        let mut initial: Vec<(u64, SessionSlot)> = Vec::new();
         let mut recovered = 0u32;
         let mut lost = 0u32;
         // A clean exit (only possible in pathological shutdown races)
-        // hands back live pipelines; reuse them directly.
-        for (id, pipeline) in survivors {
-            initial.push((
-                id.0,
-                SessionSlot {
-                    pipeline,
-                    delivered: 0,
-                    since_checkpoint: 0,
-                },
-            ));
-        }
+        // hands back live sessions; reuse them directly.
+        let mut initial = survivors;
         let assigned: Vec<u64> = read_lock(&self.registry)
             .iter()
             .filter(|(&id, status)| {
@@ -746,6 +735,7 @@ impl FleetEngine {
             match decide_recovery(&ctx, id, delivered) {
                 Recovery::Restore {
                     pipeline,
+                    offset,
                     resumed_at_sample,
                     restarts_in_window,
                 } => {
@@ -754,6 +744,7 @@ impl FleetEngine {
                         SessionSlot {
                             pipeline: *pipeline,
                             delivered,
+                            offset,
                             since_checkpoint: 0,
                         },
                     ));
@@ -822,7 +813,21 @@ impl FleetEngine {
     ///
     /// A quarantined id may be re-created: the replacement starts fresh
     /// (new checkpoint lineage, new restart budget).
+    ///
+    /// The session's stream offset starts at the rows the pipeline has
+    /// consumed (`samples_processed` plus guard-rejected rows).
     pub fn create(&self, id: SessionId, pipeline: DriftPipeline) -> Result<(), FleetError> {
+        let offset = stream_offset(&pipeline);
+        self.create_at(id, pipeline, offset)
+    }
+
+    /// [`FleetEngine::create`] with the session's stream offset given.
+    fn create_at(
+        &self,
+        id: SessionId,
+        pipeline: DriftPipeline,
+        offset: u64,
+    ) -> Result<(), FleetError> {
         {
             let mut registry = write_lock(&self.registry);
             match registry.get(&id.0) {
@@ -842,6 +847,7 @@ impl FleetEngine {
             ShardMsg::Create {
                 id: id.0,
                 pipeline: Box::new(pipeline),
+                offset,
                 reply,
             },
         )?;
@@ -1012,10 +1018,9 @@ impl FleetEngine {
     }
 
     /// Checkpoints a session through the `seqdrift_core::persist` wire
-    /// format. The request travels the same FIFO as samples, so the blob
-    /// reflects every sample fed before this call. Mid-reconstruction
-    /// sessions refuse to checkpoint (the persist contract); the error
-    /// comes back as [`FleetError::Core`].
+    /// format, whatever state its pipeline is in. The request travels the
+    /// same FIFO as samples, so the blob reflects every sample fed before
+    /// this call.
     pub fn snapshot(&self, id: SessionId) -> Result<Vec<u8>, FleetError> {
         match read_lock(&self.registry).get(&id.0) {
             None => return Err(FleetError::UnknownSession(id)),
@@ -1030,13 +1035,13 @@ impl FleetEngine {
         }
     }
 
-    /// The session's stream offset: every row it has consumed, applied
-    /// (`DriftPipeline::samples_processed`) or refused by its input guard.
-    /// The request travels the same FIFO as samples, so the count reflects
-    /// every sample fed before this call — this is the replay offset a
-    /// reconnecting device should resume its stream from. Cheaper than
-    /// [`FleetEngine::snapshot`] (no serialization) and available even
-    /// when a mid-reconstruction session would refuse to checkpoint.
+    /// The session's stream offset: every row delivered to it, whether
+    /// applied (`DriftPipeline::samples_processed`), refused by its input
+    /// guard, or lost when a panic restored it from its rolling
+    /// checkpoint. The request travels the same FIFO as samples, so the
+    /// count reflects every sample fed before this call — this is the
+    /// replay offset a reconnecting device should resume its stream from.
+    /// Cheaper than [`FleetEngine::snapshot`] (no serialization).
     pub fn samples_processed(&self, id: SessionId) -> Result<u64, FleetError> {
         // `recv_timeout` waits without a deadline when `now + timeout`
         // overflows, so this never times out.
@@ -1084,9 +1089,10 @@ impl FleetEngine {
     /// Installs a federated merged model into a session through the same
     /// FIFO as its samples, so the install lands at a well-defined point
     /// in the session's stream. Only the model is replaced — the
-    /// session's detector state, counters and resume offsets are
+    /// session's detector state, counters and stream offset are
     /// untouched. A mid-reconstruction session refuses the install
-    /// (surfaced as [`FleetError::Core`]); callers skip it and retry next
+    /// (surfaced as [`FleetError::Core`]): reconstruction owns the model
+    /// until it completes, so callers skip the session and retry next
     /// round. Counted in `MetricsSnapshot::redistributions` on success.
     pub fn install_model(
         &self,
@@ -1259,9 +1265,12 @@ impl FleetEngine {
     /// for each non-quarantined session directory, the newest checkpoint
     /// generation that frames and decodes is installed as a live session.
     /// Returns `(id, offset)` for each resumed session, sorted by id: the
-    /// checkpoint's stream offset, every row it consumed (applied or
-    /// refused by the input guard). The caller replays its stream from
-    /// that offset, losing at most one checkpoint interval to the crash.
+    /// stream offset written in the same frame as the checkpoint, every
+    /// row delivered to the session before it (a frame written before
+    /// offsets were persisted reads as its applied plus guard-refused
+    /// rows). The caller replays its stream from that offset, losing at
+    /// most one checkpoint interval to a crash and nothing to a graceful
+    /// shutdown.
     /// Sessions whose every generation was destroyed are skipped (worst
     /// case is losing one session's recent history, never the store).
     /// Requires `FleetConfig::state_dir`.
@@ -1283,11 +1292,11 @@ impl FleetEngine {
             ) {
                 continue; // already live in this engine
             }
-            let Some((_, pipeline)) = durable.load_pipeline(id)? else {
+            let Some((_, pipeline, offset)) = durable.load_pipeline(id)? else {
                 continue; // every generation torn: session lost, store fine
             };
-            let offset = stream_offset(&pipeline);
-            self.create(SessionId(id), pipeline)?;
+            let offset = offset.unwrap_or_else(|| stream_offset(&pipeline));
+            self.create_at(SessionId(id), pipeline, offset)?;
             resumed.push((SessionId(id), offset));
         }
         resumed.sort_by_key(|(id, _)| *id);
@@ -1358,13 +1367,13 @@ impl FleetEngine {
         }
         // ...then join and merge their final session maps. A panicked
         // worker (join error) loses its sessions; report, don't unwind.
-        let mut sessions = Vec::new();
+        let mut slots = Vec::new();
         let mut lost: Vec<LostSession> = Vec::new();
         for (idx, shard) in self.shards.iter().enumerate() {
             let handle = write_lock(&shard.link).handle.take();
             let Some(handle) = handle else { continue };
             match handle.join() {
-                Ok(survivors) => sessions.extend(survivors),
+                Ok(survivors) => slots.extend(survivors),
                 Err(_) => {
                     let assigned: Vec<u64> = read_lock(&self.registry)
                         .iter()
@@ -1383,23 +1392,26 @@ impl FleetEngine {
                 }
             }
         }
-        sessions.sort_by_key(|(id, _)| *id);
+        slots.sort_by_key(|(id, _)| *id);
         lost.sort_by_key(|s| s.id);
         // Graceful shutdown is the one moment every survivor's full state
-        // is in hand: hand it to the flusher so a drain leaves zero tail
-        // loss. It supersedes the survivor's rolling checkpoint, which is
-        // dropped from memory so the pending queue still holds one blob
-        // per session. Mid-reconstruction pipelines refuse to_bytes by
-        // contract; their last rolling checkpoint is pending or already
-        // on disk. Stopping the flusher then writes everything pending.
+        // is in hand: hand it to the flusher with its stream offset so a
+        // drain leaves zero tail loss. It supersedes the survivor's
+        // rolling checkpoint, which is dropped from memory so the pending
+        // queue still holds one blob per session. Stopping the flusher
+        // then writes everything pending.
         if let Some(monitor) = &self.durability {
-            for (id, pipeline) in &sessions {
-                if let Ok(blob) = pipeline.to_bytes() {
-                    self.store.remove(id.0);
-                    monitor.submit(id.0, Arc::new(blob));
+            for (id, slot) in &slots {
+                if let Ok(blob) = slot.pipeline.to_bytes() {
+                    self.store.remove(*id);
+                    monitor.submit(*id, slot.offset, Arc::new(blob));
                 }
             }
         }
+        let sessions = slots
+            .into_iter()
+            .map(|(id, slot)| (SessionId(id), slot.pipeline))
+            .collect();
         self.stop_flusher();
         let quarantined = self.quarantined_sessions();
         let events = std::mem::take(&mut *mutex_lock(&self.events));

@@ -21,9 +21,9 @@
 //! * **Lifecycle** — [`FleetEngine::create`] installs a calibrated pipeline
 //!   (or [`FleetEngine::create_from_bytes`] restores one from the
 //!   `seqdrift_core::persist` wire format), [`FleetEngine::feed`] streams
-//!   samples, [`FleetEngine::snapshot`] checkpoints at quiescent points
-//!   (mid-reconstruction refusal propagates from `persist`), and
-//!   [`FleetEngine::evict`] hands the live pipeline back.
+//!   samples, [`FleetEngine::snapshot`] checkpoints a session in whatever
+//!   state its pipeline is in, and [`FleetEngine::evict`] hands the live
+//!   pipeline back.
 //! * **Backpressure** — every shard has a bounded ingress queue.
 //!   [`FleetEngine::feed`] never blocks: a full queue returns
 //!   [`FeedReply::Busy`] so the caller can degrade gracefully (drop, retry,
@@ -43,12 +43,14 @@
 //!   shards re-homed. Every recovery path is reproducibly exercisable via
 //!   the seeded [`FaultInjector`]. [`FleetEngine::shutdown`] never panics.
 //! * **Durability** — with [`FleetConfig::state_dir`] set, a single
-//!   flusher thread writes each session's newest rolling checkpoint to a
-//!   crash-safe on-disk store (`seqdrift_store`: CRC-framed generations,
-//!   atomic fsync'd writes) behind the workers, which never wait on the
-//!   disk; quarantine verdicts persist in a store manifest. After a crash
-//!   or power loss, [`FleetEngine::resume`] re-homes every surviving
-//!   session from its newest valid generation; the worst case is losing
+//!   flusher thread writes each session's newest rolling checkpoint and
+//!   its stream offset, in one frame, to a crash-safe on-disk store
+//!   (`seqdrift_store`: CRC-framed generations, atomic fsync'd writes)
+//!   behind the workers, which never wait on the disk; quarantine
+//!   verdicts persist in a store manifest. A graceful shutdown writes
+//!   every session's final state. After a crash or power loss,
+//!   [`FleetEngine::resume`] re-homes every surviving session from its
+//!   newest valid generation at its stream offset; the worst case is losing
 //!   one checkpoint interval plus what the session processed while its
 //!   newest checkpoint waited for the flusher — never a model, and never
 //!   a quarantine decision.

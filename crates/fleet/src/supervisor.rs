@@ -8,10 +8,11 @@
 //! 1. **Panic isolation** — every pipeline step runs inside
 //!    `catch_unwind`; a panic discards only that session's live pipeline
 //!    while the shard keeps draining its queue.
-//! 2. **Rolling checkpoints** — each session serialises its quiescent
-//!    state through `seqdrift_core::persist` every
-//!    `FleetConfig::checkpoint_interval` processed samples into a shared
-//!    [`CheckpointStore`]; a panicked session is restored from its last
+//! 2. **Rolling checkpoints** — each session serialises its state
+//!    through `seqdrift_core::persist` every
+//!    `FleetConfig::checkpoint_interval` processed samples, whatever state
+//!    its pipeline is in, into a shared [`CheckpointStore`] together with
+//!    its stream offset; a panicked session is restored from its last
 //!    blob (losing at most one checkpoint interval of samples).
 //! 3. **Bounded restart budget** — at most `max_restarts` restores per
 //!    `restart_window` delivered samples; past the budget (or with no
@@ -210,6 +211,8 @@ pub(crate) struct CheckpointEntry {
     /// Last good serialised state, shared with the flusher's pending
     /// queue until it reaches disk.
     pub blob: Arc<Vec<u8>>,
+    /// The session's stream offset when `blob` was taken.
+    pub offset: u64,
     /// Delivery counter at checkpoint time (restores resume counting from
     /// the live counter, not this one; kept for worker re-homing).
     pub delivered: u64,
@@ -261,10 +264,13 @@ pub(crate) fn mutex_lock<T>(l: &Mutex<T>) -> MutexGuard<'_, T> {
     l.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A session's position in its input stream: the rows it applied plus
-/// the rows its input guard refused. A refused row does not advance
-/// `samples_processed`, but a replaying device has already sent it, so
-/// resume offsets count it too.
+/// The stream offset of a pipeline that comes without one (a plain
+/// blob, or a checkpoint frame written before offsets were persisted):
+/// the rows it applied plus the rows its input guard refused. A refused
+/// row does not advance `samples_processed`, but a replaying device has
+/// already sent it, so resume offsets count it too. Rows lost to a panic
+/// restore are not in the pipeline at all; only a session's own offset,
+/// counted as rows are delivered, includes them.
 pub(crate) fn stream_offset(pipeline: &DriftPipeline) -> u64 {
     pipeline.samples_processed() + pipeline.guard_counters().rejected
 }
@@ -306,18 +312,19 @@ pub(crate) struct SessionSlot {
     /// Samples handed to this session (monotonic across restores; resets
     /// only to the checkpointed value when a whole worker is re-homed).
     pub delivered: u64,
+    /// The session's stream offset: the offset it was created at plus
+    /// every row delivered since, applied, refused, or lost to a panic
+    /// restore. It moves like `delivered`, and like it resets only to the
+    /// checkpointed value when a whole worker is re-homed.
+    pub offset: u64,
     /// Samples processed since the last checkpoint attempt succeeded.
     pub since_checkpoint: u64,
 }
 
-/// Takes (or refreshes) a session's rolling checkpoint. Quiet failures
-/// are fine: mid-reconstruction states refuse to serialise and simply
-/// retry on a later sample. A durable fleet hands the blob to the
-/// flusher; the worker never waits on the disk.
+/// Takes (or refreshes) a session's rolling checkpoint and its stream
+/// offset. A durable fleet hands both to the flusher; the worker never
+/// waits on the disk.
 fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
-    if slot.pipeline.is_reconstructing() {
-        return;
-    }
     // to_bytes on a live pipeline should never panic, but a checkpointing
     // crash must not take the shard down either.
     let bytes = std::panic::catch_unwind(AssertUnwindSafe(|| slot.pipeline.to_bytes()));
@@ -331,6 +338,7 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     let mut store = ctx.store.lock();
     let entry = store.entry(id).or_insert_with(|| CheckpointEntry {
         blob: Arc::default(),
+        offset: 0,
         delivered: 0,
         checkpoint_sample: 0,
         snapshots_taken: 0,
@@ -344,6 +352,7 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
         }
     }
     entry.checkpoint_sample = slot.pipeline.samples_processed();
+    entry.offset = slot.offset;
     entry.delivered = slot.delivered;
     entry.snapshots_taken += 1;
     entry.blob = Arc::new(blob);
@@ -351,7 +360,7 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     let blob = Arc::clone(&entry.blob);
     drop(store);
     if let Some(monitor) = &ctx.monitor {
-        monitor.submit(id, blob);
+        monitor.submit(id, slot.offset, blob);
     }
 }
 
@@ -359,6 +368,9 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
 pub(crate) enum Recovery {
     Restore {
         pipeline: Box<DriftPipeline>,
+        /// The checkpoint's stream offset (a re-homed session resumes
+        /// from it; a panicked one keeps its live offset).
+        offset: u64,
         resumed_at_sample: u64,
         restarts_in_window: u32,
     },
@@ -384,6 +396,7 @@ pub(crate) fn decide_recovery(ctx: &WorkerCtx, id: u64, delivered: u64) -> Recov
             entry.restarts.push_back(delivered);
             Recovery::Restore {
                 pipeline: Box::new(pipeline),
+                offset: entry.offset,
                 resumed_at_sample: entry.checkpoint_sample,
                 restarts_in_window: entry.restarts.len() as u32,
             }
@@ -394,12 +407,15 @@ pub(crate) fn decide_recovery(ctx: &WorkerCtx, id: u64, delivered: u64) -> Recov
 
 /// Handles a caught panic in `id`'s pipeline step: restore from the last
 /// checkpoint within budget, else permanently quarantine. The broken
-/// pipeline was already removed from `slots` by the caller.
+/// pipeline was already removed from `slots` by the caller; the restored
+/// one keeps the session's `delivered` count and stream `offset`, so the
+/// rows lost to the restore still count as consumed.
 fn supervise_panic(
     ctx: &WorkerCtx,
     slots: &mut HashMap<u64, SessionSlot>,
     id: u64,
     delivered: u64,
+    offset: u64,
 ) {
     ctx.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
     ctx.log(FleetEvent::SessionPanicked {
@@ -411,12 +427,14 @@ fn supervise_panic(
             pipeline,
             resumed_at_sample,
             restarts_in_window,
+            ..
         } => {
             slots.insert(
                 id,
                 SessionSlot {
                     pipeline: *pipeline,
                     delivered,
+                    offset,
                     since_checkpoint: 0,
                 },
             );
@@ -511,6 +529,7 @@ fn feed_row(ctx: &WorkerCtx, slots: &mut HashMap<u64, SessionSlot>, id: u64, sam
     };
     let delivered = slot.delivered;
     slot.delivered += 1;
+    slot.offset += 1;
     if let Some(injector) = &ctx.injector {
         if injector.should_kill_worker(id, delivered) {
             // Deliberately OUTSIDE the supervision wrapper: models a
@@ -551,32 +570,36 @@ fn feed_row(ctx: &WorkerCtx, slots: &mut HashMap<u64, SessionSlot>, id: u64, sam
         Err(_) => {
             // The pipeline is mid-mutation garbage: discard it and let
             // supervision restore or quarantine.
+            let offset = slot.offset;
             slots.remove(&id);
-            supervise_panic(ctx, slots, id, delivered);
+            supervise_panic(ctx, slots, id, delivered, offset);
         }
     }
 }
 
 /// One shard's event loop. Starts from `initial` sessions (empty on first
 /// spawn; the re-homed set after a respawn) and exits — after draining the
-/// queue — when the engine drops the sending side.
+/// queue — when the engine drops the sending side. Returns the live
+/// sessions, sorted by id.
 pub(crate) fn worker_loop(
     rx: Receiver<ShardMsg>,
     initial: Vec<(u64, SessionSlot)>,
     ctx: WorkerCtx,
-) -> Vec<(SessionId, DriftPipeline)> {
+) -> Vec<(u64, SessionSlot)> {
     let mut slots: HashMap<u64, SessionSlot> = initial.into_iter().collect();
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Create {
                 id,
                 pipeline,
+                offset,
                 reply,
             } => {
                 let result = if let std::collections::hash_map::Entry::Vacant(e) = slots.entry(id) {
                     let mut slot = SessionSlot {
                         pipeline: *pipeline,
                         delivered: 0,
+                        offset,
                         since_checkpoint: 0,
                     };
                     slot.pipeline.drain_events();
@@ -617,7 +640,7 @@ pub(crate) fn worker_loop(
             }
             ShardMsg::SamplesProcessed { id, reply } => {
                 let result = match slots.get(&id) {
-                    Some(slot) => Ok(stream_offset(&slot.pipeline)),
+                    Some(slot) => Ok(slot.offset),
                     None => Err(crate::engine::FleetError::UnknownSession(SessionId(id))),
                 };
                 let _ = reply.send(result);
@@ -644,10 +667,7 @@ pub(crate) fn worker_loop(
             }
         }
     }
-    let mut out: Vec<(SessionId, DriftPipeline)> = slots
-        .into_iter()
-        .map(|(id, slot)| (SessionId(id), slot.pipeline))
-        .collect();
+    let mut out: Vec<(u64, SessionSlot)> = slots.into_iter().collect();
     out.sort_by_key(|(id, _)| *id);
     out
 }

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 const DIM: usize = 4;
 const DEVICES: u64 = 12;
 // Long enough that even the latest-drifting device finishes its 200-sample
-// reconstruction, so every session serialises at a quiescent point.
+// reconstruction, so every session ends at rest.
 const SAMPLES: usize = 450;
 
 fn sample(rng: &mut Rng, mean: Real) -> Vec<Real> {

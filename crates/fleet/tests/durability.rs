@@ -438,8 +438,9 @@ fn shutdown_leaves_every_survivor_final_state_on_disk() {
     assert_eq!(report.sessions.len(), SESSIONS as usize);
     let store = Store::open(&dir).unwrap();
     for (id, pipeline) in &report.sessions {
-        let (_, on_disk) = store.load_pipeline(id.0).unwrap().unwrap();
+        let (_, on_disk, offset) = store.load_pipeline(id.0).unwrap().unwrap();
         assert_eq!(on_disk.samples_processed(), 100 + id.0);
+        assert_eq!(offset, Some(100 + id.0));
         assert_eq!(on_disk.to_bytes().unwrap(), pipeline.to_bytes().unwrap());
     }
     drop(store);
@@ -466,6 +467,34 @@ fn resume_offsets_count_rows_the_guard_rejected() {
     assert_eq!(fleet.samples_processed(SessionId(0)).unwrap(), ROWS as u64);
     let report = fleet.shutdown();
     assert_eq!(report.sessions[0].1.samples_processed(), ROWS as u64 - 4);
+    let revived = FleetEngine::new(durable_config(&dir)).unwrap();
+    assert_eq!(revived.resume().unwrap(), vec![(SessionId(0), ROWS as u64)]);
+    drop(revived);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A session restored from its rolling checkpoint after a caught panic
+/// has lost the rows fed since that checkpoint, but its device sent them:
+/// its stream offset keeps counting them, live and across a restart, so
+/// a device replaying from the offset never sends a row twice.
+#[test]
+fn a_panic_restored_session_keeps_the_rows_it_lost_in_its_offset() {
+    let dir = tmp_dir("resume-panicked");
+    const ROWS: usize = 150;
+    let injector = FaultInjector::new(vec![Fault::PanicOnSample {
+        session: 0,
+        nth: 100,
+    }]);
+    let fleet = FleetEngine::new(durable_config(&dir).with_fault_injector(injector)).unwrap();
+    fleet.create(SessionId(0), calibrated_pipeline(0)).unwrap();
+    for x in &stream(0, ROWS) {
+        fleet.feed_blocking(SessionId(0), x).unwrap();
+    }
+    assert_eq!(fleet.samples_processed(SessionId(0)).unwrap(), ROWS as u64);
+    let report = fleet.shutdown();
+    assert_eq!(report.metrics.sessions_restored, 1);
+    // Restored at sample 64, then fed rows 101..150.
+    assert_eq!(report.sessions[0].1.samples_processed(), 64 + 49);
     let revived = FleetEngine::new(durable_config(&dir)).unwrap();
     assert_eq!(revived.resume().unwrap(), vec![(SessionId(0), ROWS as u64)]);
     drop(revived);

@@ -22,7 +22,7 @@
 //!   batch-size-1 OS-ELM training O(H²) per sample;
 //! * [`rng`] — a dependency-free xoshiro256++ generator (seedable,
 //!   reproducible across platforms) with uniform/normal helpers;
-//! * [`stats`] — Welford accumulators, quantiles and histograms used by the
+//! * [`stats`] — Welford accumulators, quantiles and a chi-square statistic used by the
 //!   detectors and threshold calibration.
 //!
 //! The scalar type is [`Real`] (`f32` by default, matching the MCU firmware;

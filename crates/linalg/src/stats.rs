@@ -1,7 +1,7 @@
 //! Streaming and batch statistics.
 //!
 //! The detectors and the paper's Eq. 1 threshold calibration need running
-//! means/variances (Welford), quantiles, and simple histograms. Everything
+//! means/variances (Welford), quantiles, and a chi-square statistic. Everything
 //! here is single-pass or operates on caller-owned buffers, in keeping with
 //! the O(1)-memory-per-sample design constraint.
 
@@ -97,6 +97,22 @@ impl Welford {
     pub fn reset(&mut self) {
         *self = Welford::default();
     }
+
+    /// The raw accumulator `(n, mean, m2)`, for persistence.
+    pub fn parts(&self) -> (u64, f64, f64) {
+        (self.n, self.mean, self.m2)
+    }
+
+    /// Rebuilds an accumulator from [`Welford::parts`]. `None` unless
+    /// `mean` and `m2` are finite, `m2 >= 0`, and an empty accumulator
+    /// holds zeros.
+    pub fn from_parts(n: u64, mean: f64, m2: f64) -> Option<Welford> {
+        let consistent = mean.is_finite()
+            && m2.is_finite()
+            && m2 >= 0.0
+            && (n > 0 || (mean == 0.0 && m2 == 0.0));
+        consistent.then_some(Welford { n, mean, m2 })
+    }
 }
 
 /// Mean of a slice (0 for empty input).
@@ -139,59 +155,6 @@ pub fn quantile(xs: &[Real], q: Real) -> Real {
     let mut copy = xs.to_vec();
     copy.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
     quantile_sorted(&copy, q)
-}
-
-/// Fixed-width histogram over `[lo, hi]` with values outside clamped to the
-/// end bins. Used by diagnostics and the distribution plots of Figure 1.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: Real,
-    hi: Real,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi]`.
-    pub fn new(lo: Real, hi: Real, bins: usize) -> Self {
-        assert!(bins > 0 && hi > lo, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds one observation (clamped into range).
-    pub fn push(&mut self, x: Real) {
-        let bins = self.counts.len();
-        let t = ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0);
-        let idx = ((t * bins as Real) as usize).min(bins - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Normalised bin frequencies (empty histogram gives all zeros).
-    pub fn frequencies(&self) -> Vec<Real> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as Real / self.total as Real)
-            .collect()
-    }
 }
 
 /// Pearson chi-square statistic between observed counts and expected
@@ -272,6 +235,21 @@ mod tests {
     }
 
     #[test]
+    fn welford_parts_roundtrip_and_reject_non_finite() {
+        let mut w = Welford::new();
+        for x in [1.5, -2.0, 7.25] {
+            w.push(x);
+        }
+        let (n, mean, m2) = w.parts();
+        let back = Welford::from_parts(n, mean, m2).unwrap();
+        assert_eq!(back.parts(), w.parts());
+        assert!(Welford::from_parts(n, f64::NAN, m2).is_none());
+        assert!(Welford::from_parts(n, mean, f64::INFINITY).is_none());
+        assert!(Welford::from_parts(n, mean, -1.0).is_none());
+        assert!(Welford::from_parts(0, 1.0, 0.0).is_none());
+    }
+
+    #[test]
     fn welford_merge_with_empty() {
         let mut a = Welford::new();
         let mut b = Welford::new();
@@ -307,20 +285,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_empty_panics() {
         quantile(&[], 0.5);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 9.9, -5.0, 15.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts()[0], 3); // 0.5, 1.5, -5.0 (clamped)
-        assert_eq!(h.counts()[4], 2); // 9.9, 15.0 (clamped)
-        assert_eq!(h.counts()[1], 1); // 2.5
-        let f = h.frequencies();
-        assert!((f.iter().sum::<Real>() - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -335,8 +335,9 @@ impl Client {
         }
     }
 
-    /// Fetches the session's checkpoint blob (quiescent-point state; all
-    /// samples acknowledged before this call are reflected).
+    /// Fetches the session's checkpoint blob: its whole pipeline state,
+    /// mid-reconstruction included, with every sample acknowledged before
+    /// this call reflected.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, ClientError> {
         match self.exchange(&Message::Snapshot)?.0 {
             Message::SnapshotAck { blob } => Ok(blob),

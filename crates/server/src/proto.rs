@@ -73,7 +73,7 @@ pub enum FrameType {
     Ping = 0x03,
     /// Fetch queued drift/fault events for the session.
     Drain = 0x04,
-    /// Fetch the session's checkpoint blob (quiescent-point state).
+    /// Fetch the session's checkpoint blob (its whole pipeline state).
     Snapshot = 0x05,
     /// Orderly goodbye; the server closes the connection.
     Bye = 0x06,
@@ -480,7 +480,8 @@ pub enum Message {
     Ping,
     /// Fetch queued events for the session.
     Drain,
-    /// Fetch the session's checkpoint blob.
+    /// Fetch the session's checkpoint blob, whatever state its pipeline
+    /// is in.
     Snapshot,
     /// Orderly goodbye.
     Bye,
@@ -489,10 +490,10 @@ pub enum Message {
         /// True when the session already existed on the server (resumed
         /// from the durable store or created by an earlier connection).
         existing: bool,
-        /// The session's live stream offset at the handshake, rows
-        /// applied or guard-refused (0 for a freshly created session);
-        /// the client replays its stream from this offset after any
-        /// reconnect.
+        /// The session's live stream offset at the handshake: rows
+        /// applied, guard-refused or lost to a panic restore (0 for a
+        /// freshly created session); the client replays its stream from
+        /// this offset after any reconnect.
         resume_from: u64,
     },
     /// Batch fully applied.

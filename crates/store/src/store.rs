@@ -24,7 +24,9 @@
 //! never shadow a good older generation; each session's newest surviving
 //! generation is additionally decoded through
 //! [`DriftPipeline::from_bytes`], falling back to older generations until
-//! one decodes. The worst case after any crash is therefore the loss of
+//! one decodes. A session generation's payload is its stream offset
+//! followed by its pipeline blob ([`Store::put_checkpoint`]); a bare
+//! pipeline blob, as written before offsets were persisted, still reads. The worst case after any crash is therefore the loss of
 //! one checkpoint interval — never the model. What the scan found and
 //! repaired is tallied in a [`RecoveryReport`] so callers can surface
 //! disk trouble instead of hiding it.
@@ -58,6 +60,9 @@ const REPUTATION_DIR: &str = "reputation";
 const KIND_MANIFEST: u16 = 32;
 /// Payload kind of a serialised reputation book.
 const KIND_REPUTATION: u16 = 33;
+/// Payload kind of a session checkpoint: the session's stream offset,
+/// then its `seqdrift_core::persist` pipeline blob, verbatim.
+const KIND_CHECKPOINT: u16 = 34;
 
 /// Store-level failures.
 #[derive(Debug)]
@@ -277,6 +282,33 @@ fn payload_wire_version(payload: &[u8]) -> Option<u16> {
     }
 }
 
+/// Encodes a session checkpoint payload (see [`KIND_CHECKPOINT`]).
+fn encode_checkpoint(offset: u64, blob: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new(KIND_CHECKPOINT);
+    w.u64(offset);
+    let mut payload = w.into_bytes();
+    payload.extend_from_slice(blob);
+    payload
+}
+
+/// Splits a session payload into its stream offset and pipeline blob. A
+/// payload written before offsets were persisted is a bare pipeline blob,
+/// so anything that is not a checkpoint payload comes back whole with no
+/// offset (and then decodes as a pipeline or not at all).
+fn decode_checkpoint(payload: &[u8]) -> (Option<u64>, &[u8]) {
+    if let Ok(mut r) = Reader::new(payload, KIND_CHECKPOINT) {
+        if let Ok(offset) = r.u64() {
+            return (Some(offset), &payload[payload.len() - r.remaining()..]);
+        }
+    }
+    (None, payload)
+}
+
+/// Whether a session payload holds a pipeline that decodes.
+fn checkpoint_decodes(payload: &[u8]) -> bool {
+    DriftPipeline::from_bytes(decode_checkpoint(payload).1).is_ok()
+}
+
 impl Store {
     /// Opens (creating if absent) a store at `root` with default config
     /// and runs the recovery scan.
@@ -426,11 +458,8 @@ impl Store {
                 // Not a session directory; leave foreign data alone.
                 continue;
             };
-            let (gens, newest_valid) = self.scan_frame_dir(
-                &path,
-                |payload| DriftPipeline::from_bytes(payload).is_ok(),
-                &mut report,
-            )?;
+            let (gens, newest_valid) =
+                self.scan_frame_dir(&path, checkpoint_decodes, &mut report)?;
             report.generations_kept += gens.len();
             if newest_valid.is_some() {
                 report.sessions_recovered += 1;
@@ -601,17 +630,36 @@ impl Store {
         Ok(None)
     }
 
+    /// Writes one session checkpoint as a new generation: the pipeline
+    /// `blob` and the session's stream `offset` in one payload, so one
+    /// frame carries both and a torn write cannot pair a blob with another
+    /// generation's offset. See [`Store::put`] for the write contract.
+    pub fn put_checkpoint(
+        &self,
+        session: u64,
+        offset: u64,
+        blob: &[u8],
+    ) -> Result<u64, StoreError> {
+        self.put(session, &encode_checkpoint(offset, blob))
+    }
+
     /// Loads and decodes the newest generation of `session` that survives
     /// both the CRC frame and `DriftPipeline::from_bytes` — the full
-    /// recovery contract in one call.
-    pub fn load_pipeline(&self, session: u64) -> Result<Option<(u64, DriftPipeline)>, StoreError> {
-        let loaded = self.load_validated(session, |payload| {
-            DriftPipeline::from_bytes(payload).is_ok()
-        })?;
+    /// recovery contract in one call. Returns the generation, the
+    /// pipeline and the stream offset written beside it by
+    /// [`Store::put_checkpoint`]; the offset is `None` for a generation
+    /// that holds a bare pipeline blob (written before offsets were
+    /// persisted).
+    pub fn load_pipeline(
+        &self,
+        session: u64,
+    ) -> Result<Option<(u64, DriftPipeline, Option<u64>)>, StoreError> {
+        let loaded = self.load_validated(session, checkpoint_decodes)?;
         Ok(loaded.and_then(|(generation, payload)| {
-            DriftPipeline::from_bytes(&payload)
+            let (offset, blob) = decode_checkpoint(&payload);
+            DriftPipeline::from_bytes(blob)
                 .ok()
-                .map(|p| (generation, p))
+                .map(|p| (generation, p, offset))
         }))
     }
 

@@ -74,7 +74,7 @@ fn seeded_store(name: &str) -> (PathBuf, Vec<u8>, Vec<u8>, PathBuf) {
 /// bit-for-bit via the full frame+decode validation path.
 fn assert_recovers_to(root: &Path, expected: &[u8], expected_gen: u64, what: &str) {
     let store = Store::open(root).unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
-    let (generation, pipe) = store
+    let (generation, pipe, _) = store
         .load_pipeline(1)
         .unwrap_or_else(|e| panic!("{what}: load failed: {e}"))
         .unwrap_or_else(|| panic!("{what}: session lost entirely"));
@@ -223,8 +223,37 @@ fn crash_during_prune_leaves_recoverable_state() {
     // Extra stale generation below the keep window (as if prune died).
     fs::write(root.join("1").join("0.ckpt"), frame::encode(0, &blob)).unwrap();
     let store = Store::open(&root).unwrap();
-    let (generation, got) = store.load_pipeline(1).unwrap().unwrap();
+    let (generation, got, _) = store.load_pipeline(1).unwrap().unwrap();
     assert_eq!(generation, 2);
+    assert_eq!(got.to_bytes().unwrap(), blob);
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn stream_offsets_travel_in_their_checkpoint_frame() {
+    let root = tmp_root("offsets");
+    let store = Store::open(&root).unwrap();
+    let pipe = calibrated_pipeline(13);
+    let blob = pipe.to_bytes().unwrap();
+    store.put_checkpoint(1, 77, &blob).unwrap();
+    store.put_checkpoint(1, 90, &blob).unwrap();
+    drop(store);
+    // Tear the newest frame: recovery falls back to generation 1 with
+    // generation 1's offset, never generation 2's.
+    let newest = root.join("1").join("2.ckpt");
+    let full = fs::read(&newest).unwrap();
+    fs::write(&newest, &full[..full.len() - 3]).unwrap();
+    let store = Store::open(&root).unwrap();
+    let (generation, got, offset) = store.load_pipeline(1).unwrap().unwrap();
+    assert_eq!((generation, offset), (1, Some(77)));
+    assert_eq!(got.to_bytes().unwrap(), blob);
+    // A bare pipeline blob, as written before offsets were persisted,
+    // still reads back, with no offset.
+    store.put(1, &blob).unwrap();
+    drop(store);
+    let store = Store::open(&root).unwrap();
+    let (generation, got, offset) = store.load_pipeline(1).unwrap().unwrap();
+    assert_eq!((generation, offset), (2, None));
     assert_eq!(got.to_bytes().unwrap(), blob);
     fs::remove_dir_all(&root).ok();
 }

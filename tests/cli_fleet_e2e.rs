@@ -181,7 +181,7 @@ fn fleet_csv_transcripts_are_unchanged() {
                 "{base} --sessions 6 --workers 3 --drift-at 60 --drift-step 20 --drift-shift 0.4 \
                  --inject-faults 7 --federate --federate-interval 300"
             ),
-            0xd73a_b8b0_39c7_b1cd,
+            0xaccb_3863_5f2f_9b00,
         ),
         (
             "poison",
@@ -240,11 +240,11 @@ fn fleet_scenario_transcripts_are_unchanged() {
     let sqsc = dir.join("drill.sqsc");
     std::fs::write(&sqsc, DRILL).unwrap();
     let line = format!("fleet --scenario {} --workers 3", sqsc.display());
-    check("drill", &exec(&line), None, 0xe978_6dda_ec83_8c0c);
+    check("drill", &exec(&line), None, 0x2fc6_8488_a901_d3a7);
     let line = format!(
         "{line} --guard-policy reject --stuck-threshold 4 --federate --federate-interval 200"
     );
-    check("drill+overrides", &exec(&line), None, 0xb63d_0c94_2e6a_d33d);
+    check("drill+overrides", &exec(&line), None, 0x00ad_b078_a077_d8db);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -349,7 +349,10 @@ fn both_front_ends_keep_a_persisted_quarantine_verdict() {
 
 /// `--resume` feeds each re-homed session from its checkpoint on: this
 /// run processes exactly the rows its sessions had not yet seen, and no
-/// session reports a drift before the sample it resumed at.
+/// session reports a drift before the sample it resumed at. The first
+/// run exits gracefully, so every session's final state is on disk, the
+/// ones still reconstructing included: every device resumes at the end
+/// of its 400-row stream.
 #[test]
 fn resumed_sessions_are_fed_from_their_checkpoint() {
     let dir = tmp_dir("resume-offset");
@@ -376,6 +379,7 @@ fn resumed_sessions_are_fed_from_their_checkpoint() {
         }
     }
     assert_eq!(resumed_at.len(), 6, "{out}");
+    assert!(resumed_at.values().all(|&at| at == 400), "{out}");
     let unseen: u64 = resumed_at.values().map(|at| 400 - at).sum();
     assert_eq!(processed, Some(unseen), "{out}");
     for l in out.lines() {
@@ -412,6 +416,36 @@ fn guard_rejected_rows_count_towards_the_resume_offset() {
     assert!(
         out.lines()
             .any(|l| l == "resumed device 4 at its sample 400"),
+        "{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A session restored from its rolling checkpoint after a caught panic
+/// lost the rows fed since that checkpoint, but its stream offset still
+/// counts them. In the drill, device 0 panics at delivery 67 and restarts
+/// from its checkpoint at sample 64, yet `--resume` re-homes it at the
+/// end of its 400-row stream, so no row is fed twice.
+#[test]
+fn a_panic_restored_device_resumes_at_the_end_of_its_stream() {
+    let dir = tmp_dir("resume-panicked");
+    let sqsc = dir.join("drill.sqsc");
+    std::fs::write(&sqsc, DRILL).unwrap();
+    let state = dir.join("state");
+    let line = format!(
+        "fleet --scenario {} --workers 3 --state-dir {}",
+        sqsc.display(),
+        state.display()
+    );
+    let first = exec(&line);
+    assert!(
+        first.contains("device 0: restored from checkpoint at sample 64"),
+        "{first}"
+    );
+    let out = exec(&format!("{line} --resume"));
+    assert!(
+        out.lines()
+            .any(|l| l == "resumed device 0 at its sample 400"),
         "{out}"
     );
     std::fs::remove_dir_all(&dir).ok();
