@@ -785,13 +785,6 @@ fn report_fleet_shutdown(
             FleetEvent::SessionQuarantined { id, reason } => {
                 format!("device {}: QUARANTINED ({reason})", id.0)
             }
-            FleetEvent::WorkerRespawned {
-                shard,
-                recovered,
-                lost,
-            } => {
-                format!("worker {shard}: respawned ({recovered} session(s) recovered, {lost} lost)")
-            }
             FleetEvent::DurabilityDegraded { reason } => {
                 format!("durability: DEGRADED ({reason})")
             }
@@ -830,9 +823,8 @@ fn report_fleet_shutdown(
     if faults || m.panics_caught > 0 {
         writeln!(
             out,
-            "fault tolerance: {} panic(s) caught, {} restore(s), {} quarantined, \
-             {} worker respawn(s)",
-            m.panics_caught, m.sessions_restored, m.sessions_quarantined, m.workers_respawned
+            "fault tolerance: {} panic(s) caught, {} restore(s), {} quarantined",
+            m.panics_caught, m.sessions_restored, m.sessions_quarantined
         )
         .ok();
     }

@@ -8,18 +8,19 @@
 //! snapshot, evict) travel through the same queue as samples, so a snapshot
 //! observes every sample fed before it.
 //!
-//! Fault tolerance (see [`crate::supervisor`]): a panicking session is
-//! caught, restored from its rolling checkpoint within a bounded restart
-//! budget, or permanently quarantined; a dead worker thread is respawned
-//! and its shard re-homed; `shutdown` never panics.
+//! Fault tolerance (see [`crate::supervisor`]): the session is the one
+//! supervision boundary. A panic anywhere in a worker's handling of a row
+//! or control message is caught, and its session is restored from its
+//! rolling checkpoint within a bounded restart budget, or permanently
+//! quarantined; the worker thread lives on. `shutdown` never panics.
 
 use crate::durability::{flush_loop, DurabilityHealth, DurabilityMonitor};
 use crate::fault::FaultInjector;
 use crate::metrics::{FleetMetrics, MetricsSnapshot, QueueDepth, RejectReasons};
 use crate::supervisor::{
-    decide_recovery, mutex_lock, quarantine, read_lock, stream_offset, worker_loop, write_lock,
-    CheckpointStore, FleetEvent, LostSession, MergeRejectReason, QuarantineReason, Recovery,
-    SessionSlot, SessionStatus, SupervisionPolicy, WorkerCtx,
+    mutex_lock, read_lock, stream_offset, worker_loop, write_lock, CheckpointStore, FleetEvent,
+    LostSession, MergeRejectReason, QuarantineReason, SessionSlot, SessionStatus,
+    SupervisionPolicy, WorkerCtx,
 };
 use seqdrift_core::{CoreError, DriftPipeline};
 use seqdrift_linalg::Real;
@@ -81,7 +82,9 @@ pub enum FleetError {
     /// The durable state store failed (opening the state dir, or a
     /// resume-time read).
     Store(StoreError),
-    /// The engine's workers are gone (shutdown raced the call).
+    /// The worker that owns the session is gone: shutdown raced the
+    /// call, a panic escaped the supervision boundary and ended the
+    /// worker, or a control message panicked before it replied.
     Disconnected,
 }
 
@@ -129,6 +132,10 @@ pub enum FeedReply {
     UnknownSession,
     /// The session is permanently quarantined; the sample was NOT queued.
     Quarantined,
+    /// The worker of the session's shard is gone (a panic escaped the
+    /// supervision boundary while restoring a session); the sample was
+    /// NOT queued, and no later feed to that shard will be.
+    Disconnected,
 }
 
 /// Federation (cooperative cross-session model merging) knobs.
@@ -454,20 +461,39 @@ pub(crate) enum ShardMsg {
     },
 }
 
-/// A shard's mutable link to its worker thread. Behind an `RwLock` so a
-/// dead worker can be replaced while the engine is shared (`&self`).
-struct ShardLink {
-    /// `None` once shutdown has begun; dropping the sender is what tells
-    /// the worker to drain and exit.
-    tx: Option<Sender<ShardMsg>>,
-    handle: Option<JoinHandle<Vec<(u64, SessionSlot)>>>,
+/// One worker thread and its ingress queue. Feeds and control calls share
+/// the sender through `&self`; only `shutdown` and `Drop` take a shard
+/// apart, and dropping its sender is what tells the worker to drain and
+/// exit.
+struct Shard {
+    tx: Sender<ShardMsg>,
+    handle: JoinHandle<Vec<(u64, SessionSlot)>>,
+    depth: Arc<QueueDepth>,
 }
 
-struct Shard {
-    link: RwLock<ShardLink>,
-    depth: Arc<QueueDepth>,
-    /// Serialises respawn attempts racing from multiple caller threads.
-    respawn: Mutex<()>,
+/// What a worker leaves when it is joined: its live sessions, or the
+/// panic that ended it.
+type Joined = std::thread::Result<Vec<(u64, SessionSlot)>>;
+
+/// Drops every shard's sender, so all workers drain concurrently, then
+/// joins them in shard order. Each yields the rows left on its queue (0
+/// for a worker that drained it; a dead worker's stranded rows) and how
+/// it ended.
+fn stop_workers(shards: Vec<Shard>) -> Vec<(usize, Joined)> {
+    let handles: Vec<_> = shards
+        .into_iter()
+        .map(|Shard { tx, handle, depth }| {
+            drop(tx);
+            (handle, depth)
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|(handle, depth)| {
+            let joined = handle.join();
+            (depth.get(), joined)
+        })
+        .collect()
 }
 
 /// Everything the engine hands back on [`FleetEngine::shutdown`].
@@ -478,7 +504,9 @@ pub struct ShutdownReport {
     /// Sessions permanently quarantined during the run, sorted by id.
     pub quarantined: Vec<(SessionId, QuarantineReason)>,
     /// Sessions lost with a worker that died before shutdown could drain
-    /// it, each with its last rolling checkpoint (restorable elsewhere).
+    /// it (a panic that escaped the supervision boundary while restoring
+    /// a session), each with its last rolling checkpoint (restorable
+    /// elsewhere).
     pub lost: Vec<LostSession>,
     /// Events that had not been drained before shutdown.
     pub events: Vec<FleetEvent>,
@@ -493,7 +521,7 @@ pub struct FleetEngine {
     /// per-shard session maps are authoritative for live pipeline state.
     /// Workers flip entries to `Quarantined`; the engine adds/removes.
     registry: Arc<RwLock<HashMap<u64, SessionStatus>>>,
-    /// Rolling checkpoints + restart history (survives worker death).
+    /// Rolling checkpoints + restart history, shared with the workers.
     store: Arc<CheckpointStore>,
     /// Crash-safe on-disk store (survives process death); `None` when the
     /// engine runs memory-only.
@@ -586,25 +614,17 @@ impl FleetEngine {
                 );
             }
         }
-        for _ in 0..engine.cfg.workers {
-            let depth = Arc::new(QueueDepth::new(engine.cfg.queue_capacity));
-            let (tx, handle) = engine.spawn_worker(Arc::clone(&depth), Vec::new());
-            engine.shards.push(Shard {
-                link: RwLock::new(ShardLink {
-                    tx: Some(tx),
-                    handle: Some(handle),
-                }),
-                depth,
-                respawn: Mutex::new(()),
-            });
-        }
+        engine.shards = (0..engine.cfg.workers)
+            .map(|_| engine.spawn_worker())
+            .collect();
         Ok(engine)
     }
 
-    /// Builds the shared context a worker thread needs.
-    fn worker_ctx(&self, depth: Arc<QueueDepth>) -> WorkerCtx {
-        WorkerCtx {
-            depth,
+    /// Spawns one worker thread with an empty ingress queue.
+    fn spawn_worker(&self) -> Shard {
+        let depth = Arc::new(QueueDepth::new(self.cfg.queue_capacity));
+        let ctx = WorkerCtx {
+            depth: Arc::clone(&depth),
             metrics: Arc::clone(&self.metrics),
             events: Arc::clone(&self.events),
             registry: Arc::clone(&self.registry),
@@ -616,22 +636,13 @@ impl FleetEngine {
                 max_restarts: self.cfg.max_restarts,
                 restart_window: self.cfg.restart_window,
             },
-        }
-    }
-
-    /// Spawns one worker thread seeded with `initial` sessions.
-    fn spawn_worker(
-        &self,
-        depth: Arc<QueueDepth>,
-        initial: Vec<(u64, SessionSlot)>,
-    ) -> (Sender<ShardMsg>, JoinHandle<Vec<(u64, SessionSlot)>>) {
+        };
         // No slot bound: every `Feed` carries rows reserved in `depth`
         // first, and a control sender waits for its reply before it can
         // send again, so rows bound the channel (DESIGN.md §7).
         let (tx, rx) = channel();
-        let ctx = self.worker_ctx(depth);
-        let handle = std::thread::spawn(move || worker_loop(rx, initial, ctx));
-        (tx, handle)
+        let handle = std::thread::spawn(move || worker_loop(rx, ctx));
+        Shard { tx, handle, depth }
     }
 
     /// Number of shards / worker threads.
@@ -678,130 +689,14 @@ impl FleetEngine {
         self.shards[self.shard_index(id)].depth.get()
     }
 
-    /// Detects and replaces any dead worker threads, re-homing their
-    /// shards from the checkpoint store. Returns how many workers were
-    /// respawned. `feed`/`create` call this lazily on a disconnected
-    /// shard; long-running hosts may also call it periodically.
-    pub fn supervise(&self) -> usize {
-        (0..self.shards.len())
-            .filter(|&idx| self.respawn_shard(idx))
-            .count()
-    }
-
-    /// Replaces shard `idx`'s worker if (and only if) it is dead: joins
-    /// the corpse, restores every Active session of the shard from its
-    /// rolling checkpoint (counting against its restart budget), spawns a
-    /// fresh worker seeded with the recovered sessions, and logs a
-    /// [`FleetEvent::WorkerRespawned`]. Samples queued on the dead
-    /// channel are lost (counted as dropped). Returns whether a respawn
-    /// happened.
-    fn respawn_shard(&self, idx: usize) -> bool {
-        let shard = &self.shards[idx];
-        let _serial = mutex_lock(&shard.respawn);
-        let mut link = write_lock(&shard.link);
-        // Respawn only applies to a worker that died while its sender is
-        // still installed; `shutdown` takes both before joining.
-        let dead = link.tx.is_some() && link.handle.as_ref().is_some_and(|h| h.is_finished());
-        if !dead {
-            return false;
-        }
-        let survivors = match link.handle.take() {
-            Some(handle) => handle.join().unwrap_or_default(),
-            None => Vec::new(),
-        };
-        // Whatever was still queued on the dead channel is gone.
-        let lost_in_queue = shard.depth.reset();
-        self.metrics
-            .samples_dropped
-            .fetch_add(lost_in_queue as u64, Ordering::Relaxed);
-
-        let ctx = self.worker_ctx(Arc::clone(&shard.depth));
-        let mut recovered = 0u32;
-        let mut lost = 0u32;
-        // A clean exit (only possible in pathological shutdown races)
-        // hands back live sessions; reuse them directly.
-        let mut initial = survivors;
-        let assigned: Vec<u64> = read_lock(&self.registry)
-            .iter()
-            .filter(|(&id, status)| {
-                matches!(status, SessionStatus::Active)
-                    && (id % self.shards.len() as u64) as usize == idx
-                    && !initial.iter().any(|(s, _)| *s == id)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in assigned {
-            let delivered = self.store.lock().get(&id).map_or(0, |e| e.delivered);
-            match decide_recovery(&ctx, id, delivered) {
-                Recovery::Restore {
-                    pipeline,
-                    offset,
-                    resumed_at_sample,
-                    restarts_in_window,
-                } => {
-                    initial.push((
-                        id,
-                        SessionSlot {
-                            pipeline: *pipeline,
-                            delivered,
-                            offset,
-                            since_checkpoint: 0,
-                        },
-                    ));
-                    self.metrics
-                        .sessions_restored
-                        .fetch_add(1, Ordering::Relaxed);
-                    mutex_lock(&self.events).push(FleetEvent::SessionRestored {
-                        id: SessionId(id),
-                        resumed_at_sample,
-                        restarts_in_window,
-                    });
-                    recovered += 1;
-                }
-                Recovery::Quarantine(reason) => {
-                    quarantine(&ctx, id, reason);
-                    lost += 1;
-                }
-            }
-        }
-        let (tx, handle) = self.spawn_worker(Arc::clone(&shard.depth), initial);
-        link.tx = Some(tx);
-        link.handle = Some(handle);
-        self.metrics
-            .workers_respawned
-            .fetch_add(1, Ordering::Relaxed);
-        mutex_lock(&self.events).push(FleetEvent::WorkerRespawned {
-            shard: idx,
-            recovered,
-            lost,
-        });
-        true
-    }
-
     /// Sends a control message. It queues behind the shard's rows but
     /// never waits for room: rows are the queue's only bound, and control
-    /// operations are rare and must not be droppable. A dead worker
-    /// triggers one respawn-and-retry before giving up.
+    /// operations are rare and must not be droppable.
     fn control_send(&self, id: SessionId, msg: ShardMsg) -> Result<(), FleetError> {
-        let idx = self.shard_index(id);
-        let shard = &self.shards[idx];
-        let mut msg = msg;
-        for attempt in 0..2 {
-            {
-                let link = read_lock(&shard.link);
-                let Some(tx) = link.tx.as_ref() else {
-                    return Err(FleetError::Disconnected);
-                };
-                match tx.send(msg) {
-                    Ok(()) => return Ok(()),
-                    Err(std::sync::mpsc::SendError(m)) => msg = m,
-                }
-            }
-            if attempt == 0 && !self.respawn_shard(idx) {
-                return Err(FleetError::Disconnected);
-            }
-        }
-        Err(FleetError::Disconnected)
+        self.shards[self.shard_index(id)]
+            .tx
+            .send(msg)
+            .map_err(|_| FleetError::Disconnected)
     }
 
     /// Installs a calibrated pipeline as a new session. Blocks until the
@@ -881,40 +776,26 @@ impl FleetEngine {
             Some(SessionStatus::Quarantined(_)) => return Err(FeedReply::Quarantined),
             Some(SessionStatus::Active) => {}
         }
-        let idx = self.shard_index(id);
-        let shard = &self.shards[idx];
-        for attempt in 0..2 {
-            {
-                let link = read_lock(&shard.link);
-                let Some(tx) = link.tx.as_ref() else {
-                    return Err(FeedReply::Busy);
-                };
-                let admitted = shard.depth.reserve(rows, whole);
-                if admitted > 0 {
-                    let msg = ShardMsg::Feed {
-                        id: id.0,
-                        rows: admitted,
-                        data: data[..admitted * dim].to_vec(),
-                    };
-                    if tx.send(msg).is_ok() {
-                        return Ok(admitted);
-                    }
-                    shard.depth.release(admitted);
-                } else if !link.handle.as_ref().is_some_and(JoinHandle::is_finished) {
-                    // Full, but draining. A full queue behind a dead
-                    // worker never drains, so that case falls through.
-                    if count_busy {
-                        self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Err(FeedReply::Busy);
-                }
+        let shard = &self.shards[self.shard_index(id)];
+        let admitted = shard.depth.reserve(rows, whole);
+        if admitted == 0 {
+            if count_busy {
+                self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
             }
-            // The worker died: respawn it and retry the send once.
-            if attempt == 0 && !self.respawn_shard(idx) {
-                return Err(FeedReply::Busy);
-            }
+            return Err(FeedReply::Busy);
         }
-        Err(FeedReply::Busy)
+        let msg = ShardMsg::Feed {
+            id: id.0,
+            rows: admitted,
+            data: data[..admitted * dim].to_vec(),
+        };
+        if shard.tx.send(msg).is_err() {
+            // Only a panic inside a restore ends a worker; its queue
+            // never drains again, so waiting for room is pointless.
+            shard.depth.release(admitted);
+            return Err(FeedReply::Disconnected);
+        }
+        Ok(admitted)
     }
 
     /// Queues one sample for a session without blocking. A full shard queue
@@ -986,6 +867,7 @@ impl FleetEngine {
                 Err(FeedReply::Quarantined) => {
                     return (accepted, Err(FleetError::SessionQuarantined(id)))
                 }
+                Err(FeedReply::Disconnected) => return (accepted, Err(FleetError::Disconnected)),
                 Err(_) => {
                     let now = Instant::now();
                     let at = *deadline.get_or_insert(now + self.cfg.feed_timeout);
@@ -1321,8 +1203,13 @@ impl FleetEngine {
 
     /// Point-in-time aggregate counters plus per-shard queue depths.
     pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics_with(self.shards.iter().map(|s| s.depth.get()).collect())
+    }
+
+    /// The aggregate counters, with the given per-shard queue depths.
+    fn metrics_with(&self, queue_depths: Vec<usize>) -> MetricsSnapshot {
         let mut m = self.metrics.snapshot();
-        m.queue_depths = self.shards.iter().map(|s| s.depth.get()).collect();
+        m.queue_depths = queue_depths;
         m.contributions_rejected = RejectReasons {
             health: m.rejected_health,
             staleness: m.rejected_staleness,
@@ -1357,29 +1244,34 @@ impl FleetEngine {
     /// sessions, the undrained events, and the final counters. All samples
     /// fed before this call are applied before the report is built.
     ///
-    /// Never panics: a worker that died with its sessions is joined
-    /// defensively and its Active sessions are reported in
-    /// [`ShutdownReport::lost`] with their last checkpoints.
-    pub fn shutdown(self) -> ShutdownReport {
-        // Drop every sender first so all workers drain concurrently...
-        for shard in &self.shards {
-            write_lock(&shard.link).tx = None;
-        }
-        // ...then join and merge their final session maps. A panicked
-        // worker (join error) loses its sessions; report, don't unwind.
+    /// Never panics: a worker that died with its sessions (a panic that
+    /// escaped the supervision boundary while restoring one) is joined
+    /// defensively, its Active sessions are reported in
+    /// [`ShutdownReport::lost`] with their last checkpoints, and the rows
+    /// left on its queue count as `samples_dropped`.
+    pub fn shutdown(mut self) -> ShutdownReport {
+        let workers = self.shards.len() as u64;
+        // Merge the workers' final session maps. A panicked worker (join
+        // error) loses its sessions; report, don't unwind.
         let mut slots = Vec::new();
         let mut lost: Vec<LostSession> = Vec::new();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let handle = write_lock(&shard.link).handle.take();
-            let Some(handle) = handle else { continue };
-            match handle.join() {
+        let mut queue_depths = Vec::new();
+        for (idx, (depth, joined)) in stop_workers(std::mem::take(&mut self.shards))
+            .into_iter()
+            .enumerate()
+        {
+            queue_depths.push(depth);
+            match joined {
                 Ok(survivors) => slots.extend(survivors),
                 Err(_) => {
+                    self.metrics
+                        .samples_dropped
+                        .fetch_add(depth as u64, Ordering::Relaxed);
                     let assigned: Vec<u64> = read_lock(&self.registry)
                         .iter()
                         .filter(|(&id, status)| {
                             matches!(status, SessionStatus::Active)
-                                && (id % self.shards.len() as u64) as usize == idx
+                                && (id % workers) as usize == idx
                         })
                         .map(|(&id, _)| id)
                         .collect();
@@ -1415,7 +1307,7 @@ impl FleetEngine {
         self.stop_flusher();
         let quarantined = self.quarantined_sessions();
         let events = std::mem::take(&mut *mutex_lock(&self.events));
-        let metrics = self.metrics();
+        let metrics = self.metrics_with(queue_depths);
         ShutdownReport {
             sessions,
             quarantined,
@@ -1431,15 +1323,7 @@ impl Drop for FleetEngine {
     /// workers, then the flusher (every pending checkpoint is written;
     /// final states are discarded; join errors are swallowed).
     fn drop(&mut self) {
-        for shard in &self.shards {
-            write_lock(&shard.link).tx = None;
-        }
-        for shard in &self.shards {
-            let handle = write_lock(&shard.link).handle.take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-        }
+        stop_workers(std::mem::take(&mut self.shards));
         self.stop_flusher();
     }
 }
@@ -1554,6 +1438,38 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_worker_answers_disconnected_and_its_stranded_rows_are_dropped() {
+        let mut fleet = FleetEngine::new(FleetConfig::new(1)).unwrap();
+        fleet.create(SessionId(0), calibrated_pipeline(3)).unwrap();
+        // Stands in for a worker that a panic inside a restore ended: it
+        // takes one message, leaves that message's row reserved, and dies.
+        let (tx, rx) = channel::<ShardMsg>();
+        let handle = std::thread::spawn(move || -> Vec<(u64, SessionSlot)> {
+            let _taken = rx.recv();
+            panic!("worker dies inside a restore");
+        });
+        let depth = Arc::new(QueueDepth::new(8));
+        let live = std::mem::replace(&mut fleet.shards[0], Shard { tx, handle, depth });
+        stop_workers(vec![live]);
+
+        let x = [0.2; DIM];
+        assert_eq!(fleet.feed(SessionId(0), &x), FeedReply::Enqueued);
+        while !fleet.shards[0].handle.is_finished() {
+            std::thread::yield_now();
+        }
+        assert_eq!(fleet.feed(SessionId(0), &x), FeedReply::Disconnected);
+        assert!(matches!(
+            fleet.feed_blocking(SessionId(0), &x),
+            Err(FleetError::Disconnected)
+        ));
+        let report = fleet.shutdown();
+        let lost: Vec<SessionId> = report.lost.iter().map(|s| s.id).collect();
+        assert_eq!(lost, vec![SessionId(0)]);
+        assert_eq!(report.metrics.samples_dropped, 1);
+        assert_eq!(report.metrics.queue_depths, vec![1]);
+    }
+
+    #[test]
     fn full_queue_returns_busy_not_unbounded_growth() {
         // Capacity 2 on a single shard; the worker is kept busy by stuffing
         // the queue faster than it drains. We must observe at least one
@@ -1567,7 +1483,9 @@ mod tests {
             match fleet.feed(SessionId(0), &sample(&mut rng, 0.2)) {
                 FeedReply::Enqueued => enqueued += 1,
                 FeedReply::Busy => busy += 1,
-                FeedReply::UnknownSession | FeedReply::Quarantined => unreachable!(),
+                FeedReply::UnknownSession | FeedReply::Quarantined | FeedReply::Disconnected => {
+                    unreachable!()
+                }
             }
             assert!(fleet.metrics().queue_depths[0] <= 2);
         }
@@ -1806,42 +1724,6 @@ mod tests {
         assert_eq!(fleet.queue_depth(SessionId(0)), 0);
         let report = fleet.shutdown();
         assert_eq!(report.metrics.samples_processed, fed);
-    }
-
-    #[test]
-    fn full_queue_behind_a_dead_worker_is_respawned_not_busy() {
-        let injector = FaultInjector::new(vec![Fault::KillWorkerOnSample { session: 0, nth: 0 }]);
-        let fleet = FleetEngine::new(
-            FleetConfig::new(1)
-                .with_queue_capacity(4)
-                .with_fault_injector(injector),
-        )
-        .unwrap();
-        fleet.create(SessionId(0), calibrated_pipeline(8)).unwrap();
-        let mut rng = Rng::seed_from(12);
-        assert_eq!(
-            fleet.feed(SessionId(0), &sample(&mut rng, 0.2)),
-            FeedReply::Enqueued
-        );
-        let dead = || {
-            read_lock(&fleet.shards[0].link)
-                .handle
-                .as_ref()
-                .is_some_and(JoinHandle::is_finished)
-        };
-        while !dead() {
-            std::thread::yield_now();
-        }
-        // Rows that reached the channel before the dying worker dropped
-        // its receiver leave the queue full with nobody to drain it.
-        assert_eq!(fleet.shards[0].depth.reserve(4, true), 4);
-        assert_eq!(
-            fleet.feed(SessionId(0), &sample(&mut rng, 0.2)),
-            FeedReply::Enqueued
-        );
-        let m = fleet.metrics();
-        assert_eq!(m.workers_respawned, 1);
-        assert_eq!(m.samples_dropped, 4);
     }
 
     #[test]

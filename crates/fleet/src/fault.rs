@@ -1,18 +1,19 @@
 //! Deterministic seeded fault injection for the fleet's recovery paths.
 //!
-//! Every failure mode the supervision layer handles — a panicking session,
-//! a dying worker thread, NaN sensor bursts, corrupted checkpoint bytes,
-//! pathologically slow sessions — can be triggered on purpose, at an exact
-//! (session, delivery-index) coordinate, so recovery is exercised
-//! *reproducibly* in tests and from `seqdrift fleet --inject-faults SEED`.
+//! Every failure mode the supervision layer handles — a panicking
+//! pipeline step, a panic in the worker's own code after it, NaN sensor
+//! bursts, corrupted checkpoint bytes, pathologically slow sessions — can
+//! be triggered on purpose, at an exact (session, delivery-index)
+//! coordinate, so recovery is exercised *reproducibly* in tests and from
+//! `seqdrift fleet --inject-faults SEED`.
 //!
 //! Determinism model: a plan is either written out explicitly
 //! ([`FaultInjector::new`]) or derived from a seed through the workspace's
 //! own xoshiro generator ([`FaultInjector::from_seed`]). Decisions at
 //! runtime are pure functions of the plan and the per-session delivery
-//! counter; no randomness is drawn while the fleet runs. One-shot faults
-//! (panics, worker kills) fire at most once even if a recovery rolls the
-//! delivery counter back past their trigger point.
+//! counter; no randomness is drawn while the fleet runs. The one-shot
+//! faults (the two panics) fire at most once, even for a session id that
+//! is created again and counts its deliveries from 0 anew.
 
 use seqdrift_linalg::{Real, Rng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,12 +30,16 @@ pub enum Fault {
         /// 0-based delivery index that triggers the panic.
         nth: u64,
     },
-    /// Panic *outside* the supervision wrapper, killing the whole worker
-    /// thread. Exercises dead-worker detection and shard re-homing.
-    KillWorkerOnSample {
-        /// Victim session id (the kill takes its whole shard down).
+    /// Panic in the worker's own code after the pipeline step, as the
+    /// last thing the worker does for the session's `nth` delivered
+    /// sample (0-based): after its metrics, events and checkpoint
+    /// cadence. Caught like `PanicOnSample`, because the supervision
+    /// boundary encloses the worker's whole handling of a row: the
+    /// session restores from its checkpoint, the shard keeps draining.
+    PanicInWorker {
+        /// Victim session id.
         session: u64,
-        /// 0-based delivery index that triggers the kill.
+        /// 0-based delivery index that triggers the panic.
         nth: u64,
     },
     /// Overwrite every feature with NaN for `len` consecutive deliveries
@@ -147,8 +152,8 @@ impl FaultInjector {
                 Fault::PanicOnSample { session, nth } => {
                     format!("panic session {session} at its delivery {nth}")
                 }
-                Fault::KillWorkerOnSample { session, nth } => {
-                    format!("kill session {session}'s worker at its delivery {nth}")
+                Fault::PanicInWorker { session, nth } => {
+                    format!("panic worker code on session {session} at its delivery {nth}")
                 }
                 Fault::NanBurst {
                     session,
@@ -173,16 +178,21 @@ impl FaultInjector {
         out
     }
 
-    /// Whether this delivery must take the whole worker down (checked
-    /// *outside* the supervision wrapper).
-    pub(crate) fn should_kill_worker(&self, session: u64, delivered: u64) -> bool {
-        self.faults.iter().any(|a| {
+    /// Panics when the plan puts a `PanicInWorker` on this delivery: the
+    /// last hook a worker runs for a row, after the pipeline step.
+    pub(crate) fn panic_in_worker(&self, session: u64, delivered: u64) {
+        let hit = self.faults.iter().any(|a| {
             matches!(
                 a.fault,
-                Fault::KillWorkerOnSample { session: s, nth }
+                Fault::PanicInWorker { session: s, nth }
                     if s == session && nth == delivered
             ) && a.fire_once()
-        })
+        });
+        if hit {
+            panic!(
+                "injected fault: worker code panics on session {session} at delivery {delivered}"
+            );
+        }
     }
 
     /// Applies sample-level faults for this delivery: may sleep (slow
@@ -263,8 +273,8 @@ mod tests {
             inj.before_process(3, 5, &mut x)
         }));
         assert!(hit.is_err());
-        // Re-delivery of the same index (post-restore rollback) must not
-        // re-fire.
+        // Re-delivery of the same index (a session created again) must
+        // not re-fire.
         inj.before_process(3, 5, &mut x);
     }
 
@@ -307,14 +317,6 @@ mod tests {
         let mut other = clean.clone();
         assert!(!inj.corrupt_checkpoint(8, 1, &mut other));
         assert_eq!(other, clean);
-    }
-
-    #[test]
-    fn kill_worker_is_one_shot() {
-        let inj = FaultInjector::new(vec![Fault::KillWorkerOnSample { session: 2, nth: 3 }]);
-        assert!(!inj.should_kill_worker(2, 2));
-        assert!(inj.should_kill_worker(2, 3));
-        assert!(!inj.should_kill_worker(2, 3));
     }
 
     #[test]

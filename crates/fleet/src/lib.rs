@@ -35,13 +35,14 @@
 //!   in rows: a waiting frame is admitted whole once the queue has room
 //!   for it, or, once it has waited ~0.13 ms (and from the start when it
 //!   is larger than the queue), as whatever prefix fits.
-//! * **Fault tolerance** — a panicking session is caught by the shard's
-//!   supervision wrapper (the `supervisor` module): it is restored from its
-//!   rolling checkpoint within a bounded restart budget, or permanently
-//!   quarantined ([`FeedReply::Quarantined`]) — its co-sharded neighbours
-//!   never notice. Dead worker threads are detected, respawned and their
-//!   shards re-homed. Every recovery path is reproducibly exercisable via
-//!   the seeded [`FaultInjector`]. [`FleetEngine::shutdown`] never panics.
+//! * **Fault tolerance** — the session is the one supervision boundary
+//!   (the `supervisor` module): a panic anywhere in a worker's handling of
+//!   one of its rows or control messages is caught, and the session is
+//!   restored from its rolling checkpoint within a bounded restart budget,
+//!   or permanently quarantined ([`FeedReply::Quarantined`]) — its
+//!   co-sharded neighbours never notice, and the worker thread lives on.
+//!   Every recovery path is reproducibly exercisable via the seeded
+//!   [`FaultInjector`]. [`FleetEngine::shutdown`] never panics.
 //! * **Durability** — with [`FleetConfig::state_dir`] set, a single
 //!   flusher thread writes each session's newest rolling checkpoint and
 //!   its stream offset, in one frame, to a crash-safe on-disk store

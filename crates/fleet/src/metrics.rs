@@ -83,22 +83,24 @@ counter_table! {
     reconstructions_completed,
     /// Feeds rejected with `Busy` (queue full at the time of the call).
     busy_rejections,
-    /// Samples dropped by workers: unknown session, pipeline rejection
-    /// (e.g. non-finite input), or stranded on a dead worker's queue.
+    /// Samples dropped by workers: unknown session or pipeline rejection
+    /// (e.g. non-finite input). At shutdown, the rows left on the queue
+    /// of a worker that died (a panic inside a restore) are added.
     samples_dropped,
     /// Live session count.
     sessions,
-    /// Session pipeline-step panics caught by the supervision wrapper.
+    /// Panics caught by the supervision boundary while a worker handled
+    /// a live session's row or control message.
     panics_caught,
-    /// Sessions restored from a rolling checkpoint (panic or dead worker).
+    /// Sessions restored from a rolling checkpoint after a caught panic.
     sessions_restored,
     /// Sessions permanently quarantined.
     sessions_quarantined,
-    /// Dead worker threads detected and replaced.
-    workers_respawned,
     /// Checkpoint blobs deliberately damaged by the fault injector.
     checkpoints_corrupted,
-    /// Blocking feeds that gave up after `FleetConfig::feed_timeout`.
+    /// Blocking feeds that gave up after `FleetConfig::feed_timeout`,
+    /// plus offset queries (`FleetEngine::samples_processed_within`)
+    /// whose reply missed their deadline.
     feed_timeouts,
     /// Pipelines that left `Healthy` (input fault or rolled-back update).
     sessions_degraded,
@@ -220,12 +222,6 @@ impl QueueDepth {
     pub fn get(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
-
-    /// Zeroes the depth (the queue's rows died with its worker) and
-    /// returns how many rows were stranded.
-    pub fn reset(&self) -> usize {
-        self.count.swap(0, Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +244,5 @@ mod tests {
         // Room for 2: a larger frame takes its first two rows.
         assert_eq!(depth.reserve(16, true), 2);
         assert_eq!(depth.get(), 10);
-        assert_eq!(depth.reset(), 10);
-        assert_eq!(depth.get(), 0);
     }
 }

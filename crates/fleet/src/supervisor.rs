@@ -5,23 +5,29 @@
 //! panicking session may lose itself (briefly), never its neighbours.
 //! Three mechanisms deliver it:
 //!
-//! 1. **Panic isolation** — every pipeline step runs inside
-//!    `catch_unwind`; a panic discards only that session's live pipeline
-//!    while the shard keeps draining its queue.
+//! 1. **Panic isolation** — the session is the one supervision boundary.
+//!    Each row a worker takes (fault hooks, pipeline step, metrics, event
+//!    forwarding, checkpoint cadence) and each control message runs
+//!    inside `catch_unwind`; a panic discards only that session's live
+//!    pipeline while the shard keeps draining its queue, so no panic ends
+//!    a worker thread.
 //! 2. **Rolling checkpoints** — each session serialises its state
 //!    through `seqdrift_core::persist` every
 //!    `FleetConfig::checkpoint_interval` processed samples, whatever state
-//!    its pipeline is in, into a shared [`CheckpointStore`] together with
-//!    its stream offset; a panicked session is restored from its last
-//!    blob (losing at most one checkpoint interval of samples).
+//!    its pipeline is in, into a shared [`CheckpointStore`] (a durable
+//!    fleet also writes it to disk with the session's stream offset); a
+//!    panicked session is restored from its last
+//!    blob (losing at most one checkpoint interval of samples) and keeps
+//!    its live stream offset, so the rows it lost are never sent again.
 //! 3. **Bounded restart budget** — at most `max_restarts` restores per
 //!    `restart_window` delivered samples; past the budget (or with no
 //!    usable checkpoint) the session is *permanently quarantined* and
 //!    surfaced to the caller instead of silently retried forever.
 //!
-//! All bookkeeping that must survive a dying worker thread (checkpoints,
-//! restart history, session status) lives in shared structures owned by
-//! the engine, so a respawned worker can re-home its shard's sessions.
+//! Checkpoints, restart history and session status live in shared
+//! structures owned by the engine: the caller reads a quarantined
+//! session's last checkpoint from there, and a durable fleet persists
+//! them.
 
 use crate::durability::{DurabilityMonitor, LedgerOp};
 use crate::engine::{SessionId, ShardMsg};
@@ -103,7 +109,8 @@ pub enum FleetEvent {
         /// The pipeline's own event.
         event: PipelineEvent,
     },
-    /// A session's pipeline step panicked (caught; shard unaffected).
+    /// A panic while a worker handled one of the session's rows or
+    /// control messages (caught; shard unaffected).
     SessionPanicked {
         /// The panicking session.
         id: SessionId,
@@ -127,15 +134,6 @@ pub enum FleetEvent {
         id: SessionId,
         /// Why it will not come back.
         reason: QuarantineReason,
-    },
-    /// A dead worker thread was replaced and its shard re-homed.
-    WorkerRespawned {
-        /// Shard index of the replaced worker.
-        shard: usize,
-        /// Sessions restored onto the new worker from checkpoints.
-        recovered: u32,
-        /// Sessions quarantined because no usable checkpoint existed.
-        lost: u32,
     },
     /// A durable write failed and the fleet entered degraded durability:
     /// writes buffer in memory while the flusher retries the disk with
@@ -193,8 +191,9 @@ impl std::fmt::Display for MergeRejectReason {
     }
 }
 
-/// A session lost with its worker at shutdown (the worker died and its
-/// final state could not be collected).
+/// A session lost with its worker at shutdown: a panic escaped the
+/// supervision boundary (inside the restore itself), the worker died, and
+/// its final state could not be collected.
 #[derive(Debug)]
 pub struct LostSession {
     /// The lost session.
@@ -205,17 +204,12 @@ pub struct LostSession {
 }
 
 /// Per-session durable state: the rolling checkpoint plus restart history.
-/// Lives engine-side so it survives worker-thread death.
+/// Lives engine-side so a quarantined session's checkpoint stays readable.
 #[derive(Debug)]
 pub(crate) struct CheckpointEntry {
     /// Last good serialised state, shared with the flusher's pending
     /// queue until it reaches disk.
     pub blob: Arc<Vec<u8>>,
-    /// The session's stream offset when `blob` was taken.
-    pub offset: u64,
-    /// Delivery counter at checkpoint time (restores resume counting from
-    /// the live counter, not this one; kept for worker re-homing).
-    pub delivered: u64,
     /// `DriftPipeline::samples_processed` captured in `blob`.
     pub checkpoint_sample: u64,
     /// Snapshots taken so far (fault-injection ordinal).
@@ -309,26 +303,40 @@ impl WorkerCtx {
 /// A worker's live view of one session.
 pub(crate) struct SessionSlot {
     pub pipeline: DriftPipeline,
-    /// Samples handed to this session (monotonic across restores; resets
-    /// only to the checkpointed value when a whole worker is re-homed).
-    pub delivered: u64,
-    /// The session's stream offset: the offset it was created at plus
-    /// every row delivered since, applied, refused, or lost to a panic
-    /// restore. It moves like `delivered`, and like it resets only to the
-    /// checkpointed value when a whole worker is re-homed.
+    /// The session's stream offset: `created_at` plus every row delivered
+    /// since, applied, refused, or lost to a panic restore. Never moves
+    /// back.
     pub offset: u64,
+    /// The stream offset the session was created at; fixed for the life
+    /// of the slot.
+    created_at: u64,
     /// Samples processed since the last checkpoint attempt succeeded.
-    pub since_checkpoint: u64,
+    since_checkpoint: u64,
 }
 
-/// Takes (or refreshes) a session's rolling checkpoint and its stream
-/// offset. A durable fleet hands both to the flusher; the worker never
-/// waits on the disk.
+impl SessionSlot {
+    fn new(pipeline: DriftPipeline, offset: u64) -> Self {
+        SessionSlot {
+            pipeline,
+            offset,
+            created_at: offset,
+            since_checkpoint: 0,
+        }
+    }
+
+    /// Rows delivered to this session since it was created: the delivery
+    /// index of the next row, the coordinate fault plans and the restart
+    /// window count in.
+    fn delivered(&self) -> u64 {
+        self.offset - self.created_at
+    }
+}
+
+/// Takes (or refreshes) a session's rolling checkpoint. A durable fleet
+/// hands it to the flusher with the session's stream offset; the worker
+/// never waits on the disk.
 fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
-    // to_bytes on a live pipeline should never panic, but a checkpointing
-    // crash must not take the shard down either.
-    let bytes = std::panic::catch_unwind(AssertUnwindSafe(|| slot.pipeline.to_bytes()));
-    let Ok(Ok(mut blob)) = bytes else {
+    let Ok(mut blob) = slot.pipeline.to_bytes() else {
         return;
     };
     // Trimmed to its length before it is shared: the checkpoint stays
@@ -338,8 +346,6 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     let mut store = ctx.store.lock();
     let entry = store.entry(id).or_insert_with(|| CheckpointEntry {
         blob: Arc::default(),
-        offset: 0,
-        delivered: 0,
         checkpoint_sample: 0,
         snapshots_taken: 0,
         restarts: VecDeque::new(),
@@ -352,8 +358,6 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
         }
     }
     entry.checkpoint_sample = slot.pipeline.samples_processed();
-    entry.offset = slot.offset;
-    entry.delivered = slot.delivered;
     entry.snapshots_taken += 1;
     entry.blob = Arc::new(blob);
     slot.since_checkpoint = 0;
@@ -365,21 +369,17 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
 }
 
 /// Restore-or-quarantine decision for a panicked session.
-pub(crate) enum Recovery {
+enum Recovery {
     Restore {
         pipeline: Box<DriftPipeline>,
-        /// The checkpoint's stream offset (a re-homed session resumes
-        /// from it; a panicked one keeps its live offset).
-        offset: u64,
         resumed_at_sample: u64,
         restarts_in_window: u32,
     },
     Quarantine(QuarantineReason),
 }
 
-/// Applies the restart budget and attempts a checkpoint restore. Also
-/// used by the engine when re-homing a dead worker's shard.
-pub(crate) fn decide_recovery(ctx: &WorkerCtx, id: u64, delivered: u64) -> Recovery {
+/// Applies the restart budget and attempts a checkpoint restore.
+fn decide_recovery(ctx: &WorkerCtx, id: u64, delivered: u64) -> Recovery {
     let mut store = ctx.store.lock();
     let Some(entry) = store.get_mut(&id) else {
         return Recovery::Quarantine(QuarantineReason::NoCheckpoint);
@@ -396,7 +396,6 @@ pub(crate) fn decide_recovery(ctx: &WorkerCtx, id: u64, delivered: u64) -> Recov
             entry.restarts.push_back(delivered);
             Recovery::Restore {
                 pipeline: Box::new(pipeline),
-                offset: entry.offset,
                 resumed_at_sample: entry.checkpoint_sample,
                 restarts_in_window: entry.restarts.len() as u32,
             }
@@ -405,39 +404,36 @@ pub(crate) fn decide_recovery(ctx: &WorkerCtx, id: u64, delivered: u64) -> Recov
     }
 }
 
-/// Handles a caught panic in `id`'s pipeline step: restore from the last
-/// checkpoint within budget, else permanently quarantine. The broken
-/// pipeline was already removed from `slots` by the caller; the restored
-/// one keeps the session's `delivered` count and stream `offset`, so the
+/// Handles a panic caught while a worker handled a row or a control
+/// message of session `id`, `at_delivery` rows into its stream. A session
+/// with a live slot is restored from its last checkpoint within budget,
+/// else permanently quarantined; one without (a create that never
+/// installed it, an evict that already removed it) has nothing to
+/// recover. The restored pipeline keeps the slot's stream offset, so the
 /// rows lost to the restore still count as consumed.
 fn supervise_panic(
     ctx: &WorkerCtx,
     slots: &mut HashMap<u64, SessionSlot>,
     id: u64,
-    delivered: u64,
-    offset: u64,
+    at_delivery: u64,
 ) {
+    let Some(slot) = slots.get_mut(&id) else {
+        return;
+    };
     ctx.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
     ctx.log(FleetEvent::SessionPanicked {
         id: SessionId(id),
-        at_delivery: delivered,
+        at_delivery,
     });
-    match decide_recovery(ctx, id, delivered) {
+    match decide_recovery(ctx, id, at_delivery) {
         Recovery::Restore {
             pipeline,
             resumed_at_sample,
             restarts_in_window,
-            ..
         } => {
-            slots.insert(
-                id,
-                SessionSlot {
-                    pipeline: *pipeline,
-                    delivered,
-                    offset,
-                    since_checkpoint: 0,
-                },
-            );
+            // The old pipeline may be mid-mutation garbage: replace it.
+            slot.pipeline = *pipeline;
+            slot.since_checkpoint = 0;
             ctx.metrics
                 .sessions_restored
                 .fetch_add(1, Ordering::Relaxed);
@@ -447,13 +443,16 @@ fn supervise_panic(
                 restarts_in_window,
             });
         }
-        Recovery::Quarantine(reason) => quarantine(ctx, id, reason),
+        Recovery::Quarantine(reason) => {
+            slots.remove(&id);
+            quarantine(ctx, id, reason);
+        }
     }
 }
 
 /// Marks a session permanently quarantined in the shared registry and
 /// logs it. The caller removes (or never inserts) the live slot.
-pub(crate) fn quarantine(ctx: &WorkerCtx, id: u64, reason: QuarantineReason) {
+fn quarantine(ctx: &WorkerCtx, id: u64, reason: QuarantineReason) {
     // Persist the decision so a process restart cannot resurrect a
     // poisoned session: quarantine is a durability fact, not a runtime
     // mood. A failing disk buffers the verdict for the flusher; until it
@@ -520,73 +519,76 @@ fn forward_pipeline_events(ctx: &WorkerCtx, id: u64, fresh: Vec<PipelineEvent>) 
     }));
 }
 
-/// Delivers one sample row to session `id`: fault injection, the
-/// supervised pipeline step, metrics, events and checkpoint cadence.
+/// Delivers one sample row to session `id` inside the supervision
+/// boundary: fault injection, the pipeline step, metrics, events and the
+/// checkpoint cadence. A panic anywhere in the row is the session's.
 fn feed_row(ctx: &WorkerCtx, slots: &mut HashMap<u64, SessionSlot>, id: u64, sample: &mut [Real]) {
     let Some(slot) = slots.get_mut(&id) else {
         ctx.metrics.samples_dropped.fetch_add(1, Ordering::Relaxed);
         return;
     };
-    let delivered = slot.delivered;
-    slot.delivered += 1;
+    let delivered = slot.delivered();
     slot.offset += 1;
-    if let Some(injector) = &ctx.injector {
-        if injector.should_kill_worker(id, delivered) {
-            // Deliberately OUTSIDE the supervision wrapper: models a
-            // worker-fatal bug, exercised by the respawn/re-homing path.
-            panic!("injected fault: killing worker for session {id}");
-        }
-    }
-    let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if let Some(injector) = &ctx.injector {
             injector.before_process(id, delivered, sample);
         }
-        slot.pipeline.process(sample)
-    }));
-    match stepped {
-        Ok(Ok(out)) => {
-            ctx.metrics
-                .samples_processed
-                .fetch_add(1, Ordering::Relaxed);
-            if out.sanitized {
+        match slot.pipeline.process(sample) {
+            Ok(out) => {
                 ctx.metrics
-                    .samples_sanitized
+                    .samples_processed
                     .fetch_add(1, Ordering::Relaxed);
+                if out.sanitized {
+                    ctx.metrics
+                        .samples_sanitized
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                slot.since_checkpoint += 1;
+                forward_pipeline_events(ctx, id, slot.pipeline.drain_events());
+                if slot.since_checkpoint >= ctx.policy.checkpoint_interval {
+                    take_checkpoint(ctx, id, slot);
+                }
             }
-            slot.since_checkpoint += 1;
-            forward_pipeline_events(ctx, id, slot.pipeline.drain_events());
-            if slot.since_checkpoint >= ctx.policy.checkpoint_interval {
-                take_checkpoint(ctx, id, slot);
+            Err(_) => {
+                // A bad sample (e.g. NaN from a faulty sensor) drops; the
+                // session itself stays healthy. The guard may have pushed
+                // a `Degraded` event — forward it now rather than waiting
+                // for the next clean sample.
+                ctx.metrics.samples_dropped.fetch_add(1, Ordering::Relaxed);
+                forward_pipeline_events(ctx, id, slot.pipeline.drain_events());
             }
         }
-        Ok(Err(_)) => {
-            // A bad sample (e.g. NaN from a faulty sensor) drops; the
-            // session itself stays healthy. The guard may have pushed a
-            // `Degraded` event — forward it now rather than waiting for
-            // the next clean sample.
-            ctx.metrics.samples_dropped.fetch_add(1, Ordering::Relaxed);
-            forward_pipeline_events(ctx, id, slot.pipeline.drain_events());
+        if let Some(injector) = &ctx.injector {
+            injector.panic_in_worker(id, delivered);
         }
-        Err(_) => {
-            // The pipeline is mid-mutation garbage: discard it and let
-            // supervision restore or quarantine.
-            let offset = slot.offset;
-            slots.remove(&id);
-            supervise_panic(ctx, slots, id, delivered, offset);
-        }
+    }));
+    if handled.is_err() {
+        supervise_panic(ctx, slots, id, delivered);
     }
 }
 
-/// One shard's event loop. Starts from `initial` sessions (empty on first
-/// spawn; the re-homed set after a respawn) and exits — after draining the
-/// queue — when the engine drops the sending side. Returns the live
-/// sessions, sorted by id.
-pub(crate) fn worker_loop(
-    rx: Receiver<ShardMsg>,
-    initial: Vec<(u64, SessionSlot)>,
-    ctx: WorkerCtx,
-) -> Vec<(u64, SessionSlot)> {
-    let mut slots: HashMap<u64, SessionSlot> = initial.into_iter().collect();
+/// Runs one control message of session `id` inside the supervision
+/// boundary. A panic leaves the message's reply unsent, so its caller
+/// sees `FleetError::Disconnected` once the sender drops, and is then the
+/// session's panic.
+fn control(
+    ctx: &WorkerCtx,
+    slots: &mut HashMap<u64, SessionSlot>,
+    id: u64,
+    work: impl FnOnce(&mut HashMap<u64, SessionSlot>),
+) {
+    let at_delivery = slots.get(&id).map_or(0, SessionSlot::delivered);
+    if std::panic::catch_unwind(AssertUnwindSafe(|| work(slots))).is_err() {
+        supervise_panic(ctx, slots, id, at_delivery);
+    }
+}
+
+/// One shard's event loop. Exits, after draining the queue, when the
+/// engine drops the sending side, and returns the live sessions, sorted
+/// by id. Every row and control message runs inside the supervision
+/// boundary, so only a panic inside a restore can end the loop.
+pub(crate) fn worker_loop(rx: Receiver<ShardMsg>, ctx: WorkerCtx) -> Vec<(u64, SessionSlot)> {
+    let mut slots: HashMap<u64, SessionSlot> = HashMap::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Create {
@@ -594,14 +596,9 @@ pub(crate) fn worker_loop(
                 pipeline,
                 offset,
                 reply,
-            } => {
+            } => control(&ctx, &mut slots, id, |slots| {
                 let result = if let std::collections::hash_map::Entry::Vacant(e) = slots.entry(id) {
-                    let mut slot = SessionSlot {
-                        pipeline: *pipeline,
-                        delivered: 0,
-                        offset,
-                        since_checkpoint: 0,
-                    };
+                    let mut slot = SessionSlot::new(*pipeline, offset);
                     slot.pipeline.drain_events();
                     // Seed the rolling checkpoint immediately so a panic
                     // on the very first samples is already recoverable.
@@ -613,12 +610,11 @@ pub(crate) fn worker_loop(
                     Err(crate::engine::FleetError::DuplicateSession(SessionId(id)))
                 };
                 let _ = reply.send(result);
-            }
+            }),
             ShardMsg::Feed { id, rows, mut data } => {
                 let row_len = data.len() / rows;
                 for r in 0..rows {
-                    // The row leaves the queue as the worker takes it, so
-                    // rows stranded by a worker-fatal fault stay counted.
+                    // The row leaves the queue as the worker takes it.
                     ctx.depth.release(1);
                     feed_row(
                         &ctx,
@@ -628,7 +624,7 @@ pub(crate) fn worker_loop(
                     );
                 }
             }
-            ShardMsg::Snapshot { id, reply } => {
+            ShardMsg::Snapshot { id, reply } => control(&ctx, &mut slots, id, |slots| {
                 let result = match slots.get(&id) {
                     Some(slot) => slot
                         .pipeline
@@ -637,15 +633,15 @@ pub(crate) fn worker_loop(
                     None => Err(crate::engine::FleetError::UnknownSession(SessionId(id))),
                 };
                 let _ = reply.send(result);
-            }
-            ShardMsg::SamplesProcessed { id, reply } => {
+            }),
+            ShardMsg::SamplesProcessed { id, reply } => control(&ctx, &mut slots, id, |slots| {
                 let result = match slots.get(&id) {
                     Some(slot) => Ok(slot.offset),
                     None => Err(crate::engine::FleetError::UnknownSession(SessionId(id))),
                 };
                 let _ = reply.send(result);
-            }
-            ShardMsg::InstallModel { id, model, reply } => {
+            }),
+            ShardMsg::InstallModel { id, model, reply } => control(&ctx, &mut slots, id, |slots| {
                 let result = match slots.get_mut(&id) {
                     Some(slot) => slot
                         .pipeline
@@ -654,8 +650,8 @@ pub(crate) fn worker_loop(
                     None => Err(crate::engine::FleetError::UnknownSession(SessionId(id))),
                 };
                 let _ = reply.send(result);
-            }
-            ShardMsg::Evict { id, reply } => {
+            }),
+            ShardMsg::Evict { id, reply } => control(&ctx, &mut slots, id, |slots| {
                 let result = match slots.remove(&id) {
                     Some(slot) => {
                         ctx.metrics.sessions.fetch_sub(1, Ordering::Relaxed);
@@ -664,10 +660,108 @@ pub(crate) fn worker_loop(
                     None => Err(crate::engine::FleetError::UnknownSession(SessionId(id))),
                 };
                 let _ = reply.send(result);
-            }
+            }),
         }
     }
     let mut out: Vec<(u64, SessionSlot)> = slots.into_iter().collect();
     out.sort_by_key(|(id, _)| *id);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seqdrift_core::DetectorConfig;
+    use seqdrift_linalg::Rng;
+    use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
+    use std::sync::mpsc::channel;
+
+    const DIM: usize = 4;
+
+    fn rows(seed: u64, n: usize) -> Vec<Vec<Real>> {
+        let mut rng = Rng::seed_from(seed);
+        (0..n)
+            .map(|_| {
+                let mut x = vec![0.0; DIM];
+                rng.fill_normal(&mut x, 0.3, 0.05);
+                x
+            })
+            .collect()
+    }
+
+    fn pipeline() -> DriftPipeline {
+        let train = rows(1, 60);
+        let mut model = MultiInstanceModel::new(1, OsElmConfig::new(DIM, 3).with_seed(2)).unwrap();
+        model.init_train_class(0, &train).unwrap();
+        let pairs: Vec<(usize, &[Real])> = train.iter().map(|x| (0, x.as_slice())).collect();
+        DriftPipeline::calibrate(model, DetectorConfig::new(1, DIM).with_window(8), &pairs).unwrap()
+    }
+
+    fn ctx(max_restarts: u32) -> WorkerCtx {
+        WorkerCtx {
+            depth: Arc::new(QueueDepth::new(8)),
+            metrics: Arc::default(),
+            events: Arc::default(),
+            registry: Arc::default(),
+            store: Arc::default(),
+            monitor: None,
+            injector: None,
+            policy: SupervisionPolicy {
+                checkpoint_interval: 4,
+                max_restarts,
+                restart_window: 1024,
+            },
+        }
+    }
+
+    #[test]
+    fn a_control_message_panic_costs_its_reply_and_only_its_session() {
+        let ctx = ctx(1);
+        let mut slots = HashMap::new();
+        let mut slot = SessionSlot::new(pipeline(), 10);
+        take_checkpoint(&ctx, 7, &mut slot);
+        slots.insert(7, slot);
+        for mut row in rows(3, 6) {
+            feed_row(&ctx, &mut slots, 7, &mut row);
+        }
+
+        // A live session: the reply is lost, the pipeline restores from
+        // its checkpoint at 4 samples, the stream offset stays live.
+        let (reply, rx) = channel::<u64>();
+        control(&ctx, &mut slots, 7, |_| {
+            let _reply = reply;
+            panic!("control message panics");
+        });
+        assert!(rx.recv().is_err());
+        assert_eq!(slots[&7].offset, 16);
+        assert_eq!(slots[&7].pipeline.samples_processed(), 4);
+        let m = ctx.metrics.snapshot();
+        assert_eq!((m.panics_caught, m.sessions_restored), (1, 1));
+        assert!(
+            mutex_lock(&ctx.events).contains(&FleetEvent::SessionPanicked {
+                id: SessionId(7),
+                at_delivery: 6,
+            })
+        );
+
+        // No live slot: the panic costs only the reply.
+        let (reply, rx) = channel::<u64>();
+        control(&ctx, &mut slots, 9, |_| {
+            let _reply = reply;
+            panic!("control message panics");
+        });
+        assert!(rx.recv().is_err());
+        assert!(!slots.contains_key(&9));
+        assert_eq!(ctx.metrics.snapshot().panics_caught, 1);
+
+        // Past the restart budget, a control panic quarantines.
+        control(&ctx, &mut slots, 7, |_| panic!("control message panics"));
+        assert!(!slots.contains_key(&7));
+        assert_eq!(
+            read_lock(&ctx.registry).get(&7),
+            Some(&SessionStatus::Quarantined(
+                QuarantineReason::RestartBudgetExhausted
+            ))
+        );
+    }
 }

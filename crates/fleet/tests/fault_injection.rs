@@ -328,43 +328,39 @@ fn corrupt_checkpoint_fails_restore_into_quarantine() {
     );
 }
 
-/// A worker-fatal panic kills the whole shard; the engine detects the dead
-/// worker on the next send, respawns it, and re-homes every session of the
-/// shard from its rolling checkpoint.
+/// A panic in the worker's own code after the pipeline step (past the
+/// row's metrics, events and checkpoint cadence) is caught by the same
+/// per-row boundary as a pipeline panic: it costs only its session one
+/// checkpoint restore, and the co-sharded sessions never see it.
 #[test]
-fn killed_worker_is_respawned_and_its_shard_rehomed() {
+fn a_worker_code_panic_costs_only_its_session() {
     const DEVICES: u64 = 8;
+    const SAMPLES: usize = 320;
+    const VICTIM: u64 = 3;
     let blob = checkpoint();
-    let streams = device_streams(DEVICES, 320);
+    let streams = device_streams(DEVICES, SAMPLES);
+    let base_cfg = FleetConfig::new(2).with_checkpoint_interval(16);
+    let (clean, _) = run(base_cfg.clone(), &blob, &streams);
     // Session 3 lives on shard 3 % 2 = 1 together with sessions 1, 5, 7.
-    let injector = FaultInjector::new(vec![Fault::KillWorkerOnSample {
-        session: 3,
+    let injector = FaultInjector::new(vec![Fault::PanicInWorker {
+        session: VICTIM,
         nth: 50,
     }]);
-    let cfg = FleetConfig::new(2)
-        .with_checkpoint_interval(16)
-        .with_fault_injector(injector);
-    let (sessions, report) = run(cfg, &blob, &streams);
+    let (faulted, report) = run(base_cfg.with_fault_injector(injector), &blob, &streams);
 
-    let m = &report.metrics;
-    assert!(m.workers_respawned >= 1, "dead worker never respawned");
-    assert!(
-        report.events.iter().any(|e| matches!(
-            e,
-            FleetEvent::WorkerRespawned { shard: 1, recovered, .. } if *recovered >= 1
-        )),
-        "no WorkerRespawned event for shard 1"
-    );
-    // Every session survives: the kill lost in-flight queue contents and
-    // rolled shard 1's sessions back to their checkpoints, but nothing was
-    // quarantined or lost.
-    assert_eq!(sessions.len(), DEVICES as usize);
+    assert_eq!(faulted.len(), DEVICES as usize);
     assert!(report.quarantined.is_empty());
     assert!(report.lost.is_empty());
-    // Shard 0's sessions (untouched by the kill) processed every sample.
-    for dev in [0u64, 2, 4, 6] {
-        let state = DriftPipeline::from_bytes(&sessions[&dev].1).unwrap();
-        assert_eq!(state.samples_processed(), 320, "device {dev}");
+    let m = &report.metrics;
+    assert_eq!((m.panics_caught, m.sessions_restored), (1, 1));
+    assert_eq!(m.samples_dropped, 0);
+    for dev in (0..DEVICES).filter(|&dev| dev != VICTIM) {
+        assert_eq!(
+            clean[&dev], faulted[&dev],
+            "device {dev}: disturbed by device {VICTIM}'s panic"
+        );
+        let state = DriftPipeline::from_bytes(&faulted[&dev].1).unwrap();
+        assert_eq!(state.samples_processed(), SAMPLES as u64, "device {dev}");
     }
 }
 
@@ -458,66 +454,29 @@ fn nan_burst_degrades_then_recovers_without_quarantine() {
     }
 }
 
-/// `supervise()` proactively detects a dead worker without waiting for
-/// traffic, and an explicitly lost queue is accounted as drops.
+/// A panic partway through a frame costs the same as it does among the
+/// same rows queued one message each: the session restores from the same
+/// checkpoint, the rows behind the panicking one are still fed, and the
+/// two runs end in the same state.
 #[test]
-fn supervise_detects_dead_worker_without_traffic() {
-    let blob = checkpoint();
-    let injector = FaultInjector::new(vec![Fault::KillWorkerOnSample {
-        session: 0,
-        nth: 10,
-    }]);
-    let cfg = FleetConfig::new(1)
-        .with_checkpoint_interval(8)
-        .with_fault_injector(injector);
-    let fleet = FleetEngine::new(cfg).unwrap();
-    fleet.create_from_bytes(SessionId(0), &blob).unwrap();
-    let mut rng = Rng::seed_from(123);
-    for _ in 0..=10 {
-        fleet
-            .feed_blocking(SessionId(0), &sample(&mut rng, 0.3))
-            .unwrap();
-    }
-    // Wait for the worker to die, then let the supervisor find the corpse.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let mut respawned = 0;
-    while respawned == 0 && std::time::Instant::now() < deadline {
-        respawned = fleet.supervise();
-        std::thread::yield_now();
-    }
-    assert_eq!(respawned, 1, "supervise never found the dead worker");
-    assert_eq!(fleet.metrics().workers_respawned, 1);
-    // The engine still works end to end after the respawn.
-    fleet
-        .feed_blocking(SessionId(0), &sample(&mut rng, 0.3))
-        .unwrap();
-    let report = fleet.shutdown();
-    assert_eq!(report.sessions.len(), 1);
-}
-
-/// A worker killed partway through a frame strands the rest of that frame
-/// exactly as it would strand the same rows queued one message each: the
-/// stranded rows count as dropped, the session restores from the same
-/// checkpoint, and the rows fed after the respawn leave the same state.
-#[test]
-fn worker_killed_mid_frame_matches_per_row_sends() {
+fn a_panic_mid_frame_matches_per_row_sends() {
     const FIRST: usize = 32;
-    const KILL_AT: u64 = 21;
+    const PANIC_AT: u64 = 21;
     let blob = checkpoint();
     let mut rng = Rng::seed_from(2024);
     let rows: Vec<Vec<Real>> = (0..2 * FIRST).map(|_| sample(&mut rng, 0.3)).collect();
     let run = |framed: bool| {
         // Session 1 shares the shard and sleeps on its first row, so every
-        // row of session 0 is queued before the worker reaches the kill.
+        // row of session 0 is queued before the worker reaches the panic.
         let injector = FaultInjector::new(vec![
             Fault::SlowSession {
                 session: 1,
                 every: u64::MAX,
                 micros: 300_000,
             },
-            Fault::KillWorkerOnSample {
+            Fault::PanicInWorker {
                 session: 0,
-                nth: KILL_AT,
+                nth: PANIC_AT,
             },
         ]);
         let fleet = FleetEngine::new(
@@ -543,14 +502,6 @@ fn worker_killed_mid_frame_matches_per_row_sends() {
             }
         };
         feed(&rows[..FIRST]);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while fleet.supervise() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the worker never died"
-            );
-            std::thread::yield_now();
-        }
         feed(&rows[FIRST..]);
         let state = fleet.snapshot(SessionId(0)).unwrap();
         let report = fleet.shutdown();
@@ -563,11 +514,54 @@ fn worker_killed_mid_frame_matches_per_row_sends() {
     let (framed, framed_dropped, framed_processed) = run(true);
     let (per_row, per_row_dropped, per_row_processed) = run(false);
     assert_eq!(framed, per_row, "restored state differs");
-    // The rows behind the fatal one were stranded on the dead queue.
-    assert_eq!(framed_dropped, FIRST as u64 - KILL_AT - 1);
-    assert_eq!(per_row_dropped, framed_dropped);
+    assert_eq!((framed_dropped, per_row_dropped), (0, 0));
     assert_eq!(per_row_processed, framed_processed);
     let resumed = DriftPipeline::from_bytes(&framed).unwrap();
-    // Checkpoint at 16 processed samples, then the second half.
-    assert_eq!(resumed.samples_processed(), 16 + FIRST as u64);
+    // Checkpoint at 16 processed samples, then the rest of the first
+    // frame behind the panicking row, then the second frame.
+    assert_eq!(
+        resumed.samples_processed(),
+        16 + (FIRST as u64 - PANIC_AT - 1) + FIRST as u64
+    );
+}
+
+/// Wherever a row panics, in the pipeline step or in the worker code
+/// after it, the session keeps its live stream offset: it counts the rows
+/// the restore lost, so a replaying device never sends them again.
+#[test]
+fn a_worker_code_panic_keeps_the_live_stream_offset() {
+    let blob = checkpoint();
+    let mut rng = Rng::seed_from(150);
+    let rows: Vec<Vec<Real>> = (0..150).map(|_| sample(&mut rng, 0.3)).collect();
+    for fault in [
+        Fault::PanicOnSample {
+            session: 0,
+            nth: 100,
+        },
+        Fault::PanicInWorker {
+            session: 0,
+            nth: 100,
+        },
+    ] {
+        let fleet = FleetEngine::new(
+            FleetConfig::new(1)
+                .with_checkpoint_interval(64)
+                .with_fault_injector(FaultInjector::new(vec![fault])),
+        )
+        .unwrap();
+        fleet.create_from_bytes(SessionId(0), &blob).unwrap();
+        for row in &rows {
+            fleet.feed_blocking(SessionId(0), row).unwrap();
+        }
+        assert_eq!(
+            fleet.samples_processed(SessionId(0)).unwrap(),
+            150,
+            "{fault:?}"
+        );
+        let report = fleet.shutdown();
+        assert_eq!(report.metrics.sessions_restored, 1, "{fault:?}");
+        assert_eq!(report.metrics.samples_dropped, 0, "{fault:?}");
+        // Restored from the checkpoint at 64, then rows 101..150.
+        assert_eq!(report.sessions[0].1.samples_processed(), 64 + 49);
+    }
 }

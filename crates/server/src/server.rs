@@ -65,7 +65,7 @@ use crate::proto::{
 use crate::recorder::ScenarioRecorder;
 
 /// Session id key for events not attributable to any session (e.g. a
-/// worker respawn): delivered to whichever connection drains next.
+/// durability transition): delivered to whichever connection drains next.
 const GLOBAL_EVENTS: u64 = u64::MAX;
 
 /// Front-door limits. Defaults are generous enough that well-behaved

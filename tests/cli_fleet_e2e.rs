@@ -181,7 +181,9 @@ fn fleet_csv_transcripts_are_unchanged() {
                 "{base} --sessions 6 --workers 3 --drift-at 60 --drift-step 20 --drift-shift 0.4 \
                  --inject-faults 7 --federate --federate-interval 300"
             ),
-            0xaccb_3863_5f2f_9b00,
+            // Re-recorded when the `fault tolerance:` line lost its
+            // worker-respawn count.
+            0x3b52_6734_a806_692e,
         ),
         (
             "poison",
@@ -240,11 +242,13 @@ fn fleet_scenario_transcripts_are_unchanged() {
     let sqsc = dir.join("drill.sqsc");
     std::fs::write(&sqsc, DRILL).unwrap();
     let line = format!("fleet --scenario {} --workers 3", sqsc.display());
-    check("drill", &exec(&line), None, 0x2fc6_8488_a901_d3a7);
+    // Both re-recorded when the `fault tolerance:` line lost its
+    // worker-respawn count.
+    check("drill", &exec(&line), None, 0x99ae_0401_2254_a35f);
     let line = format!(
         "{line} --guard-policy reject --stuck-threshold 4 --federate --federate-interval 200"
     );
-    check("drill+overrides", &exec(&line), None, 0x00ad_b078_a077_d8db);
+    check("drill+overrides", &exec(&line), None, 0x0351_31b4_7bb1_d203);
     std::fs::remove_dir_all(&dir).ok();
 }
 
