@@ -1033,13 +1033,13 @@ pub fn serve_with_stop(
 }
 
 /// `seqdrift load`: multi-threaded load generator. Each simulated device
-/// opens one connection, HELLOs its own session, streams its rows of the
-/// roster in batches from the sample the server already holds, and
-/// records the round-trip latency of every batch.
+/// is one reconnecting client: it HELLOs its own session, streams its rows
+/// of the roster in batches from the sample the server already holds, and
+/// records the latency of every batch, from its first send to its ACK.
 pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
     use seqdrift_bench::json::{latency_percentiles, merge_into_file, IngestEntry};
     use seqdrift_server::{
-        ChaosConfig, ChaosProxy, Client, ClientError, ReconnectPolicy, ResilientClient,
+        ChaosConfig, ChaosProxy, ClientError, ReconnectPolicy, ResilientClient, StreamReport,
     };
     use std::time::{Duration, Instant};
 
@@ -1090,32 +1090,22 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         .ok(),
     };
 
-    #[derive(Default)]
     struct DeviceRun {
         session: u64,
         total_rows: u64,
-        latencies_us: Vec<f64>,
-        busy_retries: u64,
-        reconnects: u64,
-        replayed_rows: u64,
-        recovered_rows: u64,
         resume_from: u64,
+        report: StreamReport,
+        /// Reconnects over the device's life, its snapshot's included.
+        reconnects: u64,
         /// `--verify`: the session's checkpoint.
         snapshot: Option<Vec<u8>>,
         victim: bool,
     }
 
-    /// How a device reaches the server.
-    enum Link {
-        Direct(Client),
-        /// Through the chaos proxy, reconnecting whenever it cuts the link.
-        Chaos(Box<ResilientClient>),
-    }
-
     // Chaos mode: a deterministic fault-injection proxy sits in front of
-    // the server, and the first `victims` devices are routed through it
-    // (with reconnect-capable clients); the rest connect directly so the
-    // run also measures collateral damage on healthy traffic.
+    // the server, and the first `victims` devices are routed through it;
+    // the rest dial the server directly so the run also measures
+    // collateral damage on healthy traffic.
     let chaos_proxy = chaos_seed
         .map(|seed| {
             use std::net::ToSocketAddrs;
@@ -1139,92 +1129,54 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         .ok();
     }
 
+    let policy = ReconnectPolicy {
+        max_attempts: 12,
+        base: Duration::from_millis(5),
+        cap: Duration::from_millis(500),
+        seed: chaos_seed.unwrap_or(ReconnectPolicy::default().seed),
+    };
     let wall = Instant::now();
     let mut handles = Vec::new();
     for (d, (&session, rows)) in roster.sessions.iter().zip(&roster.rows).enumerate() {
         let rows = Arc::clone(rows);
-        let addr = a.addr.clone();
-        let proxy = (chaos_proxy.as_ref().zip(chaos_seed))
-            .filter(|_| d < victims)
-            .map(|(p, seed)| (p.local_addr(), seed));
+        let proxy = chaos_proxy.as_ref().filter(|_| d < victims);
+        let target = proxy.map_or_else(|| a.addr.clone(), |p| p.local_addr().to_string());
+        let victim = proxy.is_some();
         let (batch_rows, want_snapshot) = (a.batch, a.verify);
         let stall_timeout = a.busy_stall_timeout.map(Duration::from_secs);
         handles.push(std::thread::spawn(move || -> Result<DeviceRun, String> {
             let err =
                 |what: &'static str| move |e: ClientError| format!("device {session}: {what}: {e}");
-            let (mut link, resume_from) = match proxy {
-                Some((proxy_addr, chaos_seed)) => {
-                    let policy = ReconnectPolicy {
-                        max_attempts: 12,
-                        base: Duration::from_millis(5),
-                        cap: Duration::from_millis(500),
-                        seed: chaos_seed ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    };
-                    let mut rc = ResilientClient::new(proxy_addr, session, dim as u32, policy)
-                        .map_err(err("chaos client"))?;
-                    // Short read timeout so a blackholed reply surfaces as
-                    // a reconnect instead of a long hang.
-                    rc.read_timeout = Some(Duration::from_secs(2));
-                    if let Some(t) = stall_timeout {
-                        rc.busy_stall_timeout = t;
-                    }
-                    let resume_from = rc.hello().map_err(err("hello"))?;
-                    (Link::Chaos(Box::new(rc)), resume_from)
-                }
-                None => {
-                    let (mut client, hello) =
-                        Client::connect(&*addr, session, dim as u32).map_err(err("connect"))?;
-                    if let Some(t) = stall_timeout {
-                        client.busy_stall_timeout = t;
-                    }
-                    (Link::Direct(client), hello.resume_from)
-                }
-            };
-            let mut run = DeviceRun {
+            let mut rc = ResilientClient::new(&*target, session, dim as u32, policy)
+                .map_err(err("connect"))?;
+            if victim {
+                // Short read timeout so a blackholed reply surfaces as a
+                // reconnect instead of a long hang.
+                rc.read_timeout = Some(Duration::from_secs(2));
+            }
+            if let Some(t) = stall_timeout {
+                rc.busy_stall_timeout = t;
+            }
+            let resume_from = rc.hello().map_err(err("hello"))?;
+            // Row `i` of `rows` is sample `i` of the session, so the
+            // client skips the rows any HELLO, first or after a
+            // reconnect, acknowledged: after a server restart the
+            // session's durable state already reflects them.
+            let report = rc.run_stream(&rows, batch_rows).map_err(err("stream"))?;
+            let snapshot = want_snapshot
+                .then(|| rc.snapshot())
+                .transpose()
+                .map_err(err("snapshot"))?;
+            let run = DeviceRun {
                 session,
                 total_rows: (rows.len() / dim) as u64,
                 resume_from,
-                victim: proxy.is_some(),
-                ..DeviceRun::default()
+                report,
+                reconnects: rc.total_reconnects,
+                snapshot,
+                victim,
             };
-            // Row `i` of `rows` is sample `i` of the session, so after a
-            // server restart the rows before `resume_from` are skipped:
-            // the session's durable state already reflects them.
-            match &mut link {
-                Link::Direct(client) => {
-                    let start_row = resume_from.min(run.total_rows) as usize;
-                    for chunk in rows[start_row * dim..].chunks(batch_rows * dim) {
-                        let t = Instant::now();
-                        client.send_all(chunk).map_err(err("send"))?;
-                        run.latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
-                    }
-                    run.busy_retries = client.busy_retries;
-                }
-                Link::Chaos(rc) => {
-                    // Addressed the same way: the client skips the rows
-                    // any HELLO, first or after a reconnect, acknowledged.
-                    let report = rc.run_stream(&rows, batch_rows).map_err(err("stream"))?;
-                    run.latencies_us = report.latencies_us.iter().map(|&us| us as f64).collect();
-                    run.busy_retries = report.busy_retries;
-                    run.replayed_rows = report.replayed_rows;
-                    run.recovered_rows = report.recovered_rows;
-                }
-            }
-            if want_snapshot {
-                let snapshot = match &mut link {
-                    Link::Direct(client) => client.snapshot(),
-                    Link::Chaos(rc) => rc.snapshot(),
-                };
-                run.snapshot = Some(snapshot.map_err(err("snapshot"))?);
-            }
-            match link {
-                Link::Direct(client) => client.bye(),
-                Link::Chaos(rc) => {
-                    run.reconnects = rc.total_reconnects;
-                    rc.bye()
-                }
-            }
-            .map_err(err("bye"))?;
+            rc.bye().map_err(err("bye"))?;
             Ok(run)
         }));
     }
@@ -1257,7 +1209,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         let mut lat: Vec<f64> = runs
             .iter()
             .filter(|r| pick(r))
-            .flat_map(|r| r.latencies_us.iter().copied())
+            .flat_map(|r| r.report.latencies_us.iter().map(|&us| us as f64))
             .collect();
         let (p50, p99) = latency_percentiles(&mut lat);
         let rate = if elapsed > 0.0 {
@@ -1269,7 +1221,7 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
     };
     let all = stats(&|_| true);
     let (sent_rows, samples_per_sec, p50_us, p99_us) = all;
-    let busy: u64 = runs.iter().map(|r| r.busy_retries).sum();
+    let busy: u64 = runs.iter().map(|r| r.report.busy_retries).sum();
     for r in &runs {
         if r.resume_from > 0 {
             writeln!(
@@ -1297,8 +1249,8 @@ pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
         .collect();
     if chaos_seed.is_some() {
         let reconnects: u64 = runs.iter().map(|r| r.reconnects).sum();
-        let replayed: u64 = runs.iter().map(|r| r.replayed_rows).sum();
-        let recovered: u64 = runs.iter().map(|r| r.recovered_rows).sum();
+        let replayed: u64 = runs.iter().map(|r| r.report.replayed_rows).sum();
+        let recovered: u64 = runs.iter().map(|r| r.report.recovered_rows).sum();
         let (faults, conns) = chaos_proxy
             .as_ref()
             .map(|p| (p.events().len(), p.connections()))

@@ -1,10 +1,20 @@
 //! The device-side protocol client: one TCP connection speaking `SQNP`
-//! for one session. Used by `seqdrift load`, the loopback tests, and any
-//! embedded caller that wants to stream samples to a fleet host.
+//! for one session. Used by `seqdrift load` (through
+//! [`crate::ResilientClient`]), the loopback tests, and any embedded
+//! caller that wants to stream samples to a fleet host.
+//!
+//! One loop turns a device's rows into `Sample` frames: it cuts them into
+//! batches no larger than a frame, resends the unapplied suffix of a batch
+//! after each BUSY reply, and times every batch from its first send to the
+//! ACK that completes it. [`Client::send_all`] runs it on one connection;
+//! [`crate::ResilientClient::run_stream`] runs it again on every
+//! reconnection.
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use seqdrift_fleet::Backoff;
+use seqdrift_linalg::rng::splitmix64;
 use seqdrift_linalg::Real;
 
 use crate::proto::{read_frame, Message, NackCode, ProtoError};
@@ -27,19 +37,22 @@ pub enum ClientError {
     Unexpected(&'static str),
     /// The batch would not fit in one `Sample` frame ([`Client::send_batch`]
     /// never sends it — the server would reject the frame as hostile and
-    /// drop the connection). [`Client::send_all`] splits automatically and
-    /// never raises this.
+    /// drop the connection). The send loop behind [`Client::send_all`] and
+    /// [`crate::ResilientClient::run_stream`] splits batches at the frame
+    /// bound and never raises this.
     Oversized {
         /// Rows in the rejected batch.
         rows: usize,
         /// Most rows one frame can carry at this client's dimension.
         max_rows: usize,
     },
-    /// [`Client::send_all`] saw only zero-progress BUSY replies for the
-    /// whole stall deadline: the target shard is not draining. Rows
-    /// already applied are reported so the caller can resume later.
+    /// The send loop saw only zero-progress BUSY replies for the whole
+    /// stall deadline: the target shard is not draining. Raised the same
+    /// way by [`Client::send_all`] and
+    /// [`crate::ResilientClient::run_stream`].
     Stalled {
-        /// Rows of the batch the server applied before the stall.
+        /// Rows the server applied during the call that stalled, so the
+        /// caller can resume after them.
         rows_sent: usize,
         /// Depth of the stalled shard queue in the last BUSY reply.
         queue_depth: u32,
@@ -133,18 +146,68 @@ pub enum BatchReply {
     },
 }
 
+/// What one stream did. The send loop fills the latencies, events and
+/// BUSY count; [`crate::ResilientClient`] adds the reconnect counts.
+#[derive(Debug, Default, Clone)]
+pub struct StreamReport {
+    /// One latency per batch, µs: from the batch's first send to the ACK
+    /// that completes it, BUSY waits and reconnects inside it included.
+    pub latencies_us: Vec<u64>,
+    /// Drift/fault events the server pushed back.
+    pub events: Vec<String>,
+    /// Connections re-established mid-stream.
+    pub reconnects: u64,
+    /// Rows resent after a connection loss: sent on a connection that
+    /// died before the server applied them.
+    pub replayed_rows: u64,
+    /// Rows the resume offset proved already applied, skipped without
+    /// retransmission (acked-but-unseen).
+    pub recovered_rows: u64,
+    /// BUSY backpressure replies absorbed.
+    pub busy_retries: u64,
+}
+
+/// Where a stream stands. [`Client::send_all`] keeps one for its call;
+/// [`crate::ResilientClient`] keeps one across its connections, so a
+/// batch cut by a reconnect resumes, and is timed, as the same batch.
+#[derive(Debug, Default)]
+pub(crate) struct Cursor {
+    /// Rows of the stream the server has applied: the next row to send.
+    pub(crate) acked: u64,
+    /// `acked` when the caller's call began; [`ClientError::Stalled`]
+    /// reports the rows applied since.
+    call_start: u64,
+    /// Highest row handed to `send_batch` on the current connection.
+    pub(crate) sent: u64,
+    /// The batch in flight: its rows and its first send.
+    batch: Option<(std::ops::Range<u64>, Instant)>,
+}
+
+impl Cursor {
+    /// Starts a caller's call at the current offset, no batch in flight.
+    pub(crate) fn begin_call(&mut self) {
+        self.call_start = self.acked;
+        self.batch = None;
+    }
+}
+
+/// Floor of the wait before a BUSY resend.
+const BUSY_BASE: Duration = Duration::from_micros(50);
+/// Ceiling of the wait before a BUSY resend.
+const BUSY_CAP: Duration = Duration::from_millis(2);
+
 /// A connected, HELLOed protocol client for one session.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     session: u64,
     dim: u32,
-    /// Cumulative BUSY replies absorbed by [`Client::send_all`].
+    /// Cumulative BUSY replies absorbed by this connection's send loop.
     pub busy_retries: u64,
-    /// How long [`Client::send_all`] keeps retrying BUSY replies that
-    /// make *zero* progress before giving up with
-    /// [`ClientError::Stalled`]. Any progress resets the clock, so a
-    /// slow-but-draining server is never abandoned. Default 30 s.
+    /// How long the send loop keeps retrying BUSY replies that make
+    /// *zero* progress before giving up with [`ClientError::Stalled`].
+    /// Any progress resets the clock, so a slow-but-draining server is
+    /// never abandoned. Default 30 s.
     pub busy_stall_timeout: Duration,
     /// PING when this long has passed since the last exchange (see
     /// [`Client::keepalive_tick`]). `None` (the default) disables
@@ -271,52 +334,86 @@ impl Client {
         }
     }
 
-    /// Sends a batch of any size to completion: splits it into
-    /// frame-sized chunks (see [`Client::max_rows_per_frame`]) and
-    /// absorbs BUSY replies with a short doubling backoff, resending the
-    /// unapplied suffix. Gives up with [`ClientError::Stalled`] — carrying
-    /// the rows already applied — once BUSY replies make zero progress
-    /// for [`Client::busy_stall_timeout`]. Returns every event pushed
-    /// back along the way.
+    /// Sends a batch of any size to completion on this connection: the
+    /// send loop with frame-sized batches (see
+    /// [`Client::max_rows_per_frame`]). Gives up with
+    /// [`ClientError::Stalled`] — carrying the rows already applied — once
+    /// BUSY replies make zero progress for [`Client::busy_stall_timeout`].
+    /// Returns every event pushed back along the way.
     pub fn send_all(&mut self, rows: &[Real]) -> Result<Vec<String>, ClientError> {
-        let dim = self.dim as usize;
-        let frame_scalars = self.max_rows_per_frame().max(1) * dim.max(1);
-        let mut offset = 0usize;
-        let mut events = Vec::new();
-        let mut backoff_us: u64 = 50;
-        let mut last_progress = std::time::Instant::now();
-        while offset < rows.len() {
-            let chunk_end = (offset + frame_scalars).min(rows.len());
-            match self.send_batch(&rows[offset..chunk_end])? {
-                BatchReply::Ack {
-                    accepted,
-                    events: mut e,
-                    ..
-                } => {
-                    offset += accepted as usize * dim;
-                    events.append(&mut e);
-                    last_progress = std::time::Instant::now();
+        let mut report = StreamReport::default();
+        let batch_rows = self.max_rows_per_frame();
+        self.stream(rows, batch_rows, &mut Cursor::default(), &mut report)?;
+        Ok(report.events)
+    }
+
+    /// The send loop: streams `rows` from `cursor.acked` on in batches of
+    /// `batch_rows`, capped at the frame bound. A BUSY reply resends the
+    /// batch's unapplied suffix after a decorrelated-jitter wait between
+    /// 50 µs and 2 ms; BUSY replies that make zero progress for
+    /// [`Client::busy_stall_timeout`] end it with [`ClientError::Stalled`].
+    /// Any other error ends it with `cursor` at the last acknowledged row.
+    pub(crate) fn stream(
+        &mut self,
+        rows: &[Real],
+        batch_rows: usize,
+        cursor: &mut Cursor,
+        report: &mut StreamReport,
+    ) -> Result<(), ClientError> {
+        let dim = (self.dim as usize).max(1);
+        let total = (rows.len() / dim) as u64;
+        let batch_rows = batch_rows.clamp(1, self.max_rows_per_frame().max(1)) as u64;
+        let mut busy = Backoff::new(BUSY_BASE, BUSY_CAP, splitmix64(self.session));
+        let mut last_progress = Instant::now();
+        while cursor.acked < total {
+            // A batch cut by a reconnect resumes from the new offset.
+            let (span, first_sent) = match cursor.batch.take() {
+                Some((span, t)) if span.contains(&cursor.acked) => (span, t),
+                _ => {
+                    let end = (cursor.acked + batch_rows).min(total);
+                    (cursor.acked..end, Instant::now())
                 }
-                BatchReply::Busy {
-                    accepted,
-                    queue_depth,
-                } => {
-                    self.busy_retries += 1;
-                    offset += accepted as usize * dim;
-                    if accepted > 0 {
-                        last_progress = std::time::Instant::now();
-                    } else if last_progress.elapsed() >= self.busy_stall_timeout {
-                        return Err(ClientError::Stalled {
-                            rows_sent: offset / dim.max(1),
-                            queue_depth,
-                        });
+            };
+            let end = span.end;
+            cursor.batch = Some((span, first_sent));
+            cursor.sent = cursor.sent.max(end);
+            let (accepted, busy_depth) =
+                match self.send_batch(&rows[cursor.acked as usize * dim..end as usize * dim])? {
+                    BatchReply::Ack {
+                        accepted, events, ..
+                    } => {
+                        report.events.extend(events);
+                        (accepted, None)
                     }
-                    std::thread::sleep(Duration::from_micros(backoff_us));
-                    backoff_us = (backoff_us * 2).min(2_000);
+                    BatchReply::Busy {
+                        accepted,
+                        queue_depth,
+                    } => (accepted, Some(queue_depth)),
+                };
+            cursor.acked += accepted as u64;
+            if accepted > 0 {
+                last_progress = Instant::now();
+            }
+            if cursor.acked >= end {
+                report
+                    .latencies_us
+                    .push(first_sent.elapsed().as_micros() as u64);
+                cursor.batch = None;
+                busy.reset();
+            }
+            if let Some(queue_depth) = busy_depth {
+                self.busy_retries += 1;
+                report.busy_retries += 1;
+                if accepted == 0 && last_progress.elapsed() >= self.busy_stall_timeout {
+                    return Err(ClientError::Stalled {
+                        rows_sent: cursor.acked.saturating_sub(cursor.call_start) as usize,
+                        queue_depth,
+                    });
                 }
+                std::thread::sleep(busy.next_delay());
             }
         }
-        Ok(events)
+        Ok(())
     }
 
     /// Liveness probe.

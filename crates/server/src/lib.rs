@@ -21,8 +21,10 @@
 //!   replies naming the stalled queue's depth. Idle connections are
 //!   evicted; a graceful drain flushes every session's final state to the
 //!   durable store.
-//! * [`Client`] — the device side: connect, handshake, stream batches
-//!   (absorbing `Busy` with backoff), drain events, snapshot state.
+//! * [`Client`] — the device side: connect, handshake, drain events,
+//!   snapshot state, and the one send loop that turns rows into frames
+//!   (frame-bounded batches, `Busy` absorbed with a jittered backoff,
+//!   one latency per batch).
 //!
 //! The protocol is strictly request/response per connection, so one
 //! hostile or stalled connection can never corrupt another's stream —
@@ -38,7 +40,8 @@
 //! stalls, jitter, blackholes — all replayable from one seed), and
 //! [`reconnect`] the client-side recovery state machine (decorrelated-
 //! jitter backoff, re-HELLO with live resume offsets, idempotent tail
-//! replay) that the chaos suites drive to exactly-once delivery.
+//! replay) that wraps the same send loop and that the chaos suites drive
+//! to exactly-once delivery. Every `seqdrift load` device runs it.
 
 pub mod chaos;
 pub mod client;
@@ -49,9 +52,9 @@ pub mod recorder;
 mod server;
 
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosProxy, ConnPlan, Direction, FaultKind};
-pub use client::{BatchReply, Client, ClientError, HelloReply};
+pub use client::{BatchReply, Client, ClientError, HelloReply, StreamReport};
 pub use metrics::{ServerMetrics, ServerMetricsSnapshot};
 pub use proto::{FrameType, Message, NackCode, ProtoError};
-pub use reconnect::{ReconnectPolicy, ResilientClient, StreamReport};
+pub use reconnect::{ReconnectPolicy, ResilientClient};
 pub use recorder::ScenarioRecorder;
 pub use server::{AdmissionConfig, Server, ServerConfig, ServerError, ServerReport};

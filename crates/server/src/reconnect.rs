@@ -1,7 +1,9 @@
-//! The device-side reconnect state machine: wraps [`Client`] with
-//! automatic recovery so a sample stream survives resets, blackholes,
+//! The device-side reconnect state machine: wraps [`Client`]'s send loop
+//! with automatic recovery so a sample stream survives resets, blackholes,
 //! server restarts, and admission pushback — delivering every row
-//! **exactly once** from the fleet's point of view.
+//! **exactly once** from the fleet's point of view. Reconnecting is all it
+//! adds: batching, BUSY resends and batch timing are the send loop's, the
+//! same on every connection.
 //!
 //! The invariant that makes this safe is the server's live resume
 //! offset: every HELLO is acknowledged with the session's authoritative
@@ -16,23 +18,25 @@
 //!   and the rows are never double-applied.
 //!
 //! Reconnect attempts back off with **decorrelated jitter**
-//! (`delay = min(cap, uniform(base, prev * 3))`), seeded so a fleet of
-//! clients never stampedes the listener in lockstep after a shared
-//! outage, and capped by [`ReconnectPolicy::max_attempts`] consecutive
-//! failures before [`ClientError::ReconnectExhausted`].
+//! (`delay = min(cap, uniform(base, prev * 3))`), seeded from the policy
+//! seed and the session so a fleet of clients never stampedes the
+//! listener in lockstep after a shared outage, and capped by
+//! [`ReconnectPolicy::max_attempts`] consecutive failures before
+//! [`ClientError::ReconnectExhausted`].
 
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use seqdrift_fleet::Backoff;
+use seqdrift_linalg::rng::splitmix64;
 use seqdrift_linalg::Real;
 
-use crate::client::{BatchReply, Client, ClientError};
+use crate::client::{Client, ClientError, Cursor, StreamReport};
 use crate::proto::NackCode;
 
 /// Knobs for the reconnect loop. The seed makes every backoff sequence
-/// deterministic for a given `(seed)` — two clients with different
-/// seeds jitter apart, one client replays identically.
+/// deterministic for a given `(seed, session)` — two clients jitter
+/// apart, one client replays identically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconnectPolicy {
     /// Consecutive failed connection attempts tolerated before giving
@@ -43,7 +47,7 @@ pub struct ReconnectPolicy {
     pub base: Duration,
     /// Backoff ceiling.
     pub cap: Duration,
-    /// Seed for the decorrelated jitter draws.
+    /// Seed for the decorrelated jitter draws, mixed with the session.
     pub seed: u64,
 }
 
@@ -58,25 +62,6 @@ impl Default for ReconnectPolicy {
     }
 }
 
-/// What happened while streaming one sample block through
-/// [`ResilientClient::run_stream`].
-#[derive(Debug, Default, Clone)]
-pub struct StreamReport {
-    /// Per-exchange round-trip latencies (successful ACKs only), µs.
-    pub latencies_us: Vec<u64>,
-    /// Drift/fault events the server pushed back.
-    pub events: Vec<String>,
-    /// Connections re-established mid-stream.
-    pub reconnects: u64,
-    /// Rows retransmitted after a connection loss (sent-but-unapplied).
-    pub replayed_rows: u64,
-    /// Rows the resume offset proved already applied, skipped without
-    /// retransmission (acked-but-unseen).
-    pub recovered_rows: u64,
-    /// BUSY backpressure replies absorbed.
-    pub busy_retries: u64,
-}
-
 /// A [`Client`] wrapped in the reconnect state machine. All streaming
 /// goes through [`ResilientClient::run_stream`], which owns the resume
 /// bookkeeping; direct protocol access is deliberately not exposed so
@@ -89,19 +74,15 @@ pub struct ResilientClient {
     policy: ReconnectPolicy,
     backoff: Backoff,
     inner: Option<Client>,
-    /// Rows of this session's stream the server has acknowledged
-    /// (authoritative after every HELLO).
-    acked_rows: u64,
-    /// Highest row offset ever handed to a `send_batch` call.
-    attempted_rows: u64,
+    /// Where this session's stream stands; outlives every connection, and
+    /// every HELLO resets its acked count to the server's offset.
+    cursor: Cursor,
     /// True once the first successful HELLO has completed (so later
     /// successes count as reconnects).
     connected_once: bool,
     /// Read timeout applied to every (re)connection. Shrink it in chaos
     /// runs so blackholes surface quickly.
     pub read_timeout: Option<Duration>,
-    /// Keepalive interval applied to every (re)connection.
-    pub keepalive_interval: Option<Duration>,
     /// Zero-progress BUSY budget, mirroring [`Client::busy_stall_timeout`].
     pub busy_stall_timeout: Duration,
     /// Total reconnects over the client's lifetime.
@@ -123,7 +104,8 @@ impl ResilientClient {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| ClientError::Io(std::io::Error::other("address resolved to nothing")))?;
-        let backoff = Backoff::new(policy.base, policy.cap, policy.seed);
+        let seed = splitmix64(policy.seed ^ splitmix64(session));
+        let backoff = Backoff::new(policy.base, policy.cap, seed);
         Ok(ResilientClient {
             addr,
             session,
@@ -131,11 +113,9 @@ impl ResilientClient {
             policy,
             backoff,
             inner: None,
-            acked_rows: 0,
-            attempted_rows: 0,
+            cursor: Cursor::default(),
             connected_once: false,
             read_timeout: Some(Duration::from_secs(30)),
-            keepalive_interval: None,
             busy_stall_timeout: Duration::from_secs(30),
             total_reconnects: 0,
         })
@@ -148,88 +128,54 @@ impl ResilientClient {
 
     /// Rows the server has acknowledged for this session.
     pub fn acked_rows(&self) -> u64 {
-        self.acked_rows
+        self.cursor.acked
     }
 
     /// Forces the handshake now (connecting if needed) and returns the
     /// server's live resume offset.
     pub fn hello(&mut self) -> Result<u64, ClientError> {
         self.ensure_connected(&mut StreamReport::default())?;
-        Ok(self.acked_rows)
+        Ok(self.cursor.acked)
     }
 
     /// Streams `rows` (concatenated `dim`-wide rows) to completion in
-    /// batches of `batch_rows`, surviving any number of connection
-    /// losses within the policy's budget. The stream is addressed
-    /// absolutely: row `i` of `rows` is row `i` of the session, so a
-    /// resume offset from *any* HELLO maps directly onto it and rows
-    /// already applied in earlier calls or connections are skipped, not
-    /// re-fed.
+    /// batches of `batch_rows` through [`Client`]'s send loop, surviving
+    /// any number of connection losses within the policy's budget: on a
+    /// recoverable error it reconnects, adopts the HELLO's resume offset
+    /// and runs the loop again. The stream is addressed absolutely: row
+    /// `i` of `rows` is row `i` of the session, so a resume offset from
+    /// *any* HELLO maps directly onto it and rows already applied in
+    /// earlier calls or connections are skipped, not re-fed.
     pub fn run_stream(
         &mut self,
         rows: &[Real],
         batch_rows: usize,
     ) -> Result<StreamReport, ClientError> {
-        let dim = (self.dim as usize).max(1);
-        let total_rows = (rows.len() / dim) as u64;
-        let batch_rows = batch_rows.max(1);
         let mut report = StreamReport::default();
-        let mut last_progress = Instant::now();
-        while self.acked_rows < total_rows {
+        self.ensure_connected(&mut report)?;
+        self.cursor.begin_call();
+        loop {
             self.ensure_connected(&mut report)?;
-            let start_row = self.acked_rows;
-            let start = start_row as usize * dim;
-            let end = (start + batch_rows * dim).min(rows.len());
-            let batch_end_row = (end / dim) as u64;
-            let replay = self.attempted_rows.saturating_sub(start_row);
-            let sent_at = Instant::now();
-            let outcome = match self.inner.as_mut() {
-                Some(client) => client.send_batch(&rows[start..end]),
-                None => continue,
+            let Some(client) = self.inner.as_mut() else {
+                continue;
             };
-            self.attempted_rows = self.attempted_rows.max(batch_end_row);
-            match outcome {
-                Ok(BatchReply::Ack {
-                    accepted, events, ..
-                }) => {
-                    report
-                        .latencies_us
-                        .push(sent_at.elapsed().as_micros() as u64);
-                    report.events.extend(events);
-                    // Rows below the old attempt high-water were on the
-                    // wire before; acking them again is a replay.
-                    report.replayed_rows += replay.min(accepted as u64);
-                    self.acked_rows += accepted as u64;
-                    self.backoff.reset();
-                    last_progress = Instant::now();
-                }
-                Ok(BatchReply::Busy { accepted, .. }) => {
-                    report.busy_retries += 1;
-                    report.replayed_rows += replay.min(accepted as u64);
-                    self.acked_rows += accepted as u64;
-                    if accepted > 0 {
-                        last_progress = Instant::now();
-                    } else if last_progress.elapsed() >= self.busy_stall_timeout {
-                        return Err(ClientError::Stalled {
-                            rows_sent: self.acked_rows as usize,
-                            queue_depth: 0,
-                        });
-                    }
-                    std::thread::sleep(self.backoff.next_delay());
-                }
-                Err(e) => {
-                    if !self.recoverable(&e) {
-                        return Err(e);
-                    }
+            let acked = self.cursor.acked;
+            match client.stream(rows, batch_rows, &mut self.cursor, &mut report) {
+                Ok(()) => return Ok(report),
+                Err(e) if self.recoverable(&e) => {
                     // Connection is gone (or the server shed us):
                     // reconnect and let the resume offset say where the
-                    // stream really stands.
+                    // stream really stands. A connection that made
+                    // progress starts the backoff over.
+                    if self.cursor.acked > acked {
+                        self.backoff.reset();
+                    }
                     self.inner = None;
                     std::thread::sleep(self.backoff.next_delay());
                 }
+                Err(e) => return Err(e),
             }
         }
-        Ok(report)
     }
 
     /// Fetches the session's checkpoint blob, reconnecting if the
@@ -290,20 +236,21 @@ impl ResilientClient {
             match Client::connect(self.addr, self.session, self.dim) {
                 Ok((mut client, hello)) => {
                     client.set_read_timeout(self.read_timeout)?;
-                    client.set_keepalive_interval(self.keepalive_interval);
                     client.busy_stall_timeout = self.busy_stall_timeout;
                     if self.connected_once {
                         report.reconnects += 1;
                         self.total_reconnects += 1;
                     }
                     self.connected_once = true;
-                    // The server's offset is the truth. Ahead of our
+                    // The server's offset is the truth. Rows sent past it
+                    // on the lost connection are resent. Ahead of our
                     // belief means ACKs died on the wire after the rows
                     // were applied — skip forward, never double-apply.
-                    if hello.resume_from > self.acked_rows {
-                        report.recovered_rows += hello.resume_from - self.acked_rows;
-                    }
-                    self.acked_rows = hello.resume_from;
+                    let resume = hello.resume_from;
+                    report.replayed_rows += self.cursor.sent.saturating_sub(resume);
+                    report.recovered_rows += resume.saturating_sub(self.cursor.acked);
+                    self.cursor.acked = resume;
+                    self.cursor.sent = resume;
                     self.inner = Some(client);
                     return Ok(());
                 }

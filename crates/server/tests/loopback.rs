@@ -15,7 +15,8 @@ use seqdrift_fleet::{Fault, FaultInjector, FleetConfig, FleetEngine, SessionId};
 use seqdrift_linalg::{Real, Rng};
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
 use seqdrift_server::{
-    BatchReply, Client, ClientError, NackCode, Server, ServerConfig, ServerReport,
+    BatchReply, Client, ClientError, NackCode, ReconnectPolicy, ResilientClient, Server,
+    ServerConfig, ServerReport,
 };
 
 const DIM: usize = 4;
@@ -377,84 +378,159 @@ fn reconnect_reports_live_resume_offset() {
 
 /// Batches larger than one frame never produce an un-sendable request:
 /// `send_batch` rejects them client-side with a typed error before any
-/// bytes hit the wire, and `send_all` transparently splits them into
-/// frame-sized chunks that all land exactly once.
+/// bytes hit the wire, and the send loop transparently splits them into
+/// frame-sized chunks that all land exactly once — through `send_all` and
+/// through the reconnecting client's `run_stream` alike.
 #[test]
 fn oversized_batches_are_split_client_side() {
     // A wide model keeps max_rows_per_frame (and so the test) small.
     const WIDE: usize = 64;
     let blob = checkpoint_with_dim(31, WIDE);
-    let cfg = ServerConfig::new(FleetConfig::new(1)).with_reference(blob);
-    let (addr, stop, handle) = spawn_server(cfg);
+    for reconnecting in [false, true] {
+        let cfg = ServerConfig::new(FleetConfig::new(1)).with_reference(blob.clone());
+        let (addr, stop, handle) = spawn_server(cfg);
 
-    let (mut client, _) = Client::connect(addr, 1, WIDE as u32).unwrap();
-    let max_rows = client.max_rows_per_frame();
-    let rows = max_rows + 3; // one full frame plus a remainder
-    let big: Vec<Real> = {
-        let mut rng = Rng::seed_from(6001);
-        let mut out = vec![0.0; rows * WIDE];
-        rng.fill_normal(&mut out, 0.3, 0.05);
-        out
-    };
-    match client.send_batch(&big) {
-        Err(ClientError::Oversized {
-            rows: got,
-            max_rows: m,
-        }) => {
-            assert_eq!(got, rows);
-            assert_eq!(m, max_rows);
+        let (mut client, _) = Client::connect(addr, 1, WIDE as u32).unwrap();
+        let max_rows = client.max_rows_per_frame();
+        let rows = max_rows + 3; // one full frame plus a remainder
+        let big: Vec<Real> = {
+            let mut rng = Rng::seed_from(6001);
+            let mut out = vec![0.0; rows * WIDE];
+            rng.fill_normal(&mut out, 0.3, 0.05);
+            out
+        };
+        match client.send_batch(&big) {
+            Err(ClientError::Oversized {
+                rows: got,
+                max_rows: m,
+            }) => {
+                assert_eq!(got, rows);
+                assert_eq!(m, max_rows);
+            }
+            other => panic!("expected Oversized, got {other:?}"),
         }
-        other => panic!("expected Oversized, got {other:?}"),
+        // Nothing was written, so the connection is still healthy — and
+        // the send loop lands the whole batch by re-framing.
+        let snap = if reconnecting {
+            client.bye().unwrap();
+            let policy = ReconnectPolicy::default();
+            let mut rc = ResilientClient::new(addr, 1, WIDE as u32, policy).unwrap();
+            rc.run_stream(&big, rows).unwrap();
+            let snap = rc.snapshot().unwrap();
+            rc.bye().unwrap();
+            snap
+        } else {
+            client.send_all(&big).unwrap();
+            let snap = client.snapshot().unwrap();
+            client.bye().unwrap();
+            snap
+        };
+        stop.store(true, Ordering::Relaxed);
+        let report = handle.join().unwrap();
+        assert_eq!(report.net.samples_accepted, rows as u64, "{reconnecting}");
+        assert!(
+            report.net.frames_rx > 2,
+            "the oversized batch must have travelled as multiple frames"
+        );
+        assert_eq!(
+            DriftPipeline::from_bytes(&snap)
+                .unwrap()
+                .samples_processed(),
+            rows as u64
+        );
     }
-    // Nothing was written, so the connection is still healthy — and
-    // send_all lands the whole batch by re-framing.
-    client.send_all(&big).unwrap();
-    let snap = client.snapshot().unwrap();
-    client.bye().unwrap();
-    stop.store(true, Ordering::Relaxed);
-    let report = handle.join().unwrap();
-    assert_eq!(report.net.samples_accepted, rows as u64);
-    assert!(
-        report.net.frames_rx > 2,
-        "the oversized batch must have travelled as multiple frames"
-    );
-    assert_eq!(
-        DriftPipeline::from_bytes(&snap)
-            .unwrap()
-            .samples_processed(),
-        rows as u64
-    );
 }
 
-/// A shard that stops draining must not spin `send_all` forever: once
+/// A shard that stops draining must not spin the send loop forever: once
 /// BUSY replies make zero progress past the stall deadline, the client
-/// gets a typed error carrying the rows already applied.
+/// gets a typed error carrying the rows this call applied and the depth
+/// of the stalled queue — from `send_all` and from the reconnecting
+/// client alike.
 #[test]
 fn send_all_surfaces_a_stalled_shard() {
     let blob = checkpoint(37);
+    for reconnecting in [false, true] {
+        let injector = FaultInjector::new(vec![Fault::SlowSession {
+            session: 0,
+            every: 1,
+            micros: 400_000,
+        }]);
+        let fleet_cfg = FleetConfig::new(1)
+            .with_queue_capacity(1)
+            .with_feed_timeout(Duration::from_millis(2))
+            .with_fault_injector(injector);
+        let cfg = ServerConfig::new(fleet_cfg).with_reference(blob.clone());
+        let (addr, stop, handle) = spawn_server(cfg);
+
+        let rows = stream(0, 50, 0.3);
+        let outcome = if reconnecting {
+            let policy = ReconnectPolicy::default();
+            let mut rc = ResilientClient::new(addr, 0, DIM as u32, policy).unwrap();
+            rc.busy_stall_timeout = Duration::from_millis(100);
+            rc.run_stream(&rows, 50).map(|_| ())
+        } else {
+            let (mut client, _) = Client::connect(addr, 0, DIM as u32).unwrap();
+            client.busy_stall_timeout = Duration::from_millis(100);
+            client.send_all(&rows).map(|_| ())
+        };
+        match outcome {
+            Err(ClientError::Stalled {
+                rows_sent,
+                queue_depth,
+            }) => {
+                assert!(rows_sent < 50, "the stall must interrupt the batch");
+                assert!(
+                    queue_depth >= 1,
+                    "the depth of the full 1-deep queue, got {queue_depth}"
+                );
+            }
+            other => panic!("expected Stalled ({reconnecting}), got {other:?}"),
+        }
+        stop.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+}
+
+/// A BUSY resend is not a replay: with the server straight behind it, the
+/// reconnecting client rides out backpressure on one connection, and
+/// `replayed_rows` keeps its meaning of rows resent after a connection
+/// loss.
+#[test]
+fn busy_resends_through_the_reconnecting_client_are_not_replays() {
+    const ROWS: usize = 80;
+    let blob = checkpoint(47);
+    // A row every 4 ms frees queue room more slowly than the 2 ms feed
+    // deadline, so every 16-row frame goes BUSY.
     let injector = FaultInjector::new(vec![Fault::SlowSession {
         session: 0,
         every: 1,
-        micros: 400_000,
+        micros: 4_000,
     }]);
     let fleet_cfg = FleetConfig::new(1)
-        .with_queue_capacity(1)
+        .with_queue_capacity(4)
         .with_feed_timeout(Duration::from_millis(2))
         .with_fault_injector(injector);
     let cfg = ServerConfig::new(fleet_cfg).with_reference(blob);
     let (addr, stop, handle) = spawn_server(cfg);
 
-    let (mut client, _) = Client::connect(addr, 0, DIM as u32).unwrap();
-    client.busy_stall_timeout = Duration::from_millis(100);
-    match client.send_all(&stream(0, 50, 0.3)) {
-        Err(ClientError::Stalled { rows_sent, .. }) => {
-            assert!(rows_sent < 50, "the stall must interrupt the batch");
-        }
-        other => panic!("expected Stalled, got {other:?}"),
-    }
-    drop(client);
+    let mut rc = ResilientClient::new(addr, 0, DIM as u32, ReconnectPolicy::default()).unwrap();
+    let report = rc.run_stream(&stream(0, ROWS, 0.3), 16).unwrap();
+    assert_eq!(rc.acked_rows(), ROWS as u64);
+    rc.bye().unwrap();
     stop.store(true, Ordering::Relaxed);
-    handle.join().unwrap();
+    let server_report = handle.join().unwrap();
+    assert_eq!(server_report.net.samples_accepted, ROWS as u64);
+    assert_eq!(report.reconnects, 0);
+    assert!(
+        report.busy_retries >= 1,
+        "16-row frames into a 4-deep queue drained at 4 ms/row must go BUSY"
+    );
+    assert_eq!(report.replayed_rows, 0, "BUSY resends counted as replays");
+    assert_eq!(
+        report.latencies_us.len(),
+        ROWS / 16,
+        "one latency per batch"
+    );
 }
 
 /// A device with bursty send gaps arms the application-level keepalive

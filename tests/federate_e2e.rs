@@ -10,7 +10,7 @@
 use seqdrift::core::pipeline::PipelineEvent;
 use seqdrift::core::{DetectorConfig, DriftPipeline};
 use seqdrift::prelude::*;
-use seqdrift_bench::json::{latency_percentiles, merge_into_file, IngestEntry};
+use seqdrift_bench::json::{latency_percentiles, merge_into_file, parse, IngestEntry};
 
 const DIM: usize = 6;
 const SESSIONS: u64 = 50;
@@ -150,8 +150,9 @@ fn run_scenario(merge: bool) -> Vec<f64> {
 
 /// The acceptance scenario: with merging on, the mean adaptation delay
 /// across the uninjected 90% of the fleet is strictly lower than the
-/// merge-off baseline. Both runs land in `BENCH_ingest.json` through the
-/// ingest schema with `unit: "samples"` declaring the honest semantics:
+/// merge-off baseline. Both runs go through the `BENCH_ingest.json`
+/// ingest schema, into a scratch file so a test run leaves the tracked
+/// artefact alone, with `unit: "samples"` declaring the honest semantics:
 /// `samples_per_sec` carries the mean adaptation delay *in samples*, and
 /// `p50_us`/`p99_us` the delay percentiles in the same unit.
 #[test]
@@ -175,8 +176,12 @@ fn federated_merging_cuts_reconstruction_delay_for_the_fleet() {
 
     let (off_p50, off_p99) = latency_percentiles(&mut off);
     let (on_p50, on_p99) = latency_percentiles(&mut on);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_ingest.json");
-    merge_into_file(
+    let path = std::env::temp_dir().join(format!(
+        "seqdrift-federate-bench-{}.json",
+        std::process::id()
+    ));
+    std::fs::remove_file(&path).ok();
+    let merged = merge_into_file(
         &path,
         &[
             (
@@ -204,6 +209,16 @@ fn federated_merging_cuts_reconstruction_delay_for_the_fleet() {
         ],
     )
     .unwrap();
+    let written = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        written.keys().collect::<Vec<_>>(),
+        merged.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        written["federate50_delay_merge_on"].unit.as_deref(),
+        Some("samples")
+    );
 }
 
 /// Drives one session through detection + reconstruction on the new
