@@ -29,8 +29,12 @@ use crate::reconstruct::{ReconstructConfig, Reconstructor};
 use crate::threshold::DriftThresholdCalibrator;
 use crate::{CoreError, Result};
 use seqdrift_linalg::stats::Welford;
-use seqdrift_linalg::wire::{Reader, WireError, Writer};
-use seqdrift_oselm::persist::{read_multi_instance_body, write_multi_instance_body};
+use seqdrift_linalg::wire::{
+    reals_len, u64s_len, Reader, WireError, Writer, HEADER_BYTES, REAL_BYTES,
+};
+use seqdrift_oselm::persist::{
+    multi_instance_body_len, read_multi_instance_body, write_multi_instance_body,
+};
 
 /// Payload kind of a pipeline at rest.
 const KIND_PIPELINE: u16 = 16;
@@ -73,6 +77,11 @@ fn write_centroid_set(w: &mut Writer, s: &CentroidSet) {
         w.reals(s.centroid(c).expect("class in range"));
     }
     w.u64s(s.counts());
+}
+
+/// Bytes [`write_centroid_set`] writes for `s`.
+fn centroid_set_len(s: &CentroidSet) -> usize {
+    8 + 8 + s.classes() * reals_len(s.dim()) + u64s_len(s.classes())
 }
 
 fn read_centroid_set(r: &mut Reader<'_>) -> Result<CentroidSet> {
@@ -129,6 +138,15 @@ fn write_detector_config(w: &mut Writer, cfg: &DetectorConfig) {
     }
 }
 
+/// Bytes [`write_detector_config`] writes for `cfg`.
+fn detector_config_len(cfg: &DetectorConfig) -> usize {
+    let recency = match cfg.recency {
+        Recency::RunningMean => 1,
+        Recency::Ewma(_) => 1 + REAL_BYTES,
+    };
+    3 * 8 + 2 * REAL_BYTES + 1 + recency
+}
+
 fn read_detector_config(r: &mut Reader<'_>) -> Result<DetectorConfig> {
     let classes = r.u64().map_err(wire_err)? as usize;
     let dim = r.u64().map_err(wire_err)? as usize;
@@ -179,6 +197,17 @@ fn write_motion(w: &mut Writer, p: &DriftPipeline) {
     }
 }
 
+/// Bytes [`write_motion`] writes for `p`.
+fn motion_len(p: &DriftPipeline) -> usize {
+    if p.detector().is_checking() {
+        1 + 8
+    } else if p.is_reconstructing() {
+        1 + centroid_set_len(p.reconstructor().coordinates()) + 2 * 8 + 3 * 8
+    } else {
+        0
+    }
+}
+
 fn read_motion(r: &mut Reader<'_>) -> Result<Motion> {
     match r.u8().map_err(wire_err)? {
         TAG_WINDOW => Ok(Motion::Window(r.u64().map_err(wire_err)? as usize)),
@@ -215,11 +244,12 @@ impl DriftPipeline {
         let cfg = self.config();
         let det = self.detector();
         let in_motion = det.is_checking() || self.is_reconstructing();
-        let mut w = Writer::new(if in_motion {
+        let kind = if in_motion {
             KIND_PIPELINE_IN_MOTION
         } else {
             KIND_PIPELINE
-        });
+        };
+        let mut w = Writer::with_capacity(kind, self.encoded_len());
         // Pipeline-level config.
         write_detector_config(&mut w, det.config());
         w.u64(cfg.reconstruct.n_search as u64);
@@ -265,6 +295,32 @@ impl DriftPipeline {
         write_multi_instance_body(&mut w, self.model());
         write_motion(&mut w, self);
         Ok(w.into_bytes())
+    }
+
+    /// The exact length of [`DriftPipeline::to_bytes`]'s blob, field for
+    /// field, so the blob is written with one allocation.
+    fn encoded_len(&self) -> usize {
+        let det = self.detector();
+        let config =
+            detector_config_len(det.config()) + 3 * 8 + REAL_BYTES + 1 + 3 * REAL_BYTES + 1;
+        let guard = 1
+            + REAL_BYTES
+            + 2 * 8
+            + 1
+            + 8
+            + 6 * 8
+            + reals_len(self.guard_last_good().len())
+            + reals_len(self.guard_last_raw().len())
+            + 8;
+        let detector = centroid_set_len(det.trained_centroids())
+            + centroid_set_len(det.test_centroids())
+            + 2 * 8;
+        HEADER_BYTES
+            + config
+            + guard
+            + detector
+            + multi_instance_body_len(self.model())
+            + motion_len(self)
     }
 
     /// Restores a pipeline written by [`DriftPipeline::to_bytes`], in

@@ -249,6 +249,38 @@ fn pipeline_outputs_and_checkpoints_match_the_recorded_digests() {
     );
 }
 
+/// Every checkpoint is written with one allocation of exactly its
+/// length, at rest (kind 16), inside an open window and mid-reconstruction
+/// (kind 17), at the paper's device shape and the NSL-KDD shape.
+#[test]
+fn checkpoints_are_allocated_at_their_exact_length() {
+    for case in &CASES[..2] {
+        let (mut pipe, stream) = prepare(case);
+        let (mut at_rest, mut window, mut reconstruction) = (0, 0, 0);
+        for (t, x) in stream.iter().enumerate() {
+            pipe.process(x).unwrap();
+            let blob = pipe.to_bytes().unwrap();
+            assert_eq!(blob.len(), blob.capacity(), "{}: sample {t}", case.name);
+            let kind = u16::from_le_bytes([blob[6], blob[7]]);
+            if pipe.is_reconstructing() {
+                assert_eq!(kind, 17);
+                reconstruction += 1;
+            } else if pipe.detector().is_checking() {
+                assert_eq!(kind, 17);
+                window += 1;
+            } else {
+                assert_eq!(kind, 16);
+                at_rest += 1;
+            }
+        }
+        assert!(
+            at_rest > 0 && window > 0 && reconstruction > 0,
+            "{}: {at_rest} at rest, {window} in a window, {reconstruction} reconstructing",
+            case.name
+        );
+    }
+}
+
 /// Two replays of one stream from one checkpoint end in the same state,
 /// down to their `Debug` text, which prints every field (scratch buffers
 /// included). Replay oracles compare pipelines that way, so nothing

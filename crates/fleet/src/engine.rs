@@ -16,7 +16,8 @@
 
 use crate::durability::{flush_loop, DurabilityHealth, DurabilityMonitor};
 use crate::fault::FaultInjector;
-use crate::metrics::{FleetMetrics, MetricsSnapshot, QueueDepth, RejectReasons};
+use crate::inbox::Inbox;
+use crate::metrics::{FleetMetrics, MetricsSnapshot, RejectReasons};
 use crate::supervisor::{
     mutex_lock, read_lock, stream_offset, worker_loop, write_lock, CheckpointStore, FleetEvent,
     LostSession, MergeRejectReason, QuarantineReason, SessionSlot, SessionStatus,
@@ -425,8 +426,8 @@ impl FleetConfig {
     }
 }
 
-/// What a worker can be asked to do. Control messages carry a reply channel
-/// so callers observe completion; samples are fire-and-forget.
+/// A control message for a worker. Each carries a reply channel so its
+/// caller observes completion; rows travel the inbox without one.
 pub(crate) enum ShardMsg {
     Create {
         id: u64,
@@ -434,13 +435,6 @@ pub(crate) enum ShardMsg {
         /// The session's stream offset at creation.
         offset: u64,
         reply: Sender<Result<(), FleetError>>,
-    },
-    /// `rows` (at least one) samples of one session, back to back in
-    /// `data`: a single `feed` row, a whole frame, or a piece of one.
-    Feed {
-        id: u64,
-        rows: usize,
-        data: Vec<Real>,
     },
     Snapshot {
         id: u64,
@@ -461,37 +455,31 @@ pub(crate) enum ShardMsg {
     },
 }
 
-/// One worker thread and its ingress queue. Feeds and control calls share
-/// the sender through `&self`; only `shutdown` and `Drop` take a shard
-/// apart, and dropping its sender is what tells the worker to drain and
-/// exit.
+/// One worker thread and its inbox. Feeds and control calls share the
+/// inbox through `&self`; only `shutdown` and `Drop` take a shard apart,
+/// and hanging up its inbox is what tells the worker to drain and exit.
 struct Shard {
-    tx: Sender<ShardMsg>,
+    inbox: Arc<Inbox>,
     handle: JoinHandle<Vec<(u64, SessionSlot)>>,
-    depth: Arc<QueueDepth>,
 }
 
 /// What a worker leaves when it is joined: its live sessions, or the
 /// panic that ended it.
 type Joined = std::thread::Result<Vec<(u64, SessionSlot)>>;
 
-/// Drops every shard's sender, so all workers drain concurrently, then
+/// Hangs up every shard's inbox, so all workers drain concurrently, then
 /// joins them in shard order. Each yields the rows left on its queue (0
 /// for a worker that drained it; a dead worker's stranded rows) and how
 /// it ended.
 fn stop_workers(shards: Vec<Shard>) -> Vec<(usize, Joined)> {
-    let handles: Vec<_> = shards
+    for shard in &shards {
+        shard.inbox.hang_up();
+    }
+    shards
         .into_iter()
-        .map(|Shard { tx, handle, depth }| {
-            drop(tx);
-            (handle, depth)
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|(handle, depth)| {
+        .map(|Shard { inbox, handle }| {
             let joined = handle.join();
-            (depth.get(), joined)
+            (inbox.depth().get(), joined)
         })
         .collect()
 }
@@ -620,11 +608,9 @@ impl FleetEngine {
         Ok(engine)
     }
 
-    /// Spawns one worker thread with an empty ingress queue.
+    /// Spawns one worker thread with an empty inbox.
     fn spawn_worker(&self) -> Shard {
-        let depth = Arc::new(QueueDepth::new(self.cfg.queue_capacity));
         let ctx = WorkerCtx {
-            depth: Arc::clone(&depth),
             metrics: Arc::clone(&self.metrics),
             events: Arc::clone(&self.events),
             registry: Arc::clone(&self.registry),
@@ -637,12 +623,12 @@ impl FleetEngine {
                 restart_window: self.cfg.restart_window,
             },
         };
-        // No slot bound: every `Feed` carries rows reserved in `depth`
-        // first, and a control sender waits for its reply before it can
-        // send again, so rows bound the channel (DESIGN.md §7).
-        let (tx, rx) = channel();
+        // Rows bound the inbox: every row is reserved in its depth first,
+        // and a control caller waits for its reply before it can send
+        // again (DESIGN.md §7).
+        let (inbox, rx) = Inbox::new(self.cfg.queue_capacity);
         let handle = std::thread::spawn(move || worker_loop(rx, ctx));
-        Shard { tx, handle, depth }
+        Shard { inbox, handle }
     }
 
     /// Number of shards / worker threads.
@@ -686,7 +672,7 @@ impl FleetEngine {
     /// `id` is pinned to.
     /// Point-in-time and advisory: the worker drains concurrently.
     pub fn queue_depth(&self, id: SessionId) -> usize {
-        self.shards[self.shard_index(id)].depth.get()
+        self.shards[self.shard_index(id)].inbox.depth().get()
     }
 
     /// Sends a control message. It queues behind the shard's rows but
@@ -694,8 +680,8 @@ impl FleetEngine {
     /// operations are rare and must not be droppable.
     fn control_send(&self, id: SessionId, msg: ShardMsg) -> Result<(), FleetError> {
         self.shards[self.shard_index(id)]
-            .tx
-            .send(msg)
+            .inbox
+            .push_control(msg)
             .map_err(|_| FleetError::Disconnected)
     }
 
@@ -759,7 +745,7 @@ impl FleetEngine {
     }
 
     /// Queues a prefix of the `rows` rows of `dim` values at the start of
-    /// `data` as one message: as many rows as the shard has room for, or
+    /// `data` as one inbox item: as many rows as the shard has room for, or
     /// with `whole` (for a frame that fits in the queue) all of them or
     /// none. Returns how many rows were queued, or why none were.
     fn try_feed(
@@ -777,25 +763,23 @@ impl FleetEngine {
             Some(SessionStatus::Active) => {}
         }
         let shard = &self.shards[self.shard_index(id)];
-        let admitted = shard.depth.reserve(rows, whole);
+        let admitted = shard.inbox.depth().reserve(rows, whole);
         if admitted == 0 {
             if count_busy {
                 self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
             }
             return Err(FeedReply::Busy);
         }
-        let msg = ShardMsg::Feed {
-            id: id.0,
-            rows: admitted,
-            data: data[..admitted * dim].to_vec(),
-        };
-        if shard.tx.send(msg).is_err() {
-            // Only a panic inside a restore ends a worker; its queue
-            // never drains again, so waiting for room is pointless.
-            shard.depth.release(admitted);
-            return Err(FeedReply::Disconnected);
+        // A closed inbox releases the reservation. Only a panic inside a
+        // restore ends a worker; its queue never drains again, so waiting
+        // for room is pointless.
+        match shard
+            .inbox
+            .push_rows(id.0, admitted, &data[..admitted * dim])
+        {
+            Ok(()) => Ok(admitted),
+            Err(_) => Err(FeedReply::Disconnected),
         }
-        Ok(admitted)
     }
 
     /// Queues one sample for a session without blocking. A full shard queue
@@ -1203,7 +1187,7 @@ impl FleetEngine {
 
     /// Point-in-time aggregate counters plus per-shard queue depths.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics_with(self.shards.iter().map(|s| s.depth.get()).collect())
+        self.metrics_with(self.shards.iter().map(|s| s.inbox.depth().get()).collect())
     }
 
     /// The aggregate counters, with the given per-shard queue depths.
@@ -1443,13 +1427,12 @@ mod tests {
         fleet.create(SessionId(0), calibrated_pipeline(3)).unwrap();
         // Stands in for a worker that a panic inside a restore ended: it
         // takes one message, leaves that message's row reserved, and dies.
-        let (tx, rx) = channel::<ShardMsg>();
+        let (inbox, rx) = Inbox::new(8);
         let handle = std::thread::spawn(move || -> Vec<(u64, SessionSlot)> {
-            let _taken = rx.recv();
+            let _taken = rx.recv(&mut Vec::new());
             panic!("worker dies inside a restore");
         });
-        let depth = Arc::new(QueueDepth::new(8));
-        let live = std::mem::replace(&mut fleet.shards[0], Shard { tx, handle, depth });
+        let live = std::mem::replace(&mut fleet.shards[0], Shard { inbox, handle });
         stop_workers(vec![live]);
 
         let x = [0.2; DIM];

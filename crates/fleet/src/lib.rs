@@ -13,8 +13,9 @@
 //! and processed in feed order, so per-session behaviour is deterministic
 //! regardless of how many workers the host runs.
 //!
-//! Built strictly on `std` (`std::thread` + bounded `std::sync::mpsc`
-//! channels): the workspace builds offline with no external crates.
+//! Built strictly on `std` (`std::thread`, and one `Mutex` + `Condvar`
+//! inbox per worker): the workspace builds offline with no external
+//! crates.
 //!
 //! ## Contract
 //!
@@ -100,6 +101,7 @@
 mod durability;
 mod engine;
 mod fault;
+mod inbox;
 mod metrics;
 mod supervisor;
 

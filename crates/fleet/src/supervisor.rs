@@ -32,7 +32,8 @@
 use crate::durability::{DurabilityMonitor, LedgerOp};
 use crate::engine::{SessionId, ShardMsg};
 use crate::fault::FaultInjector;
-use crate::metrics::{FleetMetrics, QueueDepth};
+use crate::inbox::{InboxReceiver, Taken};
+use crate::metrics::FleetMetrics;
 use seqdrift_core::pipeline::PipelineEvent;
 use seqdrift_core::DriftPipeline;
 use seqdrift_linalg::Real;
@@ -40,7 +41,6 @@ use seqdrift_store::LedgerEntry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Why a session was taken out of service.
@@ -282,7 +282,6 @@ pub(crate) struct SupervisionPolicy {
 
 /// Everything a worker thread shares with the engine and its siblings.
 pub(crate) struct WorkerCtx {
-    pub depth: Arc<QueueDepth>,
     pub metrics: Arc<FleetMetrics>,
     pub events: Arc<Mutex<Vec<FleetEvent>>>,
     pub registry: Arc<RwLock<HashMap<u64, SessionStatus>>>,
@@ -339,10 +338,6 @@ fn take_checkpoint(ctx: &WorkerCtx, id: u64, slot: &mut SessionSlot) {
     let Ok(mut blob) = slot.pipeline.to_bytes() else {
         return;
     };
-    // Trimmed to its length before it is shared: the checkpoint stays
-    // resident until the next one, so spare capacity would stay with it.
-    // The trim may reallocate; it happens outside the store lock.
-    blob.shrink_to_fit();
     let mut store = ctx.store.lock();
     let entry = store.entry(id).or_insert_with(|| CheckpointEntry {
         blob: Arc::default(),
@@ -583,13 +578,31 @@ fn control(
     }
 }
 
-/// One shard's event loop. Exits, after draining the queue, when the
-/// engine drops the sending side, and returns the live sessions, sorted
-/// by id. Every row and control message runs inside the supervision
-/// boundary, so only a panic inside a restore can end the loop.
-pub(crate) fn worker_loop(rx: Receiver<ShardMsg>, ctx: WorkerCtx) -> Vec<(u64, SessionSlot)> {
+/// One shard's event loop. Exits, after draining the inbox, when the
+/// engine hangs it up, and returns the live sessions, sorted by id. Every
+/// row and control message runs inside the supervision boundary, so only
+/// a panic inside a restore can end the loop.
+pub(crate) fn worker_loop(rx: InboxReceiver, ctx: WorkerCtx) -> Vec<(u64, SessionSlot)> {
     let mut slots: HashMap<u64, SessionSlot> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
+    let mut rows_in = Vec::new();
+    while let Some(taken) = rx.recv(&mut rows_in) {
+        let msg = match taken {
+            Taken::Control(msg) => msg,
+            Taken::Rows { id, rows } => {
+                let row_len = rows_in.len() / rows;
+                for r in 0..rows {
+                    // The row leaves the queue as the worker takes it.
+                    rx.depth().release(1);
+                    feed_row(
+                        &ctx,
+                        &mut slots,
+                        id,
+                        &mut rows_in[r * row_len..(r + 1) * row_len],
+                    );
+                }
+                continue;
+            }
+        };
         match msg {
             ShardMsg::Create {
                 id,
@@ -611,19 +624,6 @@ pub(crate) fn worker_loop(rx: Receiver<ShardMsg>, ctx: WorkerCtx) -> Vec<(u64, S
                 };
                 let _ = reply.send(result);
             }),
-            ShardMsg::Feed { id, rows, mut data } => {
-                let row_len = data.len() / rows;
-                for r in 0..rows {
-                    // The row leaves the queue as the worker takes it.
-                    ctx.depth.release(1);
-                    feed_row(
-                        &ctx,
-                        &mut slots,
-                        id,
-                        &mut data[r * row_len..(r + 1) * row_len],
-                    );
-                }
-            }
             ShardMsg::Snapshot { id, reply } => control(&ctx, &mut slots, id, |slots| {
                 let result = match slots.get(&id) {
                     Some(slot) => slot
@@ -699,7 +699,6 @@ mod tests {
 
     fn ctx(max_restarts: u32) -> WorkerCtx {
         WorkerCtx {
-            depth: Arc::new(QueueDepth::new(8)),
             metrics: Arc::default(),
             events: Arc::default(),
             registry: Arc::default(),

@@ -53,6 +53,19 @@ impl std::error::Error for WireError {}
 /// Bytes per encoded scalar (`Real` in little-endian byte order).
 pub const REAL_BYTES: usize = core::mem::size_of::<Real>();
 
+/// Bytes of the header [`Writer::new`] writes.
+pub const HEADER_BYTES: usize = 8;
+
+/// Bytes [`Writer::reals`] writes for a run of `n` scalars.
+pub const fn reals_len(n: usize) -> usize {
+    8 + n * REAL_BYTES
+}
+
+/// Bytes [`Writer::u64s`] writes for a run of `n` integers.
+pub const fn u64s_len(n: usize) -> usize {
+    8 + n * 8
+}
+
 /// Appends `vs` to `buf` as a bare run of little-endian scalars (no
 /// length prefix): one resize, then one pass over fixed-size chunks.
 /// This is the one scalar-run encoder in the workspace; [`Writer::reals`]
@@ -86,7 +99,13 @@ pub struct Writer {
 impl Writer {
     /// Starts a blob of the given payload kind (writes the header).
     pub fn new(kind: u16) -> Self {
-        let mut buf = Vec::with_capacity(64);
+        Writer::with_capacity(kind, 64)
+    }
+
+    /// [`Writer::new`] with room for `bytes` bytes, header included: a
+    /// blob of exactly that length is written with one allocation.
+    pub fn with_capacity(kind: u16, bytes: usize) -> Self {
+        let mut buf = Vec::with_capacity(bytes);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&kind.to_le_bytes());

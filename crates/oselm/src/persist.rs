@@ -13,7 +13,7 @@ use crate::autoencoder::{Autoencoder, ScoreMetric};
 use crate::multi_instance::MultiInstanceModel;
 use crate::oselm::{OsElm, OsElmConfig};
 use crate::{ModelError, Result};
-use seqdrift_linalg::wire::{Reader, WireError, Writer};
+use seqdrift_linalg::wire::{reals_len, Reader, WireError, Writer, REAL_BYTES};
 
 /// Payload kind tags used by this crate.
 mod kind {
@@ -94,6 +94,26 @@ pub fn write_oselm_body(w: &mut Writer, m: &OsElm) {
     w.reals(m.beta().as_slice());
 }
 
+/// Bytes [`write_oselm_body`] writes for `m`.
+pub fn oselm_body_len(m: &OsElm) -> usize {
+    let forgetting = match m.config().forgetting {
+        None => 1,
+        Some(_) => 1 + REAL_BYTES,
+    };
+    3 * 8
+        + 1
+        + 8
+        + REAL_BYTES
+        + forgetting
+        + REAL_BYTES
+        + 1
+        + 8
+        + reals_len(m.weights().as_slice().len())
+        + reals_len(m.biases().len())
+        + reals_len(m.p().as_slice().len())
+        + reals_len(m.beta().as_slice().len())
+}
+
 /// Reads the body of an OS-ELM (everything after the header).
 pub fn read_oselm_body(r: &mut Reader<'_>) -> Result<OsElm> {
     let input_dim = r.u64().map_err(wire_err)? as usize;
@@ -153,6 +173,13 @@ pub fn write_multi_instance_body(w: &mut Writer, m: &MultiInstanceModel) {
     for c in 0..m.classes() {
         write_autoencoder_body(w, m.instance(c).expect("class in range"));
     }
+}
+
+/// Bytes [`write_multi_instance_body`] writes for `m`.
+pub fn multi_instance_body_len(m: &MultiInstanceModel) -> usize {
+    8 + (0..m.classes())
+        .map(|c| 1 + oselm_body_len(m.instance(c).expect("class in range").network()))
+        .sum::<usize>()
 }
 
 /// Reads a multi-instance model body.
