@@ -1037,7 +1037,7 @@ pub fn serve_with_stop(
 /// of the roster in batches from the sample the server already holds, and
 /// records the latency of every batch, from its first send to its ACK.
 pub fn load(a: &LoadArgs, out: Out<'_>) -> Result<(), String> {
-    use seqdrift_bench::json::{latency_percentiles, merge_into_file, IngestEntry};
+    use crate::bench_json::{latency_percentiles, merge_into_file, IngestEntry};
     use seqdrift_server::{
         ChaosConfig, ChaosProxy, ClientError, ReconnectPolicy, ResilientClient, StreamReport,
     };
@@ -1366,12 +1366,7 @@ pub fn synth(a: &SynthArgs, out: Out<'_>) -> Result<(), String> {
     let dataset: DriftDataset = match a.dataset.as_str() {
         "nslkdd" => {
             let mut cfg = if a.quick {
-                NslKddConfig {
-                    n_train: 400,
-                    n_test: 4000,
-                    drift_point: 1400,
-                    ..NslKddConfig::default()
-                }
+                NslKddConfig::quick()
             } else {
                 NslKddConfig::default()
             };

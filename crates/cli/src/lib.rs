@@ -45,6 +45,7 @@
 //! library so they are unit-testable; `main.rs` is a thin shim.
 
 pub mod args;
+pub mod bench_json;
 pub mod commands;
 
 pub use args::{Cli, Command, ParseError};

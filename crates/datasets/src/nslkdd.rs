@@ -55,6 +55,20 @@ impl Default for NslKddConfig {
     }
 }
 
+impl NslKddConfig {
+    /// The reduced shape for quick runs and smoke tests: 400 training and
+    /// 4,000 test samples with the drift at test sample 1,400; every other
+    /// field is the paper default.
+    pub fn quick() -> Self {
+        NslKddConfig {
+            n_train: 400,
+            n_test: 4000,
+            drift_point: 1400,
+            ..NslKddConfig::default()
+        }
+    }
+}
+
 /// Class label of normal traffic.
 pub const LABEL_NORMAL: usize = 0;
 /// Class label of the attack ("neptune") traffic.

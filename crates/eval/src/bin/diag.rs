@@ -28,7 +28,7 @@ fn main() {
         FanScenario::Gradual,
         FanScenario::Reoccurring,
     ] {
-        let d = fan_dataset(scenario, Scale::Quick);
+        let d = fan_dataset(scenario);
         let pairs: Vec<(usize, &[Real])> =
             d.train.iter().map(|s| (s.label, s.x.as_slice())).collect();
         let trained = CentroidSet::from_labeled(d.classes, d.dim(), &pairs).unwrap();

@@ -67,13 +67,13 @@ fn ensemble_first_fire(
 
 /// Ensemble ablation: single windows vs Any/Majority votes on the fan
 /// scenarios.
-pub fn ensemble(scale: Scale) -> Vec<Table> {
+pub fn ensemble(_scale: Scale) -> Vec<Table> {
     let scenarios = [
         FanScenario::Sudden,
         FanScenario::Gradual,
         FanScenario::Reoccurring,
     ];
-    let datasets: Vec<_> = scenarios.iter().map(|&s| fan_dataset(s, scale)).collect();
+    let datasets: Vec<_> = scenarios.iter().map(|&s| fan_dataset(s)).collect();
 
     let rows: Vec<(&str, Vec<usize>, Option<VotePolicy>)> = vec![
         ("single W=10", vec![10], None),
@@ -638,7 +638,7 @@ mod tests {
 
     #[test]
     fn ensemble_any_is_as_fast_as_fastest_member() {
-        let d = fan_dataset(FanScenario::Sudden, Scale::Quick);
+        let d = fan_dataset(FanScenario::Sudden);
         let single10 = ensemble_first_fire(&d, &[10], VotePolicy::Any, 42);
         let any = ensemble_first_fire(&d, &[10, 50, 150], VotePolicy::Any, 42);
         let s = single10.expect("W=10 detects the sudden drift");
@@ -648,7 +648,7 @@ mod tests {
 
     #[test]
     fn ensemble_majority_slower_than_any() {
-        let d = fan_dataset(FanScenario::Sudden, Scale::Quick);
+        let d = fan_dataset(FanScenario::Sudden);
         let any = ensemble_first_fire(&d, &[10, 50, 150], VotePolicy::Any, 42).unwrap();
         let maj = ensemble_first_fire(&d, &[10, 50, 150], VotePolicy::Majority, 42).unwrap();
         assert!(maj >= any, "majority {maj} earlier than any {any}");

@@ -40,24 +40,16 @@ pub enum Scale {
 pub fn nslkdd_dataset(scale: Scale) -> DriftDataset {
     let cfg = match scale {
         Scale::Full => NslKddConfig::default(),
-        Scale::Quick => NslKddConfig {
-            n_train: 400,
-            n_test: 4000,
-            drift_point: 1400,
-            ..NslKddConfig::default()
-        },
+        Scale::Quick => NslKddConfig::quick(),
     };
     nslkdd::generate(&cfg)
 }
 
-/// A fan-scenario dataset (the fan streams are already small; scale only
-/// trims the training split).
-pub fn fan_dataset(scenario: FanScenario, scale: Scale) -> DriftDataset {
-    // The fan streams are already Table-5-sized (700 samples); both scales
-    // use the default 60-sample training split (see `FanConfig`).
-    let cfg = FanConfig::default();
-    let _ = scale;
-    fan::generate(&cfg, scenario, Environment::Silent)
+/// A fan-scenario dataset. The fan streams are already Table-5-sized (700
+/// samples), so there is one size for every [`Scale`]: the default
+/// 60-sample training split (see `FanConfig`).
+pub fn fan_dataset(scenario: FanScenario) -> DriftDataset {
+    fan::generate(&FanConfig::default(), scenario, Environment::Silent)
 }
 
 /// Paper hyper-parameters for NSL-KDD (§4.2): QT batch 480 / 32 bins,

@@ -26,8 +26,8 @@ pub const SCENARIOS: [FanScenario; 3] = [
 
 /// Runs the full window x scenario grid; result\[w\]\[s\] is the run for
 /// `WINDOWS[w]` on `SCENARIOS[s]`.
-pub fn run_grid(scale: Scale, seed: u64) -> Vec<Vec<RunResult>> {
-    let datasets: Vec<_> = SCENARIOS.iter().map(|&s| fan_dataset(s, scale)).collect();
+pub fn run_grid(seed: u64) -> Vec<Vec<RunResult>> {
+    let datasets: Vec<_> = SCENARIOS.iter().map(|&s| fan_dataset(s)).collect();
     let opts = RunOptions {
         hidden: p::HIDDEN,
         seed,
@@ -42,8 +42,8 @@ pub fn run_grid(scale: Scale, seed: u64) -> Vec<Vec<RunResult>> {
 }
 
 /// Builds Table 3.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let grid = run_grid(scale, 42);
+pub fn run(_scale: Scale) -> Vec<Table> {
+    let grid = run_grid(42);
     let mut t = Table::new(
         "Table 3: delay for detecting concept drift with different window sizes (cooling fan)",
         &["", "Sudden", "Gradual", "Reoccurring"],
@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn sudden_delay_grows_with_window() {
-        let grid = run_grid(Scale::Quick, 5);
+        let grid = run_grid(5);
         let sudden: Vec<Option<usize>> = (0..3).map(|w| grid[w][0].delay).collect();
         let d10 = sudden[0].expect("W=10 must detect the sudden drift");
         let d150 = sudden[2].expect("W=150 must detect the sudden drift");
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn small_windows_catch_reoccurring_burst() {
-        let grid = run_grid(Scale::Quick, 5);
+        let grid = run_grid(5);
         let d10 = grid[0][2].delay;
         assert!(
             d10.is_some(),
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn gradual_drift_detected_by_mid_window() {
-        let grid = run_grid(Scale::Quick, 5);
+        let grid = run_grid(5);
         let d50 = grid[1][1].delay;
         assert!(d50.is_some(), "W=50 must detect the gradual drift");
     }

@@ -13,8 +13,8 @@ use seqdrift_edgesim::{bytes_of_scalars, check_budget, MemoryReport, PICO};
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
 
 /// Computes the per-method memory reports on the fan configuration.
-pub fn memory_reports(scale: Scale) -> Vec<MemoryReport> {
-    let dataset = fan_dataset(FanScenario::Sudden, scale);
+pub fn memory_reports() -> Vec<MemoryReport> {
+    let dataset = fan_dataset(FanScenario::Sudden);
     let model = {
         let mut m =
             MultiInstanceModel::new(dataset.classes, OsElmConfig::new(dataset.dim(), p::HIDDEN))
@@ -54,8 +54,8 @@ pub fn memory_reports(scale: Scale) -> Vec<MemoryReport> {
 }
 
 /// Builds Table 4 plus the Pico budget check.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let reports = memory_reports(scale);
+pub fn run(_scale: Scale) -> Vec<Table> {
+    let reports = memory_reports();
 
     let mut t4 = Table::new(
         "Table 4: memory utilisation (kB) — detector state, fan configuration",
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn paper_ordering_holds() {
-        let reports = memory_reports(Scale::Quick);
+        let reports = memory_reports();
         let kb = |label: &str| -> f64 {
             reports
                 .iter()
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn magnitudes_match_paper_order_of_magnitude() {
-        let reports = memory_reports(Scale::Quick);
+        let reports = memory_reports();
         let qt = reports.iter().find(|r| r.label == "Quant Tree").unwrap();
         let spll = reports.iter().find(|r| r.label == "SPLL").unwrap();
         // Paper: 619 kB and 1933 kB. Ours: batch buffers dominate
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn pico_feasibility_matches_paper() {
-        let reports = memory_reports(Scale::Quick);
+        let reports = memory_reports();
         let verdicts = check_budget(&reports, &PICO);
         let fits = |label: &str| verdicts.iter().find(|v| v.label == label).unwrap().fits;
         assert!(!fits("Quant Tree"), "QT must not fit on the Pico");

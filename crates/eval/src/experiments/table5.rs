@@ -38,8 +38,8 @@ pub fn method_specs() -> Vec<(&'static str, MethodSpec)> {
 }
 
 /// Runs the four methods sequentially (timing runs must not share cores).
-pub fn run_all(scale: Scale, seed: u64) -> Vec<(&'static str, RunResult)> {
-    let dataset = fan_dataset(seqdrift_datasets::fan::FanScenario::Sudden, scale);
+pub fn run_all(seed: u64) -> Vec<(&'static str, RunResult)> {
+    let dataset = fan_dataset(seqdrift_datasets::fan::FanScenario::Sudden);
     let opts = RunOptions {
         hidden: p::HIDDEN,
         seed,
@@ -52,8 +52,8 @@ pub fn run_all(scale: Scale, seed: u64) -> Vec<(&'static str, RunResult)> {
 }
 
 /// Builds Table 5.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let results = run_all(scale, 42);
+pub fn run(_scale: Scale) -> Vec<Table> {
+    let results = run_all(42);
     let mut t = Table::new(
         "Table 5: execution time for 700 fan samples (host-measured, Pi 4 projected)",
         &["method", "host (ms)", "Pi 4 projection (s)"],
@@ -84,7 +84,7 @@ mod tests {
         let mut spll_over_baseline = Vec::new();
         let mut proposed_over_baseline = Vec::new();
         for seed in [1, 2, 3] {
-            let results = run_all(Scale::Quick, seed);
+            let results = run_all(seed);
             let time = |needle: &str| -> f64 {
                 results
                     .iter()

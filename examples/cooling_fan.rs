@@ -10,7 +10,7 @@
 //! ```
 
 use seqdrift::datasets::fan::FanScenario;
-use seqdrift::eval::experiments::{fan_dataset, Scale};
+use seqdrift::eval::experiments::fan_dataset;
 use seqdrift::eval::methods::MethodSpec;
 use seqdrift::eval::runner::{run_method, RunOptions};
 
@@ -33,7 +33,7 @@ fn main() {
         "scenario", "W=10", "W=50", "W=150"
     );
     for (name, scenario) in scenarios {
-        let dataset = fan_dataset(scenario, Scale::Full);
+        let dataset = fan_dataset(scenario);
         let mut cells = Vec::new();
         for w in windows {
             let r = run_method(&MethodSpec::Proposed { window: w }, &dataset, &opts);

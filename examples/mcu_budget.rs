@@ -7,7 +7,7 @@
 //! ```
 
 use seqdrift::edgesim::{bytes_of_scalars, check_budget, MemoryReport, PI4, PICO};
-use seqdrift::eval::experiments::{table4, Scale};
+use seqdrift::eval::experiments::table4;
 use seqdrift::linalg::fixed::{SMat, SVec};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     }
 
     println!("\ndetector memory (Table 4, fan configuration):");
-    let reports: Vec<MemoryReport> = table4::memory_reports(Scale::Full);
+    let reports: Vec<MemoryReport> = table4::memory_reports();
     for r in &reports {
         println!(
             "  {:<16} detector {:>8.0} kB   (+ model {:>5.0} kB)",

@@ -285,7 +285,7 @@ fn cli_load_chaos_bounds_healthy_latency_and_emits_bench_entries() {
     let served = server.join().unwrap();
     assert!(served.contains("resilience:"), "{served}");
 
-    let entries = seqdrift_bench::json::parse(&std::fs::read_to_string(&bench_json).unwrap())
+    let entries = seqdrift_cli::bench_json::parse(&std::fs::read_to_string(&bench_json).unwrap())
         .expect("BENCH_ingest.json must stay machine-readable");
     let clean = &entries["load_sessions_8_batch_8"];
     let healthy = &entries["chaos_healthy_sessions_8_batch_8"];

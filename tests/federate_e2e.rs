@@ -10,7 +10,7 @@
 use seqdrift::core::pipeline::PipelineEvent;
 use seqdrift::core::{DetectorConfig, DriftPipeline};
 use seqdrift::prelude::*;
-use seqdrift_bench::json::{latency_percentiles, merge_into_file, parse, IngestEntry};
+use seqdrift_cli::bench_json::{latency_percentiles, merge_into_file, parse, IngestEntry};
 
 const DIM: usize = 6;
 const SESSIONS: u64 = 50;
