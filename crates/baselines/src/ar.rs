@@ -13,7 +13,7 @@
 //!
 //! The fit solves the normal equations with a ridge-stabilised Cholesky
 //! factorisation — `p` is tiny (2–8), so a refit is O(window · p²) and is
-//! amortised by only refitting every `refit_every` samples.
+//! amortised by only refitting every `REFIT_EVERY` (20) samples.
 
 use std::collections::VecDeque;
 
@@ -22,6 +22,9 @@ use seqdrift_linalg::{Matrix, Real};
 
 use crate::page_hinkley::PageHinkley;
 
+/// Refit cadence in samples.
+const REFIT_EVERY: usize = 20;
+
 /// Configuration for [`ArResidual`].
 #[derive(Debug, Clone)]
 pub struct ArResidualConfig {
@@ -29,8 +32,6 @@ pub struct ArResidualConfig {
     pub order: usize,
     /// Rolling-window length the model is fitted on.
     pub window: usize,
-    /// Refit cadence in samples (1 = every sample).
-    pub refit_every: usize,
     /// Page–Hinkley magnitude tolerance δ on the residual stream.
     pub delta: Real,
     /// Page–Hinkley detection threshold λ.
@@ -51,7 +52,6 @@ impl ArResidualConfig {
         ArResidualConfig {
             order,
             window,
-            refit_every: 20,
             delta: 0.005,
             lambda: 1.5,
             ridge: 1e-4,
@@ -62,13 +62,6 @@ impl ArResidualConfig {
     pub fn with_thresholds(mut self, delta: Real, lambda: Real) -> Self {
         self.delta = delta;
         self.lambda = lambda;
-        self
-    }
-
-    /// Overrides the refit cadence.
-    pub fn with_refit_every(mut self, every: usize) -> Self {
-        assert!(every >= 1);
-        self.refit_every = every;
         self
     }
 }
@@ -136,7 +129,7 @@ impl ArResidual {
         }
         self.since_fit += 1;
         let warm = self.history.len() >= (2 * p + 8).min(self.cfg.window);
-        if warm && (self.coeffs.is_none() || self.since_fit >= self.cfg.refit_every) {
+        if warm && (self.coeffs.is_none() || self.since_fit >= REFIT_EVERY) {
             if let Some(c) = self.fit() {
                 self.coeffs = Some(c);
                 self.since_fit = 0;

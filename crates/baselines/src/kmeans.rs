@@ -1,5 +1,4 @@
-//! k-means clustering: Lloyd's algorithm with k-means++ seeding, plus a
-//! sequential (streaming) variant.
+//! k-means clustering: Lloyd's algorithm with k-means++ seeding.
 //!
 //! Substrates for two places in the paper: SPLL clusters its training window
 //! with k-means (§2.2.2), and the proposed method assumes initial samples
@@ -155,48 +154,6 @@ fn nearest(centroids: &[Vec<Real>], x: &[Real]) -> (usize, Real) {
     (best, best_d)
 }
 
-/// Streaming k-means: centroids update with running means as samples
-/// arrive, one at a time, O(k·dim) memory. This is the "very similar to a
-/// sequential k-means algorithm" update the paper's `Update_Coord` performs
-/// (Algorithm 4).
-#[derive(Debug, Clone)]
-pub struct SequentialKMeans {
-    centroids: Vec<Vec<Real>>,
-    counts: Vec<u64>,
-}
-
-impl SequentialKMeans {
-    /// Starts from the given initial centroids with zero observed counts.
-    pub fn from_centroids(centroids: Vec<Vec<Real>>) -> Self {
-        let counts = vec![0; centroids.len()];
-        SequentialKMeans { centroids, counts }
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.centroids.len()
-    }
-
-    /// Current centroids.
-    pub fn centroids(&self) -> &[Vec<Real>] {
-        &self.centroids
-    }
-
-    /// Per-cluster observation counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Assigns `x` to its nearest centroid and updates that centroid with a
-    /// running mean (Algorithm 4 lines 2–4). Returns the chosen cluster.
-    pub fn update(&mut self, x: &[Real]) -> usize {
-        let (label, _) = nearest(&self.centroids, x);
-        vector::running_mean_update(&mut self.centroids[label], self.counts[label], x);
-        self.counts[label] += 1;
-        label
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,27 +258,5 @@ mod tests {
         let a = KMeans::fit(&data, 3, 30, &mut Rng::seed_from(12));
         let b = KMeans::fit(&data, 3, 30, &mut Rng::seed_from(12));
         assert_eq!(a.assignments, b.assignments);
-    }
-
-    #[test]
-    fn sequential_kmeans_tracks_blob_means() {
-        let (data, _) = three_blobs(100, 13);
-        let init = vec![vec![0.5, 0.5], vec![4.5, 4.5], vec![0.5, 4.5]];
-        let mut skm = SequentialKMeans::from_centroids(init);
-        for x in &data {
-            skm.update(x);
-        }
-        assert!(vector::dist_l2(&skm.centroids()[0], &[0.0, 0.0]) < 0.3);
-        assert!(vector::dist_l2(&skm.centroids()[1], &[5.0, 5.0]) < 0.3);
-        assert!(vector::dist_l2(&skm.centroids()[2], &[0.0, 5.0]) < 0.3);
-        assert_eq!(skm.counts().iter().sum::<u64>(), 300);
-    }
-
-    #[test]
-    fn sequential_kmeans_update_returns_nearest_label() {
-        let init = vec![vec![0.0], vec![10.0]];
-        let mut skm = SequentialKMeans::from_centroids(init);
-        assert_eq!(skm.update(&[1.0]), 0);
-        assert_eq!(skm.update(&[9.0]), 1);
     }
 }

@@ -14,14 +14,13 @@
 //!   (DDM, Gama et al. 2004; ADWIN, Bifet & Gavaldà 2007). These need
 //!   labelled data, which is why the paper rules them out for edge devices;
 //!   they are provided for completeness and used in the extension ablations.
-//! * [`page_hinkley`] / [`cusum`] — classic sequential change detectors on
-//!   univariate statistics, extension baselines.
+//! * [`page_hinkley`] — the classic sequential change detector on a
+//!   univariate statistic; the residual test inside [`ar`].
 //! * [`ar`] — AR(p)-residual detector (cf. arXiv 2203.04769): least-squares
 //!   autoregressive fit on a rolling window with Page–Hinkley on the
 //!   one-step-ahead residuals; the modern lightweight baseline row.
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding and a sequential
-//!   (streaming) variant; substrate for SPLL and for unsupervised labelling
-//!   of initial training data (§3.2).
+//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding; substrate for
+//!   SPLL and for unsupervised labelling of initial training data (§3.2).
 //! * [`gmm`] — diagonal-covariance Gaussian mixture estimation used by SPLL.
 //!
 //! ## Detector interfaces
@@ -58,7 +57,6 @@
 
 pub mod adwin;
 pub mod ar;
-pub mod cusum;
 pub mod ddm;
 pub mod gmm;
 pub mod kmeans;
@@ -68,10 +66,9 @@ pub mod spll;
 
 pub use adwin::Adwin;
 pub use ar::{ArResidual, ArResidualConfig};
-pub use cusum::Cusum;
 pub use ddm::Ddm;
 pub use gmm::DiagonalGmm;
-pub use kmeans::{KMeans, SequentialKMeans};
+pub use kmeans::KMeans;
 pub use page_hinkley::PageHinkley;
 pub use quanttree::QuantTree;
 pub use spll::Spll;

@@ -286,11 +286,6 @@ impl QuantTree {
         self.threshold
     }
 
-    /// Overrides the threshold (testing / manual tuning).
-    pub fn set_threshold(&mut self, t: Real) {
-        self.threshold = t;
-    }
-
     /// Pearson statistic of the most recently completed batch.
     pub fn last_statistic(&self) -> Option<Real> {
         self.last_statistic

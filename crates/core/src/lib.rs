@@ -19,9 +19,7 @@
 //!   sequential model retraining;
 //! * [`pipeline`] — [`pipeline::DriftPipeline`] wires a
 //!   `MultiInstanceModel`, the detector, and the reconstructor into the
-//!   complete online loop of Figure 2;
-//! * [`ensemble`] — the paper's stated future-work extension: several
-//!   detectors with different window sizes voting.
+//!   complete online loop of Figure 2.
 //!
 //! ## Standalone detector example
 //!
@@ -79,7 +77,6 @@
 
 pub mod centroid;
 pub mod detector;
-pub mod ensemble;
 pub mod guard;
 pub mod persist;
 pub mod pipeline;
@@ -88,7 +85,6 @@ pub mod threshold;
 
 pub use centroid::CentroidSet;
 pub use detector::{CentroidDetector, DetectorConfig, DetectorOutcome, DistanceMetric};
-pub use ensemble::{EnsembleDetector, VotePolicy};
 pub use guard::{GuardConfig, GuardCounters, GuardPolicy};
 pub use pipeline::{DegradeReason, DriftPipeline, PipelineConfig, PipelineHealth, PipelineOutput};
 pub use reconstruct::{ReconstructConfig, Reconstructor};

@@ -90,11 +90,6 @@ impl OnlineNormalizer {
         self.frozen = true;
     }
 
-    /// Whether statistics are frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Observes `x` (unless frozen) and z-scores it in place.
     pub fn normalize_inplace(&mut self, x: &mut [Real]) {
         debug_assert_eq!(x.len(), self.stats.len());

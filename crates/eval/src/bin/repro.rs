@@ -7,8 +7,11 @@
 //! cargo run --release -p seqdrift-eval --bin repro -- --scenario drills/sudden.sqsc
 //! ```
 //!
-//! Results print as markdown and are written under `results/` (markdown +
-//! CSV per table).
+//! Results print as markdown and are written, markdown + CSV per table,
+//! under `--out DIR`. The default is `results/` (the checked-in
+//! full-scale tables) at full scale and the gitignored
+//! `target/repro-quick/` under `--quick`, so a smoke run never
+//! overwrites the checked-in numbers.
 
 use seqdrift_eval::experiments::{self, Scale};
 use seqdrift_eval::report::Table;
@@ -62,12 +65,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
+    let default_out = if quick {
+        "target/repro-quick"
+    } else {
+        "results"
+    };
     let out_dir: PathBuf = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
+        .unwrap_or_else(|| PathBuf::from(default_out));
     let scenario_file: Option<PathBuf> = args
         .iter()
         .position(|a| a == "--scenario")

@@ -13,13 +13,71 @@ use crate::metrics;
 use crate::report::{fmt_delay, Table};
 use crate::runner::{run_method, RunOptions};
 use seqdrift_core::centroid::CentroidSet;
-use seqdrift_core::ensemble::{EnsembleDetector, VotePolicy};
 use seqdrift_core::threshold::calibrate_drift_threshold;
-use seqdrift_core::{DetectorConfig, DistanceMetric};
+use seqdrift_core::{CentroidDetector, DetectorConfig, DetectorOutcome, DistanceMetric};
 use seqdrift_datasets::fan::FanScenario;
 use seqdrift_datasets::DriftDataset;
 use seqdrift_linalg::Real;
 use seqdrift_oselm::{MultiInstanceModel, OsElmConfig};
+
+/// How the members' latched flags combine into one verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VotePolicy {
+    /// Drift as soon as any member has flagged.
+    Any,
+    /// Drift once a strict majority of members have flagged.
+    Majority,
+}
+
+/// The multi-window detector the paper names as future work: one
+/// [`CentroidDetector`] per window size over the same sample stream.
+/// Windows of different sizes close at different samples, so a member's
+/// flag latches at its first drift verdict.
+struct WindowEnsemble {
+    members: Vec<CentroidDetector>,
+    flagged: Vec<bool>,
+    policy: VotePolicy,
+}
+
+impl WindowEnsemble {
+    /// One member per window size, sharing `base` and the trained
+    /// centroids.
+    fn new(
+        base: &DetectorConfig,
+        windows: &[usize],
+        trained: &CentroidSet,
+        policy: VotePolicy,
+    ) -> WindowEnsemble {
+        let members: Vec<CentroidDetector> = windows
+            .iter()
+            .map(|&w| {
+                CentroidDetector::new(base.clone().with_window(w), trained.clone())
+                    .expect("ensemble member")
+            })
+            .collect();
+        WindowEnsemble {
+            flagged: vec![false; members.len()],
+            members,
+            policy,
+        }
+    }
+
+    /// Feeds one sample to every member; `true` when the vote holds at
+    /// this sample.
+    fn observe(&mut self, label: usize, x: &[Real], error: Real) -> bool {
+        for (member, flag) in self.members.iter_mut().zip(self.flagged.iter_mut()) {
+            let outcome = member.observe(label, x, error).expect("observe");
+            if let DetectorOutcome::Checked { drift: true, .. } = outcome {
+                *flag = true;
+            }
+        }
+        let yes = self.flagged.iter().filter(|&&f| f).count();
+        match self.policy {
+            VotePolicy::Any => yes >= 1,
+            VotePolicy::Majority => 2 * yes > self.members.len(),
+        }
+    }
+}
 
 /// Trains the fan model + centroids and streams the dataset through an
 /// ensemble, returning the first firing index.
@@ -54,11 +112,11 @@ fn ensemble_first_fire(
     let base = DetectorConfig::new(dataset.classes, dim)
         .with_theta_drift(theta_drift)
         .with_theta_error(3.0 * max_score);
-    let mut ensemble = EnsembleDetector::new(base, windows, &trained, policy).expect("ensemble");
+    let mut ensemble = WindowEnsemble::new(&base, windows, &trained, policy);
 
     for (i, s) in dataset.test.iter().enumerate() {
         let p = model.predict(&s.x).expect("predict");
-        if ensemble.observe(p.label, &s.x, p.score).expect("observe") {
+        if ensemble.observe(p.label, &s.x, p.score) {
             return Some(i);
         }
     }
@@ -635,6 +693,74 @@ pub fn error_rate(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn trained() -> CentroidSet {
+        let mut s = CentroidSet::zeros(1, 2);
+        s.set_centroid(0, &[0.0, 0.0]).unwrap();
+        s.set_count(0, 50);
+        s
+    }
+
+    fn base() -> DetectorConfig {
+        DetectorConfig::new(1, 2)
+            .with_theta_drift(0.5)
+            .with_theta_error(0.0)
+    }
+
+    #[test]
+    fn any_fires_with_first_member() {
+        let mut e = WindowEnsemble::new(&base(), &[5, 50], &trained(), VotePolicy::Any);
+        let fired_at = (0..50).find(|_| e.observe(0, &[4.0, 4.0], 1.0));
+        // The 5-window member checks at sample 5 (index 4).
+        assert_eq!(fired_at, Some(4));
+    }
+
+    #[test]
+    fn majority_needs_more_than_half() {
+        let mut e = WindowEnsemble::new(&base(), &[5, 10, 40], &trained(), VotePolicy::Majority);
+        let fired_at = (0..60).find(|_| e.observe(0, &[4.0, 4.0], 1.0));
+        // Members flag at their first window close (samples 5, 10, 40);
+        // majority (2 of 3) at index 9.
+        assert_eq!(fired_at, Some(9));
+    }
+
+    #[test]
+    fn stationary_stream_never_fires() {
+        let mut e = WindowEnsemble::new(&base(), &[5, 20], &trained(), VotePolicy::Any);
+        let mut rng = seqdrift_linalg::Rng::seed_from(1);
+        for _ in 0..200 {
+            let x = [rng.normal(0.0, 0.02), rng.normal(0.0, 0.02)];
+            assert!(!e.observe(0, &x, 1.0));
+        }
+    }
+
+    #[test]
+    fn staggered_window_closes_latch_votes_until_reset() {
+        // Three members with staggered windows: each flags at its own
+        // close (samples 4, 9, 19), and the earlier votes must stay
+        // latched while later members are still mid-window.
+        let mut e = WindowEnsemble::new(&base(), &[5, 10, 20], &trained(), VotePolicy::Majority);
+        for i in 0..4 {
+            assert!(!e.observe(0, &[4.0, 4.0], 1.0), "sample {i}");
+            assert_eq!(e.flagged, [false, false, false], "sample {i}");
+        }
+        assert!(!e.observe(0, &[4.0, 4.0], 1.0));
+        assert_eq!(e.flagged, [true, false, false]);
+        for _ in 5..9 {
+            assert!(!e.observe(0, &[4.0, 4.0], 1.0));
+        }
+        // The 10-window closes: with the 5-window's vote still latched,
+        // two of three hold.
+        assert!(e.observe(0, &[4.0, 4.0], 1.0));
+        assert_eq!(e.flagged, [true, true, false]);
+        // No member closes between samples 10 and 18, so only the latch
+        // keeps the majority standing.
+        for i in 10..19 {
+            assert!(e.observe(0, &[4.0, 4.0], 1.0), "sample {i}");
+        }
+        assert!(e.observe(0, &[4.0, 4.0], 1.0));
+        assert_eq!(e.flagged, [true, true, true]);
+    }
 
     #[test]
     fn ensemble_any_is_as_fast_as_fastest_member() {

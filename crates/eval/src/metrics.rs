@@ -1,8 +1,6 @@
 //! Evaluation metrics: accuracy (with label-permutation tolerance after
 //! unsupervised retraining), detection delay, and false positives.
 
-use seqdrift_linalg::Real;
-
 /// Accuracy over `(truth, predicted)` pairs with optional permutation
 /// tolerance for two-class problems.
 ///
@@ -106,23 +104,6 @@ pub fn mean_f64(xs: &[f64]) -> f64 {
     }
 }
 
-/// Drift-rate trace helper: fraction of samples in `window`-sized buckets
-/// that carry a positive signal (used by the Figure 1 reproduction to show
-/// concept mixtures over time).
-pub fn bucket_fraction(signal: &[bool], window: usize) -> Vec<(usize, Real)> {
-    assert!(window > 0);
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < signal.len() {
-        let end = (start + window).min(signal.len());
-        let frac =
-            signal[start..end].iter().filter(|&&b| b).count() as Real / (end - start) as Real;
-        out.push((end, frac));
-        start = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,15 +164,6 @@ mod tests {
         assert_eq!(false_positives(&detections, 100), 1);
         assert_eq!(detection_delay(&detections, 400), None);
         assert_eq!(detection_delay(&[], 0), None);
-    }
-
-    #[test]
-    fn bucket_fraction_counts() {
-        let signal = vec![false, false, true, true, true, false];
-        let b = bucket_fraction(&signal, 3);
-        assert_eq!(b.len(), 2);
-        assert!((b[0].1 - 1.0 / 3.0).abs() < 1e-6);
-        assert!((b[1].1 - 2.0 / 3.0).abs() < 1e-6);
     }
 
     #[test]

@@ -118,11 +118,6 @@ pub fn fmt_delay(delay: Option<usize>) -> String {
     }
 }
 
-/// Formats a fraction as a percentage with one decimal (Table 2 style).
-pub fn fmt_pct(frac: f64) -> String {
-    format!("{:.1}", frac * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +171,5 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt_delay(Some(42)), "42");
         assert_eq!(fmt_delay(None), "-");
-        assert_eq!(fmt_pct(0.968), "96.8");
     }
 }

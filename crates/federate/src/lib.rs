@@ -22,14 +22,14 @@
 //!    (counted in `contributions_rejected`); mid-reconstruction sessions
 //!    are skipped for the round; sessions whose model still equals the
 //!    current fleet baseline have nothing to contribute and are skipped;
-//!    contributors lagging the freshest contributor by more than the
-//!    configured staleness bound are rejected.
+//!    contributors lagging the freshest contributor by more than
+//!    [`STALENESS_BOUND`] trained samples are rejected.
 //! 3. **Score (Byzantine-robust two-pass)** — with
 //!    `FederationConfig::robust` on, each surviving contributor's
 //!    stacked (U, c) sufficient statistics are scored against the
 //!    iteratively-reweighted geometric-median robust centre
-//!    ([`seqdrift_linalg::robust`]); only contributors within the
-//!    deviation bound are re-admitted. Outlier verdicts feed a durable
+//!    ([`seqdrift_linalg::robust`]); only contributors within
+//!    [`DEVIATION_BOUND`] are re-admitted. Outlier verdicts feed a durable
 //!    per-session [`ReputationBook`] (exponential trust decay, clean-
 //!    round recovery); sessions below the trust floor are excluded from
 //!    merging — but still scored, so a repaired device recovers. On
@@ -63,7 +63,7 @@ mod poison;
 mod reputation;
 
 pub use poison::{PoisonInjector, PoisonMode};
-pub use reputation::ReputationBook;
+pub use reputation::{ReputationBook, TRUST_DECAY, TRUST_FLOOR, TRUST_RECOVERY};
 
 use seqdrift_core::{CoreError, DriftPipeline};
 use seqdrift_fleet::{
@@ -72,8 +72,18 @@ use seqdrift_fleet::{
 };
 use seqdrift_linalg::cholesky::spd_inverse;
 use seqdrift_linalg::robust::{deviation_scores, geometric_median};
-use seqdrift_linalg::Matrix;
+use seqdrift_linalg::{Matrix, Real};
 use seqdrift_oselm::{ModelError, MultiInstanceModel};
+
+/// Maximum per-instance trained-sample lag, against the freshest
+/// contributor, that a contribution may have; anything staler is
+/// rejected for the round.
+pub const STALENESS_BOUND: u64 = 100_000;
+
+/// Deviation-score bound (normalized Frobenius distance from the robust
+/// centre; honest contributors cluster near 1) above which a
+/// contribution is rejected as an outlier.
+pub const DEVIATION_BOUND: Real = 8.0;
 
 /// Federation failures.
 #[derive(Debug)]
@@ -200,7 +210,7 @@ impl Federator {
         self
     }
 
-    /// The active federation knobs.
+    /// The active federation settings.
     pub fn config(&self) -> &FederationConfig {
         &self.cfg
     }
@@ -314,7 +324,7 @@ impl Federator {
         // more than the bound carry statistics too old to trust.
         if let Some(freshest) = candidates.iter().map(|(_, m)| model_age(m)).max() {
             candidates.retain(|(_, m)| {
-                let keep = freshest - model_age(m) <= self.cfg.staleness_bound;
+                let keep = freshest - model_age(m) <= STALENESS_BOUND;
                 if !keep {
                     rejects.staleness += 1;
                 }
@@ -331,8 +341,7 @@ impl Federator {
         if self.cfg.robust && !candidates.is_empty() {
             candidates = self.robust_admit(engine, candidates, &mut rejects);
         }
-        if candidates.len() < self.cfg.min_contributors {
-            summary.skipped += candidates.len() as u64;
+        if candidates.is_empty() {
             summary.rejected = rejects.total();
             summary.reject_reasons = rejects;
             engine.record_federation_round(false, 0, rejects);
@@ -426,7 +435,7 @@ impl Federator {
         let mut trusted: Vec<(SessionId, MultiInstanceModel)> = Vec::new();
         let mut excluded: Vec<(SessionId, MultiInstanceModel)> = Vec::new();
         for (id, model) in candidates {
-            if self.reputation.is_trusted(id.0, &self.cfg) {
+            if self.reputation.is_trusted(id.0) {
                 trusted.push((id, model));
             } else {
                 rejects.low_trust += 1;
@@ -454,7 +463,7 @@ impl Federator {
                 // merely suspicious.
                 Err(()) => {
                     rejects.non_pd += 1;
-                    self.reputation.record_outlier(id.0, &self.cfg);
+                    self.reputation.record_outlier(id.0);
                 }
             }
         }
@@ -481,21 +490,21 @@ impl Federator {
         let mut admitted = Vec::with_capacity(keep.len());
         for (i, (id, model)) in keep.into_iter().enumerate() {
             // Index 0 is the baseline anchor; candidate i sits at i + 1.
-            if scores[i + 1] <= self.cfg.deviation_bound {
-                self.reputation.record_clean(id.0, &self.cfg);
+            if scores[i + 1] <= DEVIATION_BOUND {
+                self.reputation.record_clean(id.0);
                 admitted.push((id, model));
             } else {
                 rejects.deviation += 1;
-                self.reputation.record_outlier(id.0, &self.cfg);
+                self.reputation.record_outlier(id.0);
             }
         }
         // Excluded sessions are scored for trust recovery only.
         for (id, idx) in excluded_idx {
             match idx {
-                Some(i) if scores[i] <= self.cfg.deviation_bound => {
-                    self.reputation.record_clean(id.0, &self.cfg);
+                Some(i) if scores[i] <= DEVIATION_BOUND => {
+                    self.reputation.record_clean(id.0);
                 }
-                _ => self.reputation.record_outlier(id.0, &self.cfg),
+                _ => self.reputation.record_outlier(id.0),
             }
         }
         admitted

@@ -18,9 +18,21 @@
 //! scan, so an adversarial device cannot launder its history through a
 //! process restart.
 
-use seqdrift_fleet::{FederationConfig, ReputationEntry};
+use seqdrift_fleet::ReputationEntry;
 use seqdrift_linalg::Real;
 use std::collections::BTreeMap;
+
+/// Multiplicative trust decay applied to a session's reputation on each
+/// round it scores as an outlier.
+pub const TRUST_DECAY: Real = 0.5;
+
+/// Fraction of the gap to full trust recovered on each clean round:
+/// `trust += (1 - trust) * TRUST_RECOVERY`.
+pub const TRUST_RECOVERY: Real = 0.25;
+
+/// Reputation floor: sessions whose trust sits below this are excluded
+/// from merging (still scored, so they can recover).
+pub const TRUST_FLOOR: Real = 0.3;
 
 /// The federation trust ledger: one [`ReputationEntry`] per session that
 /// has ever contributed to a merge round. Sessions without an entry are
@@ -56,15 +68,15 @@ impl ReputationBook {
         self.entries.get(&session).map(|e| e.trust).unwrap_or(1.0)
     }
 
-    /// Whether the session's trust clears the configured floor.
-    pub fn is_trusted(&self, session: u64, cfg: &FederationConfig) -> bool {
-        self.trust(session) >= cfg.trust_floor
+    /// Whether the session's trust clears [`TRUST_FLOOR`].
+    pub fn is_trusted(&self, session: u64) -> bool {
+        self.trust(session) >= TRUST_FLOOR
     }
 
     /// Records an outlier round: trust decays multiplicatively.
-    pub fn record_outlier(&mut self, session: u64, cfg: &FederationConfig) {
+    pub fn record_outlier(&mut self, session: u64) {
         let entry = self.entries.entry(session).or_default();
-        entry.trust = (entry.trust * cfg.trust_decay).clamp(0.0, 1.0);
+        entry.trust = (entry.trust * TRUST_DECAY).clamp(0.0, 1.0);
         entry.outlier_rounds += 1;
         self.dirty = true;
     }
@@ -72,7 +84,7 @@ impl ReputationBook {
     /// Records a clean round: trust recovers a fraction of the gap to 1.
     /// Sessions already at full trust stay untouched (and the book stays
     /// clean), so an honest fleet never churns the durable manifest.
-    pub fn record_clean(&mut self, session: u64, cfg: &FederationConfig) {
+    pub fn record_clean(&mut self, session: u64) {
         let Some(entry) = self.entries.get_mut(&session) else {
             return;
         };
@@ -81,7 +93,7 @@ impl ReputationBook {
             self.dirty = true;
             return;
         }
-        entry.trust = (entry.trust + (1.0 - entry.trust) * cfg.trust_recovery).clamp(0.0, 1.0);
+        entry.trust = (entry.trust + (1.0 - entry.trust) * TRUST_RECOVERY).clamp(0.0, 1.0);
         entry.clean_rounds += 1;
         self.dirty = true;
     }
@@ -101,28 +113,22 @@ impl ReputationBook {
 mod tests {
     use super::*;
 
-    fn cfg() -> FederationConfig {
-        FederationConfig::default()
-            .with_trust_decay(0.5)
-            .with_trust_recovery(0.25)
-            .with_trust_floor(0.3)
-    }
-
     #[test]
     fn trust_decays_below_floor_and_recovers_above() {
-        let cfg = cfg();
         let mut book = ReputationBook::new();
-        assert!(book.is_trusted(7, &cfg));
-        book.record_outlier(7, &cfg);
-        assert_eq!(book.trust(7), 0.5);
-        assert!(book.is_trusted(7, &cfg));
-        book.record_outlier(7, &cfg);
-        assert_eq!(book.trust(7), 0.25);
-        assert!(!book.is_trusted(7, &cfg), "below the 0.3 floor");
-        // Clean rounds close a quarter of the gap to 1 each time.
-        book.record_clean(7, &cfg);
-        assert!((book.trust(7) - 0.4375).abs() < 1e-6);
-        assert!(book.is_trusted(7, &cfg), "recovered past the floor");
+        assert!(book.is_trusted(7));
+        book.record_outlier(7);
+        assert_eq!(book.trust(7), TRUST_DECAY);
+        assert!(book.is_trusted(7));
+        book.record_outlier(7);
+        assert_eq!(book.trust(7), TRUST_DECAY * TRUST_DECAY);
+        assert!(!book.is_trusted(7), "below the floor");
+        // A clean round closes `TRUST_RECOVERY` of the gap to 1.
+        book.record_clean(7);
+        let recovered =
+            TRUST_DECAY * TRUST_DECAY + (1.0 - TRUST_DECAY * TRUST_DECAY) * TRUST_RECOVERY;
+        assert!((book.trust(7) - recovered).abs() < 1e-6);
+        assert!(book.is_trusted(7), "recovered past the floor");
         let entry = book.entries()[&7];
         assert_eq!(entry.outlier_rounds, 2);
         assert_eq!(entry.clean_rounds, 1);
@@ -130,12 +136,11 @@ mod tests {
 
     #[test]
     fn clean_rounds_for_unflagged_sessions_do_not_dirty_the_book() {
-        let cfg = cfg();
         let mut book = ReputationBook::new();
-        book.record_clean(3, &cfg);
+        book.record_clean(3);
         assert!(!book.is_dirty());
         assert!(book.entries().is_empty());
-        book.record_outlier(3, &cfg);
+        book.record_outlier(3);
         assert!(book.is_dirty());
         book.mark_persisted();
         assert!(!book.is_dirty());
@@ -143,10 +148,9 @@ mod tests {
 
     #[test]
     fn roundtrips_through_entries() {
-        let cfg = cfg();
         let mut book = ReputationBook::new();
-        book.record_outlier(1, &cfg);
-        book.record_clean(1, &cfg);
+        book.record_outlier(1);
+        book.record_clean(1);
         let restored = ReputationBook::from_entries(book.entries().clone());
         assert_eq!(restored.trust(1), book.trust(1));
         assert!(!restored.is_dirty());

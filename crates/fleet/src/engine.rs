@@ -139,7 +139,7 @@ pub enum FeedReply {
     Disconnected,
 }
 
-/// Federation (cooperative cross-session model merging) knobs.
+/// Federation (cooperative cross-session model merging) settings.
 ///
 /// The fleet's pipelines all descend from one reference model, so their
 /// OS-ELM sufficient statistics compose analytically (Ito et al.,
@@ -147,52 +147,27 @@ pub enum FeedReply {
 /// sessions whose models have diverged from the current fleet baseline
 /// (i.e. sessions that reconstructed after a drift), merges them in
 /// closed form, and redistributes the merged model so lagging sessions
-/// adapt before their own detector has to fire.
+/// adapt before their own detector has to fire. The gates' bounds and
+/// the reputation rates are constants of `seqdrift-federate`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FederationConfig {
     /// Fleet-wide processed-sample interval between automatic merge
     /// rounds (pollers call `Federator::maybe_round`; an explicit
     /// `run_round` ignores this).
     pub interval: u64,
-    /// Minimum accepted contributions before a merge happens; rounds
-    /// with fewer changed healthy sessions are skipped.
-    pub min_contributors: usize,
-    /// Maximum per-instance trained-sample lag (vs the freshest
-    /// contributor) a contribution may have; anything staler is rejected
-    /// for the round.
-    pub staleness_bound: u64,
     /// Byzantine-robust two-pass merging: score each contributor's
     /// (U, c) statistics against the geometric-median robust centre and
-    /// re-admit only those within [`FederationConfig::deviation_bound`].
-    /// On outlier-free rounds the admitted set is everyone and the merge
-    /// is bit-identical to the plain path, so this defaults to on.
+    /// re-admit only those within the deviation bound. On outlier-free
+    /// rounds the admitted set is everyone and the merge is
+    /// bit-identical to the plain path, so this defaults to on.
     pub robust: bool,
-    /// Deviation-score bound (normalized Frobenius distance from the
-    /// robust centre; honest contributors cluster near 1) above which a
-    /// contribution is rejected as an outlier.
-    pub deviation_bound: Real,
-    /// Multiplicative trust decay applied to a session's reputation on
-    /// each round it scores as an outlier.
-    pub trust_decay: Real,
-    /// Fraction of the gap to full trust recovered on each clean round:
-    /// `trust += (1 - trust) * trust_recovery`.
-    pub trust_recovery: Real,
-    /// Reputation floor: sessions whose trust sits below this are
-    /// excluded from merging (still scored, so they can recover).
-    pub trust_floor: Real,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             interval: 2048,
-            min_contributors: 1,
-            staleness_bound: 100_000,
             robust: true,
-            deviation_bound: 8.0,
-            trust_decay: 0.5,
-            trust_recovery: 0.25,
-            trust_floor: 0.3,
         }
     }
 }
@@ -204,45 +179,9 @@ impl FederationConfig {
         self
     }
 
-    /// Overrides the minimum accepted contributions per merge.
-    pub fn with_min_contributors(mut self, min: usize) -> Self {
-        self.min_contributors = min;
-        self
-    }
-
-    /// Overrides the contributor staleness bound (in trained samples).
-    pub fn with_staleness_bound(mut self, bound: u64) -> Self {
-        self.staleness_bound = bound;
-        self
-    }
-
     /// Enables or disables Byzantine-robust two-pass merging.
     pub fn with_robust(mut self, robust: bool) -> Self {
         self.robust = robust;
-        self
-    }
-
-    /// Overrides the robust deviation-score bound.
-    pub fn with_deviation_bound(mut self, bound: Real) -> Self {
-        self.deviation_bound = bound;
-        self
-    }
-
-    /// Overrides the outlier-round trust decay factor.
-    pub fn with_trust_decay(mut self, decay: Real) -> Self {
-        self.trust_decay = decay;
-        self
-    }
-
-    /// Overrides the clean-round trust recovery rate.
-    pub fn with_trust_recovery(mut self, recovery: Real) -> Self {
-        self.trust_recovery = recovery;
-        self
-    }
-
-    /// Overrides the reputation trust floor.
-    pub fn with_trust_floor(mut self, floor: Real) -> Self {
-        self.trust_floor = floor;
         self
     }
 
@@ -250,36 +189,6 @@ impl FederationConfig {
         if self.interval == 0 {
             return Err(FleetError::InvalidConfig(
                 "federation interval must be positive",
-            ));
-        }
-        if self.min_contributors == 0 {
-            return Err(FleetError::InvalidConfig(
-                "federation min_contributors must be positive",
-            ));
-        }
-        if self.staleness_bound == 0 {
-            return Err(FleetError::InvalidConfig(
-                "federation staleness_bound must be positive",
-            ));
-        }
-        if !(self.deviation_bound.is_finite() && self.deviation_bound > 1.0) {
-            return Err(FleetError::InvalidConfig(
-                "federation deviation_bound must be finite and above 1",
-            ));
-        }
-        if !(self.trust_decay > 0.0 && self.trust_decay < 1.0) {
-            return Err(FleetError::InvalidConfig(
-                "federation trust_decay must be in (0, 1)",
-            ));
-        }
-        if !(self.trust_recovery > 0.0 && self.trust_recovery <= 1.0) {
-            return Err(FleetError::InvalidConfig(
-                "federation trust_recovery must be in (0, 1]",
-            ));
-        }
-        if !(self.trust_floor >= 0.0 && self.trust_floor < 1.0) {
-            return Err(FleetError::InvalidConfig(
-                "federation trust_floor must be in [0, 1)",
             ));
         }
         Ok(())

@@ -139,8 +139,8 @@ counter_table! {
     rejected_deviation,
     /// Rejections: the session's reputation sat below the trust floor.
     rejected_low_trust,
-    /// Merge rounds rejected wholesale (too few contributors survived
-    /// gating, or merge validation failed); the baseline stayed put.
+    /// Merge rounds rejected wholesale (no contributor survived the
+    /// robust pass, or merge validation failed); the baseline stayed put.
     merge_rounds_rejected,
     /// Merged-model installs delivered to sessions via the shard FIFOs.
     redistributions,

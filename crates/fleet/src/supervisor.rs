@@ -174,8 +174,8 @@ pub enum FleetEvent {
 /// Why a federation merge round was rejected wholesale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeRejectReason {
-    /// Fewer contributors than `FederationConfig::min_contributors`
-    /// survived gating.
+    /// Contributors cleared the overt gates, but none survived the
+    /// robust pass.
     TooFewContributors,
     /// The merge computed but failed transactional validation
     /// (non-finite or non-positive-definite combined statistics).

@@ -182,17 +182,6 @@ impl<const R: usize, const C: usize> SMat<R, C> {
             }
         }
     }
-
-    /// Maximum absolute element.
-    pub fn max_abs(&self) -> Real {
-        let mut m = 0.0;
-        for row in &self.data {
-            for &x in row {
-                m = x.abs().max(m);
-            }
-        }
-        m
-    }
 }
 
 impl<const N: usize> SMat<N, N> {

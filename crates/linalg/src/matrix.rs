@@ -75,15 +75,6 @@ impl Matrix {
         })
     }
 
-    /// Builds a 1 x n row matrix borrowing semantics from a slice copy.
-    pub fn row_vector(v: &[Real]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: v.len(),
-            data: v.to_vec(),
-        }
-    }
-
     /// Builds an n x 1 column matrix from a slice copy.
     pub fn col_vector(v: &[Real]) -> Self {
         Matrix {
@@ -492,16 +483,6 @@ impl Matrix {
         Ok(lanes.all_finite())
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> Real {
-        self.data.iter().map(|&x| x * x).sum::<Real>().sqrt()
-    }
-
-    /// Maximum absolute element value.
-    pub fn max_abs(&self) -> Real {
-        self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
-    }
-
     /// True when every element of `self` is within `tol` of `other`.
     pub fn approx_eq(&self, other: &Matrix, tol: Real) -> bool {
         self.shape() == other.shape()
@@ -510,13 +491,6 @@ impl Matrix {
                 .iter()
                 .zip(other.data.iter())
                 .all(|(&a, &b)| (a - b).abs() <= tol)
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: FnMut(Real) -> Real>(&mut self, mut f: F) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
     }
 
     /// Appends a copy of `row` as the last row of the matrix.
@@ -672,7 +646,7 @@ mod tests {
         let mut a = Matrix::zeros(2, 3);
         a.add_outer(2.0, &[1.0, 2.0], &[3.0, 4.0, 5.0]).unwrap();
         let u = Matrix::col_vector(&[1.0, 2.0]);
-        let v = Matrix::row_vector(&[3.0, 4.0, 5.0]);
+        let v = m(1, 3, &[3.0, 4.0, 5.0]);
         let mut expect = u.matmul(&v).unwrap();
         expect.scale(2.0);
         assert!(a.approx_eq(&expect, 1e-6));
@@ -708,19 +682,6 @@ mod tests {
         let mut b = Matrix::zeros(3, 3);
         b.set_identity().unwrap();
         assert_eq!(b, Matrix::identity(3));
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = m(1, 2, &[3.0, 4.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn map_inplace_applies() {
-        let mut a = m(1, 3, &[1.0, -2.0, 3.0]);
-        a.map_inplace(|x| x.abs());
-        assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -59,16 +59,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance (divides by n - 1).
-    #[inline]
-    pub fn sample_variance(&self) -> Real {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64) as Real
-        }
-    }
-
     /// Population standard deviation.
     #[inline]
     pub fn std(&self) -> Real {
@@ -118,15 +108,6 @@ impl Welford {
 /// Mean of a slice (0 for empty input).
 pub fn mean(xs: &[Real]) -> Real {
     crate::vector::mean(xs)
-}
-
-/// Population standard deviation of a slice.
-pub fn std_dev(xs: &[Real]) -> Real {
-    let mut w = Welford::new();
-    for &x in xs {
-        w.push(x);
-    }
-    w.std()
 }
 
 /// Linear-interpolation quantile of **sorted** data, `q` in `[0, 1]`.
@@ -200,7 +181,6 @@ mod tests {
         assert!((w.mean() - 5.0).abs() < 1e-6);
         assert!((w.variance() - 4.0).abs() < 1e-5);
         assert!((w.std() - 2.0).abs() < 1e-5);
-        assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-5);
     }
 
     #[test]

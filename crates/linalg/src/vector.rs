@@ -155,24 +155,6 @@ pub fn mean(x: &[Real]) -> Real {
     }
 }
 
-/// L1 (Manhattan) norm.
-#[inline]
-pub fn norm_l1(x: &[Real]) -> Real {
-    x.iter().map(|&v| v.abs()).sum()
-}
-
-/// L2 (Euclidean) norm.
-#[inline]
-pub fn norm_l2(x: &[Real]) -> Real {
-    dot(x, x).sqrt()
-}
-
-/// Squared L2 norm (avoids the square root on hot paths).
-#[inline]
-pub fn norm_l2_sq(x: &[Real]) -> Real {
-    dot(x, x)
-}
-
 /// L1 distance between two points.
 ///
 /// This is the distance used by Algorithm 1 line 14 and Algorithms 3-4 of
@@ -286,13 +268,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 2.0], &mut y);
         assert_eq!(y, vec![3.0, 5.0]);
-    }
-
-    #[test]
-    fn norms_known() {
-        assert_eq!(norm_l1(&[-1.0, 2.0, -3.0]), 6.0);
-        assert!((norm_l2(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
-        assert_eq!(norm_l2_sq(&[3.0, 4.0]), 25.0);
     }
 
     #[test]

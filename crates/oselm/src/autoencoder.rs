@@ -171,11 +171,6 @@ impl Autoencoder {
         }
         self.net.seq_train_predicted(x, x, &mut self.scratch_recon)
     }
-
-    /// Reconstructs `x` into `out` (diagnostics and examples).
-    pub fn reconstruct_into(&mut self, x: &[Real], out: &mut [Real]) -> Result<()> {
-        self.net.predict_into(x, out)
-    }
 }
 
 #[cfg(test)]

@@ -53,8 +53,8 @@ use std::time::{Duration, Instant};
 use seqdrift_core::DriftPipeline;
 use seqdrift_federate::Federator;
 use seqdrift_fleet::{
-    DurabilityHealth, FleetConfig, FleetEngine, FleetError, FleetEvent, MetricsSnapshot,
-    RecoveryReport, SessionId, ShutdownReport,
+    DurabilityHealth, FleetConfig, FleetEngine, FleetError, FleetEvent, RecoveryReport, SessionId,
+    ShutdownReport,
 };
 use seqdrift_linalg::Real;
 
@@ -450,11 +450,6 @@ impl Server {
     /// the final report).
     pub fn metrics(&self) -> ServerMetricsSnapshot {
         self.shared.metrics.snapshot()
-    }
-
-    /// Point-in-time fleet counters.
-    pub fn fleet_metrics(&self) -> MetricsSnapshot {
-        self.shared.fleet.metrics()
     }
 
     /// What the durable store's bind-time recovery scan found and

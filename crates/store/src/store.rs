@@ -734,23 +734,6 @@ impl Store {
         result
     }
 
-    /// Clears `session` from the quarantine ledger (the id was replaced
-    /// with a fresh session) and persists the manifest.
-    pub fn clear_quarantined(&self, session: u64) -> Result<(), StoreError> {
-        let removed = {
-            let mut inner = self.lock();
-            inner.ledger.remove(&session)
-        };
-        let Some(removed) = removed else {
-            return Ok(());
-        };
-        let result = self.write_manifest();
-        if result.is_err() {
-            self.lock().ledger.insert(session, removed);
-        }
-        result
-    }
-
     /// Writes the fleet-wide federated merged model (a full pipeline
     /// blob) as a new durable generation under the non-numeric
     /// `federated/` directory, through the same atomic generational path
@@ -1055,10 +1038,6 @@ mod tests {
                 restarts_spent: 3
             }
         );
-        store.clear_quarantined(9).unwrap();
-        drop(store);
-        let store = Store::open(&root).unwrap();
-        assert_eq!(store.ledger().len(), 1);
         fs::remove_dir_all(&root).ok();
     }
 

@@ -10,12 +10,12 @@
 //! This facade crate re-exports the workspace's public API:
 //!
 //! * [`core`] — the proposed detector (Algorithm 1), model reconstruction
-//!   (Algorithms 2–4), threshold calibration (Eq. 1), the coupled online
-//!   pipeline, and the multi-window ensemble extension;
+//!   (Algorithms 2–4), threshold calibration (Eq. 1), and the coupled
+//!   online pipeline;
 //! * [`oselm`] — OS-ELM autoencoders, the per-label multi-instance
 //!   discriminative model, and the ONLAD forgetting mechanism;
-//! * [`baselines`] — Quant Tree, SPLL, DDM, ADWIN, Page–Hinkley, CUSUM and
-//!   the k-means / GMM substrates;
+//! * [`baselines`] — Quant Tree, SPLL, DDM, ADWIN, Page–Hinkley, the
+//!   AR(p)-residual detector and the k-means / GMM substrates;
 //! * [`datasets`] — synthetic NSL-KDD-like and cooling-fan streams plus
 //!   generic drift-type composition;
 //! * [`edgesim`] — Raspberry Pi 4 / Pico device models, memory accounting
